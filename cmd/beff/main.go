@@ -22,9 +22,7 @@ import (
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/des"
 	"github.com/hpcbench/beff/internal/machine"
-	"github.com/hpcbench/beff/internal/mpi"
 	"github.com/hpcbench/beff/internal/report"
-	"github.com/hpcbench/beff/internal/simnet"
 	"github.com/hpcbench/beff/internal/trace"
 )
 
@@ -35,7 +33,6 @@ func main() {
 	c.SeedFlag(nil, "seed for the random polygons and the -perturb fault schedule")
 	c.RepsFlag(nil, 1, "repetitions per measurement (paper uses 3; matters under -perturb, where timings vary)")
 	c.PerturbFlag(nil, "")
-	c.ShardsFlag(nil)
 	c.CheckFlag(nil, false)
 	c.TraceFlag(nil)
 	c.ProfileFlags(nil)
@@ -56,10 +53,6 @@ func main() {
 		c.UsageErr("-maxloop must be >= 1, got %d", *maxLoop)
 	case *hotspots < 0:
 		c.UsageErr("-hotspots must not be negative, got %d", *hotspots)
-	case c.Shards > 1 && c.TracePath != "":
-		c.UsageErr("-trace requires -shards 1: a sharded run spans many detached worlds and has no single message timeline")
-	case c.Shards > 1 && *hotspots > 0:
-		c.UsageErr("-hotspots requires -shards 1: utilization is per-network and a sharded run spans many detached worlds")
 	}
 
 	if *list {
@@ -111,56 +104,9 @@ func main() {
 		MaxLooplength: *maxLoop,
 		Reps:          c.Reps,
 	}
-	var res *core.Result
-	if c.Shards > 1 {
-		// The sharded executor builds one detached world per chain; the
-		// factory reproduces every attachment the sequential path makes,
-		// plus the horizon watch re-verifying the shard causality claims
-		// on each replayed slice. The pre-built (and pre-attached) world
-		// serves as the run's first world.
-		fabric := w.Net.Config().Fabric
-		parts := simnet.Partition(fabric, c.Shards)
-		la := simnet.Lookahead(fabric, parts)
-		first := &w
-		factory := func(entries []des.Time) (mpi.WorldConfig, error) {
-			if entries == nil && first != nil {
-				fw := *first
-				first = nil
-				return fw, nil
-			}
-			fw, err := p.BuildWorld(c.Procs)
-			if err != nil {
-				return fw, err
-			}
-			o.InstrumentWorld(&fw)
-			o.InstrumentNet(fw.Net)
-			if pert != nil {
-				pert.ApplyNet(fw.Net, c.Seed)
-			}
-			if chk != nil {
-				chk.WatchWorld(&fw)
-				chk.WatchNet(fw.Net)
-				chk.WatchHorizon(fw.Net, parts, entries, la)
-			}
-			return fw, nil
-		}
-		var st *core.ShardStats
-		// A perturbation profile samples absolute virtual time, which a
-		// speculative (time-translated) world would get wrong: disable
-		// speculation and let every chain re-simulate exactly.
-		res, st, err = core.RunSharded(factory, opt, core.ShardOptions{
-			Shards: c.Shards,
-			NoSpec: pert != nil,
-			Obs:    o.Reg,
-		})
-		c.Fatal(err)
-		fmt.Fprintf(os.Stderr, "shards: %d workers, %d chains, %d units speculated, %d re-simulated, %.1fs frontier stall\n",
-			st.Shards, st.Chains, st.SpecHitUnits, st.ResimUnits, st.FrontierStall.Seconds())
-	} else {
-		res, err = core.Run(w, opt)
-		c.Fatal(err)
-		o.RecordNetBusy(w.Net, des.Time(des.DurationOf(res.Elapsed)))
-	}
+	res, err := core.Run(w, opt)
+	c.Fatal(err)
+	o.RecordNetBusy(w.Net, des.Time(des.DurationOf(res.Elapsed)))
 	o.Close()
 
 	if chk != nil {

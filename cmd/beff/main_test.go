@@ -79,10 +79,11 @@ func TestBadFlagValuesRejected(t *testing.T) {
 		{"-seed", "0"},
 		{"-seed", "-7"},
 		{"-hotspots", "-1"},
+		{"-shards", "2"}, // the sharded executor is gone
 	} {
 		out, code := run(t, args...)
-		if code == 0 {
-			t.Errorf("%v accepted", args)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (usage)", args, code)
 		}
 		if !strings.Contains(out, "Usage") {
 			t.Errorf("%v: no usage text:\n%s", args, out)

@@ -42,7 +42,6 @@ func main() {
 	c.SeedFlag(nil, "seed for the -perturb fault schedule")
 	c.RepsFlag(nil, 1, "repetitions of the whole benchmark; with -perturb each uses an independently derived seed and the maximum is reported")
 	c.PerturbFlag(nil, "")
-	c.ShardsFlag(nil)
 	c.CheckFlag(nil, false)
 	c.ProfileFlags(nil)
 	c.ObsFlags(nil)
@@ -74,15 +73,6 @@ func main() {
 
 	stopProf := c.StartProfiling()
 	defer stopProf()
-
-	if c.Shards > 1 {
-		// The sharded executor covers the message-passing benchmark
-		// only: b_eff_io's I/O phases couple every rank through shared
-		// filesystem server state, so its schedule has no quiescent
-		// cuts to slice at. -shards is accepted for CLI uniformity and
-		// runs the sequential engine (results are identical either way).
-		fmt.Fprintf(os.Stderr, "beffio: -shards %d noted; the I/O benchmark runs on the sequential engine\n", c.Shards)
-	}
 
 	p, err := c.LoadMachine()
 	c.Fatal(err)

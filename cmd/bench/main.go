@@ -8,7 +8,7 @@
 //
 //	bench                         # full cells, write BENCH_core.json
 //	bench -quick                  # small cells, CI smoke
-//	bench -baseline old.json      # embed old numbers and report speedups
+//	bench -baseline old.json      # embed old numbers (report or history) and report speedups
 //	bench -cpuprofile cpu.out     # profile the cells
 //
 // An "op" is one simulated message through the full des+simnet+mpi
@@ -22,9 +22,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"github.com/hpcbench/beff/internal/beffio"
@@ -32,7 +32,6 @@ import (
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/des"
 	"github.com/hpcbench/beff/internal/machine"
-	"github.com/hpcbench/beff/internal/mpi"
 )
 
 // CellResult is the measured cost of one benchmark cell.
@@ -52,7 +51,7 @@ type Report struct {
 	Generated string                `json:"generated"`
 	GitSHA    string                `json:"git_sha,omitempty"` // commit the numbers were measured at (-sha)
 	GoVersion string                `json:"go_version"`
-	NumCPU    int                   `json:"num_cpu,omitempty"` // host cores: context for the sharded-cell walls
+	NumCPU    int                   `json:"num_cpu,omitempty"` // host cores: context for the walls
 	Quick     bool                  `json:"quick,omitempty"`
 	PeakRSSKB int64                 `json:"peak_rss_kb,omitempty"` // omitted where getrusage is unavailable
 	Cells     []CellResult          `json:"cells"`
@@ -97,20 +96,13 @@ func loadHistory(path string) ([]Report, error) {
 	return []Report{r}, nil
 }
 
-// isShardCell recognises cells measured through the sharded parallel
-// executor. Their wall clock scales with host core count, so wall
-// comparisons against a baseline recorded on a different NumCPU are
-// meaningless and get skipped (allocs/op stays gated: the executor is
-// deterministic regardless of parallelism).
-func isShardCell(name string) bool { return strings.Contains(name, "_shards") }
-
 // cell is one fixed-seed workload with a way to count its messages.
 type cell struct {
 	name string
 	run  func() (ops int64, headlineMB float64, err error)
 }
 
-func cells(quick bool, shards int) []cell {
+func cells(quick bool) []cell {
 	beffCell := func(key string, procs, maxLoop int, skipAnalysis bool) cell {
 		return cell{
 			name: fmt.Sprintf("beff_%s_%d", key, procs),
@@ -134,36 +126,6 @@ func cells(quick bool, shards int) []cell {
 					return 0, 0, err
 				}
 				return w.Net.Messages(), res.Beff / 1e6, nil
-			},
-		}
-	}
-	// beffShardCell is the same workload through the sharded executor:
-	// ops come from the executor's exact message accounting (equal to
-	// the sequential count — see TestShardMessageParity), so ns/op is
-	// directly comparable with the sequential twin. The wall delta
-	// between the pair is the shard speedup on this host; it scales
-	// with core count (speculative chain worlds run in parallel) and
-	// degrades to roughly 1x on a single core.
-	beffShardCell := func(key string, procs, maxLoop int, skipAnalysis bool) cell {
-		return cell{
-			name: fmt.Sprintf("beff_%s_%d_shards%d", key, procs, shards),
-			run: func() (int64, float64, error) {
-				p, err := machine.Lookup(key)
-				if err != nil {
-					return 0, 0, err
-				}
-				factory := func([]des.Time) (mpi.WorldConfig, error) { return p.BuildWorld(procs) }
-				res, st, err := core.RunSharded(factory, core.Options{
-					MemoryPerProc: p.MemoryPerProc,
-					Seed:          1,
-					MaxLooplength: maxLoop,
-					Reps:          1,
-					SkipAnalysis:  skipAnalysis,
-				}, core.ShardOptions{Shards: shards})
-				if err != nil {
-					return 0, 0, err
-				}
-				return st.Messages, res.Beff / 1e6, nil
 			},
 		}
 	}
@@ -194,23 +156,19 @@ func cells(quick bool, shards int) []cell {
 	if quick {
 		return []cell{
 			beffCell("t3e", 16, 2, true),
-			beffShardCell("t3e", 16, 2, true),
 			beffioCell("t3e", 8, des.DurationOf(0.2)),
 		}
 	}
 	return []cell{
 		// The acceptance cell: 64 ranks on the torus machine, the
 		// workload where slot scans, routing, and per-message
-		// allocations dominate — sequential and sharded, as a
-		// before/after pair.
+		// allocations dominate.
 		beffCell("t3e", 64, 4, false),
-		beffShardCell("t3e", 64, 4, false),
 		beffCell("cluster", 32, 4, true),
 		beffioCell("t3e", 16, des.DurationOf(0.5)),
 		// The -quick cells ride along so the CI gate (bench -quick
 		// -gate) always finds its baselines in the committed report.
 		beffCell("t3e", 16, 2, true),
-		beffShardCell("t3e", 16, 2, true),
 		beffioCell("t3e", 8, des.DurationOf(0.2)),
 	}
 }
@@ -254,9 +212,8 @@ func main() {
 		quick    = flag.Bool("quick", false, "small cells for CI smoke runs")
 		iters    = flag.Int("iters", 3, "repetitions per cell (best wall time counts)")
 		out      = flag.String("o", "BENCH_core.json", "output JSON path ('-' for stdout only)")
-		baseline = flag.String("baseline", "", "prior bench JSON to embed and compute speedups against")
-		shards   = flag.Int("shards", 4, "worker count of the sharded executor cells")
-		gate     = flag.String("gate", "", "regression gate: compare against this committed bench JSON (single report or history; latest entry counts) and exit 1 on >10% wall slowdown or any allocs/op increase")
+		baseline = flag.String("baseline", "", "prior bench JSON to embed and compute speedups against (single report or history; latest entry counts)")
+		gate     = flag.String("gate", "", "regression gate: compare against this committed bench JSON (single report or history; latest entry counts) and exit 1 on >10% wall slowdown, any allocs/op increase or any headline drift")
 		trend    = flag.String("trend", "", "trajectory gate: compare against the best historical point per cell in this bench history JSON and exit 1 on regression")
 		appendTo = flag.String("append", "", "fold this run into the bench history JSON at this path (created if absent; skipped when a gate fails)")
 		sha      = flag.String("sha", "", "git commit to record in the report, for history entries")
@@ -267,8 +224,6 @@ func main() {
 	switch {
 	case *iters < 1:
 		c.UsageErr("-iters must be >= 1, got %d", *iters)
-	case *shards < 1:
-		c.UsageErr("-shards must be >= 1, got %d", *shards)
 	}
 
 	fatal := c.Fatal
@@ -284,7 +239,7 @@ func main() {
 	if rep.Generated == "" {
 		rep.Generated = time.Now().UTC().Format(time.RFC3339)
 	}
-	for _, c := range cells(*quick, *shards) {
+	for _, c := range cells(*quick) {
 		r, err := measure(c, *iters)
 		fatal(err)
 		fmt.Printf("%-20s %10d ops  %8.1f ns/op  %6.2f allocs/op  %8.1f B/op  wall %6.3fs  headline %.2f MB/s\n",
@@ -295,25 +250,7 @@ func main() {
 	rep.PeakRSSKB = peakRSSKB()
 
 	if *baseline != "" {
-		var base Report
-		data, err := os.ReadFile(*baseline)
-		fatal(err)
-		fatal(json.Unmarshal(data, &base))
-		rep.Baseline = base.Cells
-		rep.BaseRSSKB = base.PeakRSSKB
-		rep.Speedups = map[string]SpeedupRow{}
-		for _, b := range base.Cells {
-			for _, c := range rep.Cells {
-				if c.Name == b.Name && c.WallSec > 0 && c.AllocsPerA > 0 {
-					row := SpeedupRow{
-						Wall:   b.WallSec / c.WallSec,
-						Allocs: b.AllocsPerA / c.AllocsPerA,
-					}
-					rep.Speedups[c.Name] = row
-					fmt.Printf("%-20s speedup: %.2fx wall, %.2fx allocs/op\n", c.Name, row.Wall, row.Allocs)
-				}
-			}
-		}
+		fatal(applyBaseline(&rep, *baseline))
 	}
 
 	var gateFailures []string
@@ -329,17 +266,16 @@ func main() {
 			fatal(err)
 			trendEntries = entries
 		}
-		evaluate := func() (failures, suspects, notes []string) {
+		evaluate := func() (failures, suspects []string) {
 			if len(gateEntries) > 0 {
-				latest := gateEntries[len(gateEntries)-1]
-				f, s, n := runGate(&rep, latest.Cells, latest.NumCPU)
-				failures, suspects, notes = append(failures, f...), append(suspects, s...), append(notes, n...)
+				f, s := runGate(&rep, gateEntries[len(gateEntries)-1].Cells)
+				failures, suspects = append(failures, f...), append(suspects, s...)
 			}
 			if len(trendEntries) > 0 {
-				f, s, n := runTrend(&rep, trendEntries)
-				failures, suspects, notes = append(failures, f...), append(suspects, s...), append(notes, n...)
+				f, s := runTrend(&rep, trendEntries)
+				failures, suspects = append(failures, f...), append(suspects, s...)
 			}
-			return failures, suspects, notes
+			return failures, suspects
 		}
 		// Allocation counts are deterministic, so that half of the gate
 		// is judged immediately. Wall clock is noisy even best-of-iters
@@ -348,13 +284,12 @@ func main() {
 		// before the verdict sticks: a real slowdown survives
 		// re-measurement, scheduler noise rarely does.
 		byName := map[string]cell{}
-		for _, cl := range cells(*quick, *shards) {
+		for _, cl := range cells(*quick) {
 			byName[cl.name] = cl
 		}
-		var notes []string
 		for round := 0; ; round++ {
 			var suspects []string
-			gateFailures, suspects, notes = evaluate()
+			gateFailures, suspects = evaluate()
 			if len(suspects) == 0 || round == 2 {
 				break
 			}
@@ -382,9 +317,6 @@ func main() {
 					}
 				}
 			}
-		}
-		for _, n := range notes {
-			fmt.Printf("gate: note: %s\n", n)
 		}
 	}
 
@@ -435,24 +367,54 @@ func main() {
 // the committed report before the gate fails the run.
 const gateWallTolerance = 0.10
 
+// applyBaseline embeds the latest entry of the bench JSON at path (a
+// single report or a history) into rep and prints the per-cell
+// speedups against it.
+func applyBaseline(rep *Report, path string) error {
+	entries, err := loadHistory(path)
+	if err != nil {
+		return err
+	}
+	base := entries[len(entries)-1]
+	rep.Baseline = base.Cells
+	rep.BaseRSSKB = base.PeakRSSKB
+	rep.Speedups = map[string]SpeedupRow{}
+	for _, b := range base.Cells {
+		for _, c := range rep.Cells {
+			if c.Name == b.Name && c.WallSec > 0 && c.AllocsPerA > 0 {
+				row := SpeedupRow{
+					Wall:   b.WallSec / c.WallSec,
+					Allocs: b.AllocsPerA / c.AllocsPerA,
+				}
+				rep.Speedups[c.Name] = row
+				fmt.Printf("%-20s speedup: %.2fx wall, %.2fx allocs/op\n", c.Name, row.Wall, row.Allocs)
+			}
+		}
+	}
+	return nil
+}
+
+// headlineDrift reports whether a cell's benchmark value moved away
+// from a recorded one. The simulation is deterministic, so any move
+// beyond float round-off means the results changed. A zero recorded
+// headline predates the field and is not compared.
+func headlineDrift(cur, recorded float64) bool {
+	return recorded != 0 && math.Abs(cur-recorded) > 1e-9*math.Abs(recorded)
+}
+
 // runGate compares the fresh measurements against the committed cells
 // and returns one message per violation — a wall slowdown beyond the
-// tolerance, or any allocs/op growth (the simulator is deterministic,
+// tolerance, any allocs/op growth (the simulator is deterministic,
 // so allocation counts must not drift at all; a hair of slack absorbs
-// runtime-internal noise) — plus the names of cells whose only offence
-// is wall time, which the caller may re-measure before accepting the
-// verdict, plus annotations for comparisons the gate skipped. Shard
-// cells skip the wall comparison when the committed report was
-// measured on a different core count (baseNumCPU vs the run's): their
-// wall scales with parallelism, so a 1-CPU CI host would otherwise
-// fail every shard cell a many-core dev box committed, and vice
-// versa. Large improvements pass but are called out on stdout so the
-// committed file gets regenerated. The deltas are recorded in the
-// report (Baseline/Speedups), which CI uploads as the artifact.
-func runGate(rep *Report, committed []CellResult, baseNumCPU int) (failures, wallSuspects, notes []string) {
+// runtime-internal noise), or any headline drift — plus the names of
+// cells whose only offence is wall time, which the caller may
+// re-measure before accepting the verdict. Large improvements pass but
+// are called out on stdout so the committed file gets regenerated. The
+// deltas are recorded in the report (Baseline/Speedups), which CI
+// uploads as the artifact.
+func runGate(rep *Report, committed []CellResult) (failures, wallSuspects []string) {
 	rep.Baseline = committed
 	rep.Speedups = map[string]SpeedupRow{}
-	cpuMismatch := baseNumCPU != 0 && rep.NumCPU != 0 && baseNumCPU != rep.NumCPU
 	for _, cur := range rep.Cells {
 		for _, base := range committed {
 			if base.Name != cur.Name || base.WallSec <= 0 {
@@ -463,66 +425,62 @@ func runGate(rep *Report, committed []CellResult, baseNumCPU int) (failures, wal
 				row.Allocs = base.AllocsPerA / cur.AllocsPerA
 			}
 			rep.Speedups[cur.Name] = row
-			if isShardCell(cur.Name) && cpuMismatch {
-				notes = append(notes, fmt.Sprintf("%s: wall comparison skipped — committed on %d CPUs, running on %d (shard walls scale with cores; allocs/op still gated)",
-					cur.Name, baseNumCPU, rep.NumCPU))
-			} else {
-				slow := cur.WallSec/base.WallSec - 1
-				switch {
-				case slow > gateWallTolerance:
-					failures = append(failures, fmt.Sprintf("%s: wall %.3fs is %.0f%% over the committed %.3fs",
-						cur.Name, cur.WallSec, slow*100, base.WallSec))
-					wallSuspects = append(wallSuspects, cur.Name)
-				case slow < -gateWallTolerance:
-					fmt.Printf("%-20s gate: %.0f%% faster than the committed report — regenerate BENCH_core.json to keep it honest\n",
-						cur.Name, -slow*100)
-				}
+			slow := cur.WallSec/base.WallSec - 1
+			switch {
+			case slow > gateWallTolerance:
+				failures = append(failures, fmt.Sprintf("%s: wall %.3fs is %.0f%% over the committed %.3fs",
+					cur.Name, cur.WallSec, slow*100, base.WallSec))
+				wallSuspects = append(wallSuspects, cur.Name)
+			case slow < -gateWallTolerance:
+				fmt.Printf("%-20s gate: %.0f%% faster than the committed report — regenerate BENCH_core.json to keep it honest\n",
+					cur.Name, -slow*100)
 			}
 			if cur.AllocsPerA > base.AllocsPerA+1e-3 {
 				failures = append(failures, fmt.Sprintf("%s: %.4f allocs/op, committed %.4f (allocation growth is gated at zero)",
 					cur.Name, cur.AllocsPerA, base.AllocsPerA))
 			}
+			if headlineDrift(cur.HeadlineMB, base.HeadlineMB) {
+				failures = append(failures, fmt.Sprintf("%s: headline %v MB/s, committed %v (results changed)",
+					cur.Name, cur.HeadlineMB, base.HeadlineMB))
+			}
 		}
 	}
-	return failures, wallSuspects, notes
+	return failures, wallSuspects
 }
 
 // runTrend gates the run against the best historical point per cell:
-// across every history entry, the lowest wall (subject to the same
-// shard-cell NumCPU guard as runGate — only entries measured on this
-// core count count toward a shard cell's best wall) and the lowest
-// allocs/op. A run may match the latest entry and still fail here if
-// an older entry was better — the trajectory is not allowed to decay
-// one tolerable step at a time.
-func runTrend(rep *Report, hist []Report) (failures, wallSuspects, notes []string) {
+// across every history entry, the lowest wall and the lowest
+// allocs/op. The headline must equal the one recorded with the best
+// wall. A run may match the latest entry and still fail here if an
+// older entry was better — the trajectory is not allowed to decay one
+// tolerable step at a time.
+func runTrend(rep *Report, hist []Report) (failures, wallSuspects []string) {
 	for _, cur := range rep.Cells {
-		var bestWall, bestAllocs float64
+		var best CellResult
+		var bestAllocs float64
 		var bestWallAt, bestAllocsAt string
-		wallSkipped := 0
 		for _, h := range hist {
-			cpuMismatch := h.NumCPU != 0 && rep.NumCPU != 0 && h.NumCPU != rep.NumCPU
 			for _, base := range h.Cells {
 				if base.Name != cur.Name || base.WallSec <= 0 {
 					continue
 				}
-				if isShardCell(cur.Name) && cpuMismatch {
-					wallSkipped++
-				} else if bestWall == 0 || base.WallSec < bestWall {
-					bestWall, bestWallAt = base.WallSec, entryLabel(h)
+				if best.WallSec == 0 || base.WallSec < best.WallSec {
+					best, bestWallAt = base, entryLabel(h)
 				}
 				if base.AllocsPerA > 0 && (bestAllocs == 0 || base.AllocsPerA < bestAllocs) {
 					bestAllocs, bestAllocsAt = base.AllocsPerA, entryLabel(h)
 				}
 			}
 		}
-		if wallSkipped > 0 {
-			notes = append(notes, fmt.Sprintf("%s: %d historical wall point(s) skipped (different NumCPU)", cur.Name, wallSkipped))
-		}
-		if bestWall > 0 {
-			if slow := cur.WallSec/bestWall - 1; slow > gateWallTolerance {
+		if best.WallSec > 0 {
+			if slow := cur.WallSec/best.WallSec - 1; slow > gateWallTolerance {
 				failures = append(failures, fmt.Sprintf("%s: wall %.3fs is %.0f%% over the best historical %.3fs (%s)",
-					cur.Name, cur.WallSec, slow*100, bestWall, bestWallAt))
+					cur.Name, cur.WallSec, slow*100, best.WallSec, bestWallAt))
 				wallSuspects = append(wallSuspects, cur.Name)
+			}
+			if headlineDrift(cur.HeadlineMB, best.HeadlineMB) {
+				failures = append(failures, fmt.Sprintf("%s: headline %v MB/s, best historical point has %v (%s; results changed)",
+					cur.Name, cur.HeadlineMB, best.HeadlineMB, bestWallAt))
 			}
 		}
 		if bestAllocs > 0 && cur.AllocsPerA > bestAllocs+1e-3 {
@@ -530,7 +488,7 @@ func runTrend(rep *Report, hist []Report) (failures, wallSuspects, notes []strin
 				cur.Name, cur.AllocsPerA, bestAllocs, bestAllocsAt))
 		}
 	}
-	return failures, wallSuspects, notes
+	return failures, wallSuspects
 }
 
 // entryLabel names a history entry in diagnostics: its commit when

@@ -16,74 +16,22 @@ func cell4(name string, wall, allocs float64) CellResult {
 	return CellResult{Name: name, Ops: 1000, WallSec: wall, NsPerOp: wall * 1e9 / 1000, AllocsPerA: allocs}
 }
 
-// TestGateSkipsShardWallOnNumCPUMismatch is the regression test for
-// the 1-CPU-runner gate bug: a shard cell's wall scales with host
-// cores, so comparing it against a baseline committed on a different
-// NumCPU must be skipped (with a note), not failed. Reverting the
-// guard in runGate makes this fail.
-func TestGateSkipsShardWallOnNumCPUMismatch(t *testing.T) {
-	base := []CellResult{
-		cell4("beff_t3e_16", 1.0, 5),
-		cell4("beff_t3e_16_shards4", 1.0, 5),
-	}
-	// A 1-CPU host runs the sharded cell 3x slower; the sequential
-	// cell is unchanged.
-	rep := mkReport(1,
-		cell4("beff_t3e_16", 1.0, 5),
-		cell4("beff_t3e_16_shards4", 3.0, 5),
-	)
-	failures, suspects, notes := runGate(&rep, base, 8)
-	if len(failures) != 0 {
-		t.Errorf("shard wall on mismatched NumCPU should not fail the gate: %v", failures)
-	}
-	if len(suspects) != 0 {
-		t.Errorf("no re-measure suspects expected: %v", suspects)
-	}
-	if len(notes) != 1 || !strings.Contains(notes[0], "shards4") || !strings.Contains(notes[0], "skipped") {
-		t.Errorf("expected one skip annotation for the shard cell: %v", notes)
-	}
-
-	// Allocs growth on the shard cell still fails even with the CPU
-	// mismatch — allocation counts are parallelism-independent.
-	rep = mkReport(1,
-		cell4("beff_t3e_16", 1.0, 5),
-		cell4("beff_t3e_16_shards4", 3.0, 7),
-	)
-	failures, _, _ = runGate(&rep, base, 8)
-	if len(failures) != 1 || !strings.Contains(failures[0], "allocs/op") {
-		t.Errorf("allocs growth must stay gated across NumCPU: %v", failures)
-	}
-
-	// Same NumCPU: the shard wall comparison is live again.
-	rep = mkReport(8,
-		cell4("beff_t3e_16", 1.0, 5),
-		cell4("beff_t3e_16_shards4", 3.0, 5),
-	)
-	failures, suspects, notes = runGate(&rep, base, 8)
-	if len(failures) != 1 || len(suspects) != 1 {
-		t.Errorf("matching NumCPU should gate the shard wall: failures=%v suspects=%v", failures, suspects)
-	}
-	if len(notes) != 0 {
-		t.Errorf("no notes expected on matching NumCPU: %v", notes)
-	}
-}
-
 func TestGateWallAndAllocs(t *testing.T) {
 	base := []CellResult{cell4("beff_t3e_16", 1.0, 5)}
 	// Within tolerance: pass.
 	rep := mkReport(4, cell4("beff_t3e_16", 1.05, 5))
-	if f, s, _ := runGate(&rep, base, 4); len(f) != 0 || len(s) != 0 {
+	if f, s := runGate(&rep, base); len(f) != 0 || len(s) != 0 {
 		t.Errorf("5%% drift should pass: %v", f)
 	}
 	// Beyond tolerance: fail and suspect.
 	rep = mkReport(4, cell4("beff_t3e_16", 1.2, 5))
-	f, s, _ := runGate(&rep, base, 4)
+	f, s := runGate(&rep, base)
 	if len(f) != 1 || len(s) != 1 {
 		t.Errorf("20%% drift should fail with a wall suspect: %v / %v", f, s)
 	}
 	// A speedup populates the Speedups table.
 	rep = mkReport(4, cell4("beff_t3e_16", 0.5, 5))
-	runGate(&rep, base, 4)
+	runGate(&rep, base)
 	if row, ok := rep.Speedups["beff_t3e_16"]; !ok || row.Wall < 1.9 || row.Wall > 2.1 {
 		t.Errorf("speedup row = %+v", rep.Speedups)
 	}
@@ -105,7 +53,7 @@ func TestTrendGateUsesBestHistoricalPoint(t *testing.T) {
 	// 8% over the latest entry but 17% over the best point: must fail,
 	// and the message must name the best entry's commit.
 	rep := mkReport(4, cell4("beff_t3e_16", 1.17, 5))
-	failures, suspects, _ := runTrend(&rep, hist)
+	failures, suspects := runTrend(&rep, hist)
 	if len(failures) != 1 || len(suspects) != 1 {
 		t.Fatalf("decay past the best point should fail: %v", failures)
 	}
@@ -115,31 +63,14 @@ func TestTrendGateUsesBestHistoricalPoint(t *testing.T) {
 
 	// Matching the best point passes.
 	rep = mkReport(4, cell4("beff_t3e_16", 1.02, 5))
-	if f, _, _ := runTrend(&rep, hist); len(f) != 0 {
+	if f, _ := runTrend(&rep, hist); len(f) != 0 {
 		t.Errorf("2%% over best should pass: %v", f)
 	}
 
 	// Allocs are gated against the historical best too.
 	rep = mkReport(4, cell4("beff_t3e_16", 1.0, 6))
-	if f, _, _ := runTrend(&rep, hist); len(f) != 1 || !strings.Contains(f[0], "allocs/op") {
+	if f, _ := runTrend(&rep, hist); len(f) != 1 || !strings.Contains(f[0], "allocs/op") {
 		t.Errorf("allocs decay should fail: %v", f)
-	}
-}
-
-// TestTrendShardNumCPUGuard: historical shard-cell walls recorded on
-// a different core count stay out of a shard cell's best-wall pool.
-func TestTrendShardNumCPUGuard(t *testing.T) {
-	hist := []Report{
-		mkReport(8, cell4("beff_t3e_16_shards4", 0.3, 5)), // many-core wall, unreachable on 1 CPU
-		mkReport(1, cell4("beff_t3e_16_shards4", 1.0, 5)),
-	}
-	rep := mkReport(1, cell4("beff_t3e_16_shards4", 1.05, 5))
-	failures, _, notes := runTrend(&rep, hist)
-	if len(failures) != 0 {
-		t.Errorf("1-CPU run should only compare against 1-CPU history: %v", failures)
-	}
-	if len(notes) != 1 || !strings.Contains(notes[0], "skipped") {
-		t.Errorf("expected a skip note: %v", notes)
 	}
 }
 
@@ -193,11 +124,64 @@ func TestLoadHistoryBothFormats(t *testing.T) {
 	}
 }
 
-func TestIsShardCell(t *testing.T) {
-	if !isShardCell("beff_t3e_16_shards4") || !isShardCell("beff_t3e_64_shards8") {
-		t.Error("shard cells not recognised")
+// TestGateAndTrendCatchHeadlineDrift: a change that alters a cell's
+// benchmark value fails both gates even when wall and allocs/op are
+// unchanged, and is not a wall suspect (re-measuring cannot fix it).
+func TestGateAndTrendCatchHeadlineDrift(t *testing.T) {
+	withHeadline := func(c CellResult, mb float64) CellResult {
+		c.HeadlineMB = mb
+		return c
 	}
-	if isShardCell("beff_t3e_16") || isShardCell("beffio_t3e_8") {
-		t.Error("sequential cells misclassified")
+	base := withHeadline(cell4("beff_t3e_16", 1.0, 5), 1212.168050094987)
+	hist := []Report{mkReport(4, base)}
+
+	same := mkReport(4, base)
+	if f, _ := runGate(&same, hist[0].Cells); len(f) != 0 {
+		t.Errorf("unchanged headline should pass the gate: %v", f)
+	}
+	if f, _ := runTrend(&same, hist); len(f) != 0 {
+		t.Errorf("unchanged headline should pass the trend: %v", f)
+	}
+
+	moved := mkReport(4, withHeadline(base, 1212.17))
+	f, s := runGate(&moved, hist[0].Cells)
+	if len(f) != 1 || !strings.Contains(f[0], "headline") || len(s) != 0 {
+		t.Errorf("headline drift should fail the gate without a wall suspect: %v / %v", f, s)
+	}
+	f, s = runTrend(&moved, hist)
+	if len(f) != 1 || !strings.Contains(f[0], "headline") || len(s) != 0 {
+		t.Errorf("headline drift should fail the trend without a wall suspect: %v / %v", f, s)
+	}
+
+	// A recorded headline of zero predates the field: not compared.
+	old := []CellResult{cell4("beff_t3e_16", 1.0, 5)}
+	if f, _ := runGate(&moved, old); len(f) != 0 {
+		t.Errorf("zero recorded headline should not be compared: %v", f)
+	}
+}
+
+// TestBaselineReadsHistory: -baseline accepts a history document and
+// compares against its latest entry, like -gate does.
+func TestBaselineReadsHistory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "history.json")
+	data, err := json.Marshal(History{Entries: []Report{
+		mkReport(1, cell4("beff_t3e_16", 4.0, 5)),
+		mkReport(1, cell4("beff_t3e_16", 2.0, 5)),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep := mkReport(1, cell4("beff_t3e_16", 1.0, 5))
+	if err := applyBaseline(&rep, path); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Baseline) != 1 {
+		t.Fatalf("baseline cells = %+v, want the latest entry's one cell", rep.Baseline)
+	}
+	if row, ok := rep.Speedups["beff_t3e_16"]; !ok || row.Wall != 2 {
+		t.Errorf("speedup against the latest entry = %+v, want 2x wall", rep.Speedups)
 	}
 }

@@ -7,11 +7,11 @@
 // perturbation sensitivity) — in text, CSV and JSON.
 //
 // Every (machine, procs, repetition) point is an ordinary sweep cell:
-// the fleet fans out over -j workers, shards each simulation over
-// -shards, and shares the result cache with every other command, so a
-// fleet run after a tables or robustness session is mostly cache
-// hits. Output is deterministic — byte-identical at every -j and
-// -shards — which makes the JSON artifact diffable: -diff compares a
+// the fleet fans out over -j workers and shares the result cache with
+// every other command, so a fleet run after a tables or robustness
+// session is mostly cache hits. Output is deterministic — byte-
+// identical at every -j — which makes the JSON artifact diffable: -diff
+// compares a
 // previous fleet JSON against this run and fails when any machine's
 // b_eff or balance factor moved beyond -diff-tolerance.
 //
@@ -39,7 +39,6 @@ func main() {
 	c.FleetFlags(nil)
 	c.SeedFlag(nil, "base seed; perturbed repetition r runs under RepSeed(seed, r)")
 	c.PerturbFlag(nil, "")
-	c.ShardsFlag(nil)
 	c.ProfileFlags(nil)
 	c.ObsFlags(nil)
 	var (
@@ -100,8 +99,6 @@ func main() {
 		InnerReps:     *innerReps,
 		SkipAnalysis:  !*analysis,
 		LmaxOverride:  *lmaxOver,
-		Shards:        c.Shards,
-		Obs:           o.Reg,
 	}
 	fr, err := runner.RunFleet(spec, o.SweepOptions(rf.Options("fleet")))
 	o.Close()

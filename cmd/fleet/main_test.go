@@ -63,6 +63,7 @@ func TestBadFlagValuesRejected(t *testing.T) {
 		{"-reps", "-1"},
 		{"-seed", "0"},
 		{"-diff-tolerance", "0"},
+		{"-j", "2", "-shards", "2"}, // the sharded executor is gone
 	} {
 		out, code := run(t, args...)
 		if code != 2 {
@@ -150,12 +151,11 @@ func TestDiffGate(t *testing.T) {
 	}
 }
 
-func TestDeterministicJSONAcrossJandShards(t *testing.T) {
+func TestDeterministicJSONAcrossJ(t *testing.T) {
 	var want []byte
 	for _, extra := range [][]string{
 		{"-j", "1"},
 		{"-j", "8"},
-		{"-j", "8", "-shards", "4"},
 	} {
 		jsonPath := filepath.Join(t.TempDir(), "fleet.json")
 		args := miniFleetArgs(t, append(extra, "-json", jsonPath, "-no-text")...)

@@ -43,7 +43,6 @@ func main() {
 	c.SeedFlag(nil, "base seed; repetition r runs under RepSeed(seed, r)")
 	c.RepsFlag(nil, 5, "independent perturbed repetitions")
 	c.PerturbFlag(nil, "stormy")
-	c.ShardsFlag(nil)
 	c.CheckFlag(nil, true)
 	c.ProfileFlags(nil)
 	c.ObsFlags(nil)
@@ -127,15 +126,12 @@ func main() {
 	} else {
 		bench = "b_eff"
 		opt := core.Options{MemoryPerProc: p.MemoryPerProc, MaxLooplength: *maxLoop, Reps: *innerReps}
-		// -shards threads through to the cells; perturbed repetitions
-		// re-simulate rather than speculate (see RobustBeffCellShards),
-		// so values are byte-identical at every shard count.
 		cells := make([]runner.Cell[*core.Result], 0, c.Reps+1)
 		for r := 0; r < c.Reps; r++ {
-			cells = append(cells, runner.RobustBeffCellShards(c.Machine, c.Procs, opt, pert, c.Seed, r, c.Shards, o.Reg))
+			cells = append(cells, runner.RobustBeffCell(c.Machine, c.Procs, opt, pert, c.Seed, r))
 		}
 		if *baseline {
-			cells = append(cells, runner.RobustBeffCellShards(c.Machine, c.Procs, opt, nil, 0, 0, c.Shards, o.Reg))
+			cells = append(cells, runner.RobustBeffCell(c.Machine, c.Procs, opt, nil, 0, 0))
 		}
 		results := runner.Sweep(cells, sweepOpt)
 		o.Close()

@@ -37,11 +37,10 @@ type Config struct {
 	ConfigPath string
 	Procs      int
 
-	// Run shaping (SeedFlag / RepsFlag / PerturbFlag / ShardsFlag).
+	// Run shaping (SeedFlag / RepsFlag / PerturbFlag).
 	Seed    int64
 	Reps    int
 	Perturb string
-	Shards  int
 
 	// Verification (CheckFlag).
 	Check bool
@@ -72,7 +71,7 @@ type Config struct {
 
 	fs *flag.FlagSet // the set the groups registered on, for Usage
 
-	hasMachine, hasSeed, hasReps, hasServe, hasShards bool
+	hasMachine, hasSeed, hasReps, hasServe bool
 }
 
 // New returns a Config for the named command.
@@ -127,16 +126,6 @@ func (c *Config) PerturbFlag(fs *flag.FlagSet, def string) {
 	fs = c.bind(fs)
 	fs.StringVar(&c.Perturb, "perturb", def,
 		"fault-injection profile: preset name ("+strings.Join(perturb.Presets(), ", ")+") or JSON file; empty disables perturbation")
-}
-
-// ShardsFlag registers -shards, the worker count of the sharded
-// conservative-parallel executor. 1 (the default) runs the plain
-// sequential engine; results are byte-identical at every value.
-func (c *Config) ShardsFlag(fs *flag.FlagSet) {
-	fs = c.bind(fs)
-	fs.IntVar(&c.Shards, "shards", 1,
-		"parallel shard workers for the simulation (results are byte-identical at any value; 1 = sequential engine)")
-	c.hasShards = true
 }
 
 // CheckFlag registers -check. resultOnly selects the weaker help text
@@ -245,8 +234,6 @@ func (c *Config) Validate() {
 		c.UsageErr("-reps must be >= 1, got %d", c.Reps)
 	case c.hasSeed && c.Seed < 1:
 		c.UsageErr("-seed must be >= 1, got %d", c.Seed)
-	case c.hasShards && c.Shards < 1:
-		c.UsageErr("-shards must be >= 1, got %d", c.Shards)
 	case c.MetricsInterval < 0:
 		c.UsageErr("-metrics-interval must not be negative, got %v", c.MetricsInterval)
 	case c.hasServe && c.QueueLimit < 1:

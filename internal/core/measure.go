@@ -103,54 +103,15 @@ func exchange(c *mpi.Comm, nb Neighbors, L int64, m Method, s *exchScratch) {
 // size and method, and returns the maximum per-process time in seconds
 // (the b_eff timing rule).
 func measureOnce(c *mpi.Comm, p *Pattern, L int64, m Method, looplength int) float64 {
-	return measureOnceRec(c, p, L, m, looplength, nil)
-}
-
-// unitRecorder captures the per-rank virtual-time landmarks of one
-// measurement unit: the entry into the unit, the Wtime sample points
-// bracketing the timed loop, and the exit after the closing reduction.
-// The sharded executor replays units in detached worlds and needs these
-// integer timestamps to validate the replay and to reconstruct the
-// float timings in the absolute frame (see shard.go). Slices are
-// indexed by rank and must be pre-sized by the caller.
-type unitRecorder struct {
-	entry, t0, tEnd, exit []des.Time
-}
-
-func newUnitRecorder(n int) *unitRecorder {
-	return &unitRecorder{
-		entry: make([]des.Time, n),
-		t0:    make([]des.Time, n),
-		tEnd:  make([]des.Time, n),
-		exit:  make([]des.Time, n),
-	}
-}
-
-// measureOnceRec is measureOnce with an optional recorder; rec may be
-// nil. The communication performed is identical either way.
-func measureOnceRec(c *mpi.Comm, p *Pattern, L int64, m Method, looplength int, rec *unitRecorder) float64 {
-	if rec != nil {
-		rec.entry[c.Rank()] = c.Time()
-	}
 	c.Barrier()
 	t0 := c.Wtime()
-	if rec != nil {
-		rec.t0[c.Rank()] = c.Time()
-	}
 	nb := p.NB[c.Rank()]
 	var s exchScratch
 	for k := 0; k < looplength; k++ {
 		exchange(c, nb, L, m, &s)
 	}
 	el := c.Wtime() - t0
-	if rec != nil {
-		rec.tEnd[c.Rank()] = c.Time()
-	}
-	out := c.AllreduceFloat64(mpi.OpMax, []float64{el})[0]
-	if rec != nil {
-		rec.exit[c.Rank()] = c.Time()
-	}
-	return out
+	return c.AllreduceFloat64(mpi.OpMax, []float64{el})[0]
 }
 
 // loopTarget is the midpoint of the paper's 2.5–5 ms window for one

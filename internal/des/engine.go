@@ -25,11 +25,6 @@ type Engine struct {
 	aborting bool
 	failure  error
 
-	// horizon, when non-zero, is the causality floor armed by
-	// SetHorizon: dispatching to any time in (0, horizon) aborts the
-	// run. See horizon.go.
-	horizon Time
-
 	// advanceObs holds observers registered through OnAdvance, all
 	// notified on every clock advance in registration order.
 	advanceObs []func(from, to Time)
@@ -155,15 +150,6 @@ func (e *Engine) loop() error {
 			// Should be impossible: wake times are always >= the clock
 			// at the moment they are set.
 			return fmt.Errorf("des: time ran backwards (clock %v, wake %v for %s)", e.clock, p.wakeAt, p.label)
-		}
-		if e.checkHorizon(p.wakeAt) {
-			e.failure = fmt.Errorf("des: causality violation: %s scheduled at %v, before the engine horizon %v", p.label, p.wakeAt, e.horizon)
-			if p.state == stateQueued {
-				// pop already removed it from the queue; mark it so
-				// teardown resumes it with the abort flag.
-				p.state = stateBlocked
-			}
-			return e.teardown()
 		}
 		if e.needsAdvance() {
 			e.notifyAdvance(e.clock, p.wakeAt)

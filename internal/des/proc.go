@@ -76,9 +76,6 @@ func (p *Proc) SleepUntil(t Time) {
 	// because an already-queued process with the same wake time carries a
 	// smaller sequence number and must run first.
 	if e.queue.Len() == 0 || e.queue[0].wakeAt > t {
-		if e.checkHorizon(t) {
-			p.Fail("des: causality violation: %s advanced to %v, before the engine horizon %v", p.label, t, e.horizon)
-		}
 		if e.needsAdvance() {
 			e.notifyAdvance(e.clock, t)
 		}

@@ -8,7 +8,7 @@ package report
 //
 // The JSON shape is the fleet's committed characterization record:
 // it is rendered deterministically (no timestamps unless the caller
-// stamps one), so two runs of the same fleet at any -j/-shards are
+// stamps one), so two runs of the same fleet at any -j are
 // byte-identical, and FleetDiff can gate a machine's drift against a
 // prior run.
 

@@ -5,9 +5,7 @@ import (
 
 	"github.com/hpcbench/beff/internal/beffio"
 	"github.com/hpcbench/beff/internal/core"
-	"github.com/hpcbench/beff/internal/des"
 	"github.com/hpcbench/beff/internal/machine"
-	"github.com/hpcbench/beff/internal/mpi"
 	"github.com/hpcbench/beff/internal/perturb"
 	"github.com/hpcbench/beff/internal/workload"
 )
@@ -56,39 +54,9 @@ type beffioFingerprint struct {
 
 // BeffCell measures b_eff on a registered machine profile. The
 // MemoryPerProc default resolves from the profile, like beff.MeasureBandwidth.
+// It is RobustBeffCell without a perturbation profile.
 func BeffCell(machineKey string, procs int, opt core.Options) Cell[*core.Result] {
-	return BeffCellShards(machineKey, procs, opt, 1)
-}
-
-// BeffCellShards is BeffCell on the sharded conservative-parallel
-// executor. The shard count is an execution knob, not an input of the
-// simulation — results are byte-identical at every value — so it is
-// deliberately excluded from the fingerprint: a sharded run hits the
-// cache entry a sequential run wrote, and vice versa.
-func BeffCellShards(machineKey string, procs int, opt core.Options, shards int) Cell[*core.Result] {
-	return Cell[*core.Result]{
-		Key:         fmt.Sprintf("beff:%s@%d", machineKey, procs),
-		Fingerprint: beffFingerprint{Bench: "beff", Machine: machineKey, Procs: procs, Options: opt},
-		Run: func() (*core.Result, error) {
-			p, err := machine.Lookup(machineKey)
-			if err != nil {
-				return nil, err
-			}
-			if opt.MemoryPerProc == 0 && opt.LmaxOverride == 0 {
-				opt.MemoryPerProc = p.MemoryPerProc
-			}
-			if shards <= 1 {
-				w, err := p.BuildWorld(procs)
-				if err != nil {
-					return nil, err
-				}
-				return core.Run(w, opt)
-			}
-			factory := func([]des.Time) (mpi.WorldConfig, error) { return p.BuildWorld(procs) }
-			res, _, err := core.RunSharded(factory, opt, core.ShardOptions{Shards: shards})
-			return res, err
-		},
-	}
+	return RobustBeffCell(machineKey, procs, opt, nil, 0, 0)
 }
 
 // BeffConfigCell measures b_eff on a declarative (JSON-schema) machine

@@ -6,8 +6,8 @@ package runner
 // values into a report.FleetReport. The expansion is deterministic —
 // machine order from machine.Profiles(), ladder order as given — and
 // the cells are ordinary sweep cells, so a fleet run parallelises
-// over -j, shards over -shards, and shares the result cache with
-// every other command measuring the same points.
+// over -j and shares the result cache with every other command
+// measuring the same points.
 
 import (
 	"fmt"
@@ -15,7 +15,6 @@ import (
 
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/machine"
-	"github.com/hpcbench/beff/internal/obs"
 	"github.com/hpcbench/beff/internal/perturb"
 	"github.com/hpcbench/beff/internal/report"
 )
@@ -52,14 +51,6 @@ type FleetSpec struct {
 	InnerReps     int
 	SkipAnalysis  bool
 	LmaxOverride  int64
-
-	// Shards is the per-cell conservative-parallel shard count
-	// (execution knob only — results and cache entries are identical
-	// at every value).
-	Shards int
-
-	// Obs optionally receives the sharded executor's instruments.
-	Obs *obs.Registry
 }
 
 // FleetPointRef ties one (machine, procs) point to its cells in the
@@ -102,9 +93,6 @@ func (s *FleetSpec) Normalize() error {
 	}
 	if s.InnerReps == 0 {
 		s.InnerReps = 1
-	}
-	if s.Shards == 0 {
-		s.Shards = 1
 	}
 	if s.Perturb != nil && !s.Perturb.Enabled() {
 		s.Perturb = nil
@@ -158,10 +146,10 @@ func FleetCells(s *FleetSpec) ([]Cell[*core.Result], []FleetPointRef, error) {
 		}
 		for _, procs := range ladderFor(p, s.Procs) {
 			ref := FleetPointRef{Machine: key, Procs: procs, Base: len(cells)}
-			cells = append(cells, BeffCellShards(key, procs, opt, s.Shards))
+			cells = append(cells, BeffCell(key, procs, opt))
 			for rep := 0; rep < s.Reps; rep++ {
 				ref.Reps = append(ref.Reps, len(cells))
-				cells = append(cells, RobustBeffCellShards(key, procs, opt, s.Perturb, s.Seed, rep, s.Shards, s.Obs))
+				cells = append(cells, RobustBeffCell(key, procs, opt, s.Perturb, s.Seed, rep))
 			}
 			refs = append(refs, ref)
 		}

@@ -71,30 +71,25 @@ func TestFleetGolden(t *testing.T) {
 	checkFleetGolden(t, "fleet_json.golden", js)
 }
 
-// TestFleetEquality crosses sweep workers (-j) and per-cell shards
-// (-shards): the fleet JSON must be byte-identical at every
-// combination.
+// TestFleetEquality varies sweep workers (-j): the fleet JSON must be
+// byte-identical at every worker count.
 func TestFleetEquality(t *testing.T) {
 	var want []byte
 	for _, workers := range []int{1, 8} {
-		for _, shards := range []int{1, 4} {
-			spec := fleetTestSpec()
-			spec.Shards = shards
-			fr, err := RunFleet(spec, Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("j=%d shards=%d: %v", workers, shards, err)
-			}
-			js, err := report.FleetJSON(fr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = js
-				continue
-			}
-			if !bytes.Equal(js, want) {
-				t.Errorf("j=%d shards=%d: fleet JSON differs from the j=1 shards=1 run", workers, shards)
-			}
+		fr, err := RunFleet(fleetTestSpec(), Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("j=%d: %v", workers, err)
+		}
+		js, err := report.FleetJSON(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = js
+			continue
+		}
+		if !bytes.Equal(js, want) {
+			t.Errorf("j=%d: fleet JSON differs from the j=1 run", workers)
 		}
 	}
 }
@@ -110,7 +105,7 @@ func TestFleetSpecNormalize(t *testing.T) {
 	if len(s.Procs) != 2 || s.Procs[0] != 4 || s.Procs[1] != 8 {
 		t.Errorf("default ladder = %v", s.Procs)
 	}
-	if s.Seed != 1 || s.MaxLooplength != 2 || s.InnerReps != 1 || s.Shards != 1 {
+	if s.Seed != 1 || s.MaxLooplength != 2 || s.InnerReps != 1 {
 		t.Errorf("defaults not applied: %+v", s)
 	}
 	if s.Reps != 0 || s.Perturb != nil {

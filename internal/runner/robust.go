@@ -5,10 +5,7 @@ import (
 
 	"github.com/hpcbench/beff/internal/beffio"
 	"github.com/hpcbench/beff/internal/core"
-	"github.com/hpcbench/beff/internal/des"
 	"github.com/hpcbench/beff/internal/machine"
-	"github.com/hpcbench/beff/internal/mpi"
-	"github.com/hpcbench/beff/internal/obs"
 	"github.com/hpcbench/beff/internal/perturb"
 	"github.com/hpcbench/beff/internal/stats"
 )
@@ -26,19 +23,6 @@ import (
 // profile degenerates to an unperturbed BeffCell with an unperturbed
 // fingerprint, so baseline cells share the cache with plain sweeps.
 func RobustBeffCell(machineKey string, procs int, opt core.Options, prof *perturb.Profile, seed int64, rep int) Cell[*core.Result] {
-	return RobustBeffCellShards(machineKey, procs, opt, prof, seed, rep, 1, nil)
-}
-
-// RobustBeffCellShards is RobustBeffCell on the sharded executor. Like
-// BeffCellShards, the shard count stays out of the fingerprint. A
-// perturbed repetition disables chain speculation (the fault schedule
-// samples absolute virtual time, which a time-translated speculative
-// world would get wrong) and re-simulates every chain at the exact
-// frontier instead — byte-identical, at sequential speed. A non-nil
-// reg receives the executor's beff_shard_* instruments (metrics never
-// touch results, so cells with and without a registry share cache
-// entries too).
-func RobustBeffCellShards(machineKey string, procs int, opt core.Options, prof *perturb.Profile, seed int64, rep int, shards int, reg *obs.Registry) Cell[*core.Result] {
 	if prof != nil && !prof.Enabled() {
 		prof = nil
 	}
@@ -61,24 +45,12 @@ func RobustBeffCellShards(machineKey string, procs int, opt core.Options, prof *
 			if opt.MemoryPerProc == 0 && opt.LmaxOverride == 0 {
 				opt.MemoryPerProc = p.MemoryPerProc
 			}
-			build := func() (mpi.WorldConfig, error) {
-				w, err := p.BuildWorld(procs)
-				if err != nil {
-					return w, err
-				}
-				prof.ApplyNet(w.Net, repSeed)
-				return w, nil
+			w, err := p.BuildWorld(procs)
+			if err != nil {
+				return nil, err
 			}
-			if shards <= 1 {
-				w, err := build()
-				if err != nil {
-					return nil, err
-				}
-				return core.Run(w, opt)
-			}
-			factory := func([]des.Time) (mpi.WorldConfig, error) { return build() }
-			res, _, err := core.RunSharded(factory, opt, core.ShardOptions{Shards: shards, NoSpec: prof != nil, Obs: reg})
-			return res, err
+			prof.ApplyNet(w.Net, repSeed)
+			return core.Run(w, opt)
 		},
 	}
 }

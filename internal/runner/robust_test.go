@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"testing"
 
@@ -115,6 +116,39 @@ func TestRobustSweepEndToEnd(t *testing.T) {
 		}
 		if warm[i].Value.Beff != cold[i].Value.Beff {
 			t.Fatalf("cell %s: cached value %v differs from computed %v", warm[i].Key, warm[i].Value.Beff, cold[i].Value.Beff)
+		}
+	}
+}
+
+// TestRobustSweepEqualityAcrossJ requires the served bytes of a plain
+// and a perturbed b_eff cell to be identical at -j 1 and -j 8.
+func TestRobustSweepEqualityAcrossJ(t *testing.T) {
+	opt := core.Options{LmaxOverride: 1 << 16, MaxLooplength: 2, Reps: 1, Seed: 1, SkipAnalysis: true}
+	var want []string
+	for _, workers := range []int{1, 8} {
+		results := Sweep([]Cell[*core.Result]{
+			BeffCell("t3e", 8, opt),
+			RobustBeffCell("t3e", 8, opt, stragglerProfile(), 1, 0),
+		}, Options{Workers: workers})
+		if err := Err(results); err != nil {
+			t.Fatalf("j=%d: %v", workers, err)
+		}
+		got := make([]string, len(results))
+		for i, r := range results {
+			data, err := json.Marshal(r.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = string(data)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("j=%d: cell %d bytes differ from the j=1 run", workers, i)
+			}
 		}
 	}
 }

@@ -270,7 +270,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if spec.Fleet {
 		var cells []runner.Cell[*core.Result]
 		var err error
-		fspec, err = spec.fleetSpec(s.reg)
+		fspec, err = spec.fleetSpec()
 		if err == nil {
 			cells, frefs, err = runner.FleetCells(fspec)
 		}
@@ -283,7 +283,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		var err error
-		tasks, err = spec.tasks(s.cache, s.reg)
+		tasks, err = spec.tasks(s.cache)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "invalid_request", "%v", err)
 			return

@@ -487,6 +487,10 @@ func TestValidation(t *testing.T) {
 		{"bad procs", `{"bench":"beff","machines":["t3e"],"procs":[0]}`, "invalid_request", 400},
 		{"unknown preset", `{"bench":"beff","machines":["t3e"],"procs":[4],"perturb":"hurricane"}`, "invalid_request", 400},
 		{"unknown field", `{"bench":"beff","machines":["t3e"],"procs":[4],"bogus":1}`, "bad_request", 400},
+		// The sharded executor and its request field are gone.
+		{"shards", `{"bench":"beff","machines":["t3e"],"procs":[4],"shards":2}`, "bad_request", 400},
+		{"fleet shards", `{"fleet":true,"machines":["t3e"],"procs":[4],"shards":2}`, "bad_request", 400},
+		{"workload shards", `{"bench":"workload","machines":["cluster"],"procs":[2],"shards":8,"workload":{"name":"w","phases":[{"name":"p","pattern":{"op":"shared","chunk":65536,"count":4}}]}}`, "bad_request", 400},
 		{"not json", `{"bench"`, "bad_request", 400},
 	}
 	for _, tc := range cases {

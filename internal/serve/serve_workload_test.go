@@ -58,13 +58,10 @@ func TestGoldenWorkloadOverHTTP(t *testing.T) {
 func TestWorkloadCanonicalizationSharesCache(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	// Request 0 is the cold run; 1 re-encodes the same AST with keys
-	// reordered and defaults spelled out; 2 is byte-identical to 0 but
-	// asks for shards 8 — an execution knob that must stay outside the
-	// fingerprint, like the b_eff sharded executor's.
+	// reordered and defaults spelled out.
 	bodies := []string{
 		`{"bench":"workload","machines":["cluster"],"procs":[2],"workload":{"name":"cache-key","phases":[{"name":"p","pattern":{"op":"shared","chunk":65536,"count":4}}]}}`,
 		`{"bench":"workload","machines":["cluster"],"procs":[2],"workload":{"seed":1,"phases":[{"pattern":{"count":4,"op":"shared","chunk":65536},"name":"p"}],"name":"cache-key"}}`,
-		`{"bench":"workload","machines":["cluster"],"procs":[2],"shards":8,"workload":{"name":"cache-key","phases":[{"name":"p","pattern":{"op":"shared","chunk":65536,"count":4}}]}}`,
 	}
 	cells := make([][]byte, len(bodies))
 	for i, body := range bodies {
@@ -86,7 +83,7 @@ func TestWorkloadCanonicalizationSharesCache(t *testing.T) {
 			t.Fatalf("job %d: %+v", i, jr.Cells)
 		}
 		if i > 0 && !jr.Cells[0].Cached {
-			t.Fatalf("request %d missed the cache — canonicalization or the shards knob is leaking into the fingerprint", i)
+			t.Fatalf("request %d missed the cache — canonicalization is leaking into the fingerprint", i)
 		}
 		cells[i] = jr.Cells[0].Result
 	}

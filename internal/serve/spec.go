@@ -8,7 +8,6 @@ import (
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/des"
 	"github.com/hpcbench/beff/internal/machine"
-	"github.com/hpcbench/beff/internal/obs"
 	"github.com/hpcbench/beff/internal/perturb"
 	"github.com/hpcbench/beff/internal/runner"
 	"github.com/hpcbench/beff/internal/workload"
@@ -73,14 +72,6 @@ type SweepRequest struct {
 	InnerReps     int   `json:"inner_reps,omitempty"`     // in-run repetitions, default 1
 	SkipAnalysis  bool  `json:"skip_analysis,omitempty"`
 
-	// Shards is the per-cell worker count of the sharded executor
-	// (b_eff only; default 1 = sequential engine). An execution knob,
-	// not a simulation input: results and cache fingerprints are
-	// identical at every value, so it never splits the dedupe or the
-	// cache. Size it against the daemon's -j worker pool — the two
-	// multiply (see OPERATIONS.md).
-	Shards int `json:"shards,omitempty"`
-
 	// b_eff_io knobs (defaults match cmd/robustness -io).
 	TSeconds float64 `json:"t_seconds,omitempty"` // scheduled virtual time, default 60
 
@@ -109,9 +100,6 @@ func (r *SweepRequest) normalize() {
 	}
 	if r.InnerReps == 0 {
 		r.InnerReps = 1
-	}
-	if r.Shards == 0 {
-		r.Shards = 1
 	}
 	if r.TSeconds == 0 {
 		r.TSeconds = 60
@@ -164,9 +152,6 @@ func (r *SweepRequest) validate() error {
 	if r.InnerReps < 1 {
 		return fmt.Errorf("inner_reps must be >= 1, got %d", r.InnerReps)
 	}
-	if r.Shards < 1 {
-		return fmt.Errorf("shards must be >= 1, got %d", r.Shards)
-	}
 	if r.TSeconds <= 0 {
 		return fmt.Errorf("t_seconds must be positive, got %v", r.TSeconds)
 	}
@@ -196,7 +181,7 @@ func (r *SweepRequest) validate() error {
 // fleetSpec builds the runner spec of a fleet request. Perturbation
 // presets resolve here; the spec's own Normalize (called by
 // FleetCells) applies ladder defaults and the reps/perturb coupling.
-func (r *SweepRequest) fleetSpec(reg *obs.Registry) (*runner.FleetSpec, error) {
+func (r *SweepRequest) fleetSpec() (*runner.FleetSpec, error) {
 	var prof *perturb.Profile
 	if r.Perturb != "" {
 		p, err := perturb.Preset(r.Perturb)
@@ -216,8 +201,6 @@ func (r *SweepRequest) fleetSpec(reg *obs.Registry) (*runner.FleetSpec, error) {
 		InnerReps:     r.InnerReps,
 		SkipAnalysis:  r.SkipAnalysis,
 		LmaxOverride:  r.LmaxOverride,
-		Shards:        r.Shards,
-		Obs:           reg,
 	}, nil
 }
 
@@ -225,7 +208,7 @@ func (r *SweepRequest) fleetSpec(reg *obs.Registry) (*runner.FleetSpec, error) {
 // (machine, procs, rep) cell, in deterministic axis order. The cache
 // is threaded into every task so HTTP-served cells read and repair the
 // same .beffcache/ entries as CLI sweeps.
-func (r *SweepRequest) tasks(cache *runner.Cache, reg *obs.Registry) ([]runner.Task, error) {
+func (r *SweepRequest) tasks(cache *runner.Cache) ([]runner.Task, error) {
 	var prof *perturb.Profile
 	if r.Perturb != "" {
 		p, err := perturb.Preset(r.Perturb)
@@ -247,17 +230,13 @@ func (r *SweepRequest) tasks(cache *runner.Cache, reg *obs.Registry) ([]runner.T
 						Reps:          r.InnerReps,
 						SkipAnalysis:  r.SkipAnalysis,
 					}
-					cell := runner.RobustBeffCellShards(key, procs, opt, prof, r.Seed, rep, r.Shards, reg)
+					cell := runner.RobustBeffCell(key, procs, opt, prof, r.Seed, rep)
 					tasks = append(tasks, runner.JSONTask(cell, cache))
 				case "beffio":
 					opt := beffio.Options{T: des.DurationOf(r.TSeconds)}
 					cell := runner.RobustBeffIOCell(key, procs, opt, prof, r.Seed, rep)
 					tasks = append(tasks, runner.JSONTask(cell, cache))
 				case "workload":
-					// Shards is accepted but not an input here: the I/O
-					// executor is sequential, and the knob never enters the
-					// fingerprint, so requests at any shard count share
-					// cache entries.
 					cell := runner.RobustWorkloadCell(r.Workload, key, procs, prof, r.Seed, rep)
 					tasks = append(tasks, runner.JSONTask(cell, cache))
 				default:
