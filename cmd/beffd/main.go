@@ -41,7 +41,6 @@ import (
 
 	"github.com/hpcbench/beff/internal/cli"
 	"github.com/hpcbench/beff/internal/obs"
-	"github.com/hpcbench/beff/internal/runner"
 	"github.com/hpcbench/beff/internal/serve"
 )
 
@@ -49,8 +48,7 @@ func main() {
 	c := cli.New("beffd")
 	c.ServeFlags(nil)
 	c.ObsFlags(nil)
-	var rf runner.Flags
-	rf.Register(flag.CommandLine)
+	c.SweepFlags(nil)
 	flag.Parse()
 	c.Validate()
 	if flag.NArg() > 0 {
@@ -59,10 +57,9 @@ func main() {
 
 	reg := obs.New()
 	s, err := serve.New(serve.Config{
-		Workers:       rf.J,
-		CacheDir:      rf.Dir,
-		CacheBackend:  rf.Backend,
-		NoCache:       rf.NoCache,
+		Workers:       c.J,
+		CacheDir:      c.CacheDir,
+		NoCache:       c.NoCache,
 		QueueLimit:    c.QueueLimit,
 		MaxClientJobs: c.MaxClientJobs,
 		MaxJobs:       c.MaxJobs,
@@ -94,8 +91,11 @@ func main() {
 	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	if dir := s.CacheDir(); dir != "" {
-		fmt.Fprintf(os.Stderr, "beffd: cache at %s (%s backend)\n", dir, s.CacheBackend())
+	if cache := s.Cache(); cache != nil {
+		fmt.Fprintf(os.Stderr, "beffd: cache at %s\n", cache.Dir())
+		if err := cache.ReadOnly(); err != nil {
+			fmt.Fprintf(os.Stderr, "beffd: cache read-only, results will not be saved: %v\n", err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "beffd: listening on http://%s\n", ln.Addr())
 

@@ -31,7 +31,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/hpcbench/beff/internal/runner"
@@ -43,7 +42,8 @@ func main() {
 }
 
 // entryDoc mirrors the cache's stored entry document (runner's
-// unexported entry type): what both backends keep per key.
+// unexported entry type): what the store keeps per key, and what each
+// legacy flat file held.
 type entryDoc struct {
 	Key         string          `json:"key"`
 	Fingerprint json.RawMessage `json:"fingerprint"`
@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Stats    store.Stats         `json:"stats"`
 			Segments []store.SegmentStat `json:"segments"`
 			FlatLeft int                 `json:"flat_entries_not_migrated"`
-		}{Dir: *dir, Stats: st.Stats(), Segments: st.Segments(), FlatLeft: len(flatEntries(*dir))}
+		}{Dir: *dir, Stats: st.Stats(), Segments: st.Segments(), FlatLeft: len(runner.FlatEntries(*dir))}
 		writeJSON(stdout, out)
 		return 0
 
@@ -196,28 +196,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		defer st.Close()
-		moved, skipped := 0, 0
-		for _, name := range flatEntries(*dir) {
-			path := filepath.Join(*dir, name)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				skipped++
-				continue
-			}
-			var e entryDoc
-			if json.Unmarshal(data, &e) != nil || len(e.Value) == 0 || string(e.Value) == "null" {
-				fmt.Fprintf(stderr, "beffstore: skipping damaged flat entry %s\n", name)
-				skipped++
-				continue
-			}
-			key := strings.TrimSuffix(name, ".json")
-			if err := st.Put(key, data); err != nil {
-				return fail(err)
-			}
-			os.Remove(path)
-			moved++
+		moved, skipped, err := runner.MigrateFlat(st, *dir)
+		for _, name := range skipped {
+			fmt.Fprintf(stderr, "beffstore: skipping unreadable or damaged flat entry %s\n", name)
 		}
-		fmt.Fprintf(stdout, "migrated %d flat entries, skipped %d; store now holds %d\n", moved, skipped, st.Len())
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "migrated %d flat entries, skipped %d; store now holds %d\n", moved, len(skipped), st.Len())
 		return 0
 
 	case "bench":
@@ -228,29 +214,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-}
-
-// flatEntries lists legacy one-file-per-entry cache files in dir:
-// <64 hex chars>.json.
-func flatEntries(dir string) []string {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		stem := strings.TrimSuffix(name, ".json")
-		if len(stem) != 64 || strings.Trim(stem, "0123456789abcdef") != "" {
-			continue
-		}
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func writeJSON(w io.Writer, v any) {
@@ -327,7 +290,7 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		Scans:      *scans,
 	}
 
-	// The entry documents are identical across backends: the envelope
+	// The entry documents are identical across layouts: the envelope
 	// the runner cache writes, around an opaque payload.
 	fmt.Fprintf(stderr, "beffstore: building %d-entry corpora (%d payload bytes each)...\n", *entries, *valueBytes)
 	keys := make([]string, *entries)
@@ -346,13 +309,16 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		docs[i] = doc
 	}
 
-	for _, backend := range []string{runner.BackendStore, runner.BackendFlat} {
+	// The two layouts compared: the segment-log store the cache uses, and
+	// a flat directory of one file per entry, the layout it replaced.
+	const backendStore, backendFlat = "store", "flat"
+	for _, backend := range []string{backendStore, backendFlat} {
 		dir := filepath.Join(work, backend)
 		var get func(key string, i int) ([]byte, error)
 		var scan func() (int, error)
 
 		switch backend {
-		case runner.BackendStore:
+		case backendStore:
 			st, err := store.Open(dir, store.Options{NoAutoCompact: true})
 			if err != nil {
 				fmt.Fprintf(stderr, "beffstore: %v\n", err)
@@ -377,7 +343,7 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 				err := st.Scan(func(_ string, v []byte) error { n += len(v); return nil })
 				return n, err
 			}
-		case runner.BackendFlat:
+		case backendFlat:
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				fmt.Fprintf(stderr, "beffstore: %v\n", err)
 				return 1

@@ -41,6 +41,7 @@ func main() {
 	c.PerturbFlag(nil, "")
 	c.ProfileFlags(nil)
 	c.ObsFlags(nil)
+	c.SweepFlags(nil)
 	var (
 		reps      = flag.Int("reps", 0, "perturbed repetitions per point (0 disables perturbation)")
 		maxLoop   = flag.Int("maxloop", 2, "b_eff: max looplength (deterministic simulation makes 2 exact)")
@@ -54,8 +55,6 @@ func main() {
 		diffPath  = flag.String("diff", "", "compare against this previous fleet JSON and exit 1 on drift")
 		diffTol   = flag.Float64("diff-tolerance", 0.01, "relative b_eff / balance-factor move that counts as drift")
 	)
-	rf := &runner.Flags{}
-	rf.Register(flag.CommandLine)
 	flag.Parse()
 
 	c.Validate()
@@ -100,8 +99,9 @@ func main() {
 		SkipAnalysis:  !*analysis,
 		LmaxOverride:  *lmaxOver,
 	}
-	fr, err := runner.RunFleet(spec, o.SweepOptions(rf.Options("fleet")))
+	fr, err := runner.RunFleet(spec, o.SweepOptions(c.SweepOptions("fleet")))
 	o.Close()
+	c.CloseCache()
 	c.Fatal(err)
 	fr.Generated = *generated
 

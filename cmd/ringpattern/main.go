@@ -11,12 +11,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
+	"github.com/hpcbench/beff/internal/cli"
 	"github.com/hpcbench/beff/internal/core"
 )
 
 func main() {
+	c := cli.New("ringpattern")
 	var (
 		n    = flag.Int("n", 0, "process count (prints all six patterns)")
 		from = flag.Int("from", 0, "range start (prints pattern table per count)")
@@ -33,8 +34,7 @@ func main() {
 			fmt.Println()
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "ringpattern: need -n N or -from A -to B")
-		os.Exit(2)
+		c.UsageErr("need -n N or -from A -to B")
 	}
 }
 

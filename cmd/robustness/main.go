@@ -46,6 +46,7 @@ func main() {
 	c.CheckFlag(nil, true)
 	c.ProfileFlags(nil)
 	c.ObsFlags(nil)
+	c.SweepFlags(nil)
 	var (
 		maxLoop     = flag.Int("maxloop", 8, "b_eff: max looplength")
 		innerReps   = flag.Int("inner-reps", 3, "b_eff: in-run repetitions per measurement (the paper's 3)")
@@ -55,8 +56,6 @@ func main() {
 		csvPath     = flag.String("csv", "", "write per-repetition values as CSV to this file")
 		listPresets = flag.Bool("list-presets", false, "list built-in perturbation presets and exit")
 	)
-	rf := &runner.Flags{}
-	rf.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *listPresets {
@@ -90,7 +89,8 @@ func main() {
 	// worlds inside the cache boundary, so per-message instruments stay
 	// off and cached and uncached runs stay byte-identical).
 	o := c.StartObs()
-	sweepOpt := o.SweepOptions(rf.Options("robustness"))
+	sweepOpt := o.SweepOptions(c.SweepOptions("robustness"))
+	defer c.CloseCache()
 
 	var bench string
 	var values []float64

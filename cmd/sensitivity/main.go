@@ -22,29 +22,29 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"github.com/hpcbench/beff/internal/cli"
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/machine"
 	"github.com/hpcbench/beff/internal/runner"
 )
 
 func main() {
+	c := cli.New("sensitivity")
+	c.SweepFlags(nil)
 	var (
 		configPath = flag.String("config", "", "JSON machine definition (required)")
 		procs      = flag.Int("procs", 16, "partition size")
 		scale      = flag.Float64("scale", 1.25, "factor applied to each knob in turn")
 		maxLoop    = flag.Int("maxloop", 2, "max looplength")
-		rf         runner.Flags
 	)
-	rf.Register(flag.CommandLine)
 	flag.Parse()
 	if *configPath == "" {
-		fmt.Fprintln(os.Stderr, "sensitivity: -config is required (see internal/machine/config.go for the schema)")
-		os.Exit(2)
+		c.UsageErr("-config is required (see internal/machine/config.go for the schema)")
 	}
 	raw, err := os.ReadFile(*configPath)
-	fatal(err)
+	c.Fatal(err)
 	var base machine.ConfigFile
-	fatal(json.Unmarshal(raw, &base))
+	c.Fatal(json.Unmarshal(raw, &base))
 
 	opt := core.Options{MaxLooplength: *maxLoop, Reps: 1, SkipAnalysis: true}
 
@@ -78,11 +78,9 @@ func main() {
 		k.apply(&cf, *scale)
 		cells = append(cells, runner.BeffConfigCell(k.name, cf, *procs, opt))
 	}
-	results := runner.Sweep(cells, rf.Options("sensitivity"))
-	if err := runner.Err(results); err != nil {
-		fmt.Fprintln(os.Stderr, "sensitivity:", err)
-		os.Exit(1)
-	}
+	results := runner.Sweep(cells, c.SweepOptions("sensitivity"))
+	c.CloseCache()
+	c.Fatal(runner.Err(results))
 
 	baseline := results[0].Value.Beff
 	fmt.Printf("baseline b_eff = %.1f MB/s (%s, %d procs)\n\n", baseline/1e6, base.Name, *procs)
@@ -97,11 +95,4 @@ func main() {
 	}
 	tw.Flush()
 	fmt.Println("\nelasticity ~1: the knob is the bottleneck; ~0: something else binds.")
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sensitivity:", err)
-		os.Exit(1)
-	}
 }

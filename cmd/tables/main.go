@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"github.com/hpcbench/beff/internal/beffio"
+	"github.com/hpcbench/beff/internal/cli"
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/des"
 	"github.com/hpcbench/beff/internal/machine"
@@ -38,7 +39,7 @@ var (
 	maxLoop = flag.Int("maxloop", 2, "b_eff max looplength")
 	ioT     = flag.Float64("T", 45, "b_eff_io scheduled time per partition, virtual seconds")
 	csvDir  = flag.String("csvdir", "", "also write machine-readable CSV artifacts into this directory")
-	rflags  runner.Flags
+	c       = cli.New("tables")
 )
 
 // writeCSV drops an experiment's data into the csvdir, if requested.
@@ -46,13 +47,11 @@ func writeCSV(name string, header []string, rows [][]string) {
 	if *csvDir == "" {
 		return
 	}
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		fatal(err)
-	}
+	c.Fatal(os.MkdirAll(*csvDir, 0o755))
 	f, err := os.Create(filepath.Join(*csvDir, name))
-	fatal(err)
-	fatal(report.CSV(f, header, rows))
-	fatal(f.Close())
+	c.Fatal(err)
+	c.Fatal(report.CSV(f, header, rows))
+	c.Fatal(f.Close())
 }
 
 func main() {
@@ -64,15 +63,15 @@ func main() {
 		fig5   = flag.Bool("fig5", false, "regenerate Fig. 5")
 		all    = flag.Bool("all", false, "regenerate everything")
 	)
-	rflags.Register(flag.CommandLine)
+	c.SweepFlags(nil)
 	flag.Parse()
 	if *all {
 		*table1, *fig1, *fig3, *fig4, *fig5 = true, true, true, true, true
 	}
 	if !*table1 && !*fig1 && !*fig3 && !*fig4 && !*fig5 {
-		flag.Usage()
-		os.Exit(2)
+		c.UsageErr("no table or figure selected")
 	}
+	defer c.CloseCache()
 	if *table1 {
 		runTable1()
 	}
@@ -108,19 +107,15 @@ func beffSweep(label string, specs []beffSpec) []*core.Result {
 	for i, s := range specs {
 		cells[i] = runner.BeffCell(s.key, s.procs, beffOpt())
 	}
-	results := runner.Sweep(cells, rflags.Options(label))
-	if err := runner.Err(results); err != nil {
-		fatal(err)
-	}
+	results := runner.Sweep(cells, c.SweepOptions(label))
+	c.Fatal(runner.Err(results))
 	return runner.Values(results)
 }
 
 // ioSweep does the same for b_eff_io cells.
 func ioSweep(label string, cells []runner.Cell[*beffio.Result]) []*beffio.Result {
-	results := runner.Sweep(cells, rflags.Options(label))
-	if err := runner.Err(results); err != nil {
-		fatal(err)
-	}
+	results := runner.Sweep(cells, c.SweepOptions(label))
+	c.Fatal(runner.Err(results))
 	return runner.Values(results)
 }
 
@@ -162,7 +157,7 @@ func table1Sizes() []struct {
 
 func mustLookup(key string) *machine.Profile {
 	p, err := machine.Lookup(key)
-	fatal(err)
+	c.Fatal(err)
 	return p
 }
 
@@ -312,13 +307,11 @@ func runFig4() {
 		fmt.Printf("\n--- %s (%s) ---\n", p.Name, p.FS.Name)
 		fmt.Print(report.BeffIOProtocol(res))
 		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fatal(err)
-			}
+			c.Fatal(os.MkdirAll(*csvDir, 0o755))
 			f, err := os.Create(filepath.Join(*csvDir, "fig4_"+key+".csv"))
-			fatal(err)
-			fatal(report.BeffIOCSV(f, key, res))
-			fatal(f.Close())
+			c.Fatal(err)
+			c.Fatal(report.BeffIOCSV(f, key, res))
+			c.Fatal(f.Close())
 		}
 	}
 	fmt.Println()
@@ -370,11 +363,4 @@ func runFig5() {
 	fmt.Print(report.SweepChart("b_eff_io (MB/s) per partition size", series))
 	fmt.Println()
 	writeCSV("fig5.csv", []string{"series", "procs", "beffio_mbps"}, seriesCSV(series))
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tables:", err)
-		os.Exit(1)
-	}
 }

@@ -18,72 +18,66 @@ import (
 	"os"
 
 	"github.com/hpcbench/beff/internal/beffio"
+	"github.com/hpcbench/beff/internal/cli"
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/des"
-	"github.com/hpcbench/beff/internal/machine"
 	"github.com/hpcbench/beff/internal/report"
 )
 
 func main() {
+	c := cli.New("topclusters")
+	c.MachineFlags(nil)
 	var (
-		machineKey = flag.String("machine", "cluster", "machine profile key")
-		procs      = flag.Int("procs", 8, "processes for b_eff (whole machine) and b_eff_io (I/O partition)")
-		ioMinutes  = flag.Float64("io-minutes", 3, "virtual minutes scheduled for b_eff_io (paper: 30 for the list)")
-		outPath    = flag.String("out", "", "write the combined record to this file (default stdout)")
-		maxLoop    = flag.Int("maxloop", 4, "b_eff max looplength")
+		ioMinutes = flag.Float64("io-minutes", 3, "virtual minutes scheduled for b_eff_io (paper: 30 for the list)")
+		outPath   = flag.String("out", "", "write the combined record to this file (default stdout)")
+		maxLoop   = flag.Int("maxloop", 4, "b_eff max looplength")
 	)
 	flag.Parse()
+	c.Validate()
 
-	p, err := machine.Lookup(*machineKey)
-	fatal(err)
+	p, err := c.LoadMachine()
+	c.Fatal(err)
 
 	var out io.Writer = os.Stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
-		fatal(err)
+		c.Fatal(err)
 		defer f.Close()
 		out = f
 	}
 
 	// Communication benchmark: must run on the whole requested
 	// partition (b_eff computes an aggregate).
-	w, err := p.BuildWorld(*procs)
-	fatal(err)
+	w, err := p.BuildWorld(c.Procs)
+	c.Fatal(err)
 	bres, err := core.Run(w, core.Options{
 		MemoryPerProc: p.MemoryPerProc,
 		MaxLooplength: *maxLoop,
 		Reps:          1,
 	})
-	fatal(err)
+	c.Fatal(err)
 	fmt.Fprintf(os.Stderr, "b_eff done: %.1f MB/s\n", bres.Beff/1e6)
-	fatal(report.SKaMPIBeff(out, p.Key, bres))
+	c.Fatal(report.SKaMPIBeff(out, p.Key, bres))
 
 	// I/O benchmark, when the machine has an I/O model.
 	if p.FS != nil {
-		iw, err := p.BuildIOWorld(*procs)
-		fatal(err)
+		iw, err := p.BuildIOWorld(c.Procs)
+		c.Fatal(err)
 		fs, err := p.BuildFS()
-		fatal(err)
+		c.Fatal(err)
 		iores, err := beffio.Run(iw, fs, beffio.Options{
 			T:                 des.DurationOf(*ioMinutes * 60),
 			MPart:             p.MPart(),
 			MaxRepsPerPattern: 1 << 14,
 		})
-		fatal(err)
+		c.Fatal(err)
 		fmt.Fprintf(os.Stderr, "b_eff_io done: %.1f MB/s\n", iores.BeffIO/1e6)
-		fatal(report.SKaMPIBeffIO(out, p.Key, iores))
+		c.Fatal(report.SKaMPIBeffIO(out, p.Key, iores))
 	} else {
 		fmt.Fprintf(os.Stderr, "machine %s has no I/O model; skipping b_eff_io\n", p.Key)
 	}
 
 	// The combined Top-Clusters style footer.
 	fmt.Fprintf(out, "topclusters machine=%q procs=%d beff=%.3f balance=%.5f\n",
-		p.Key, *procs, bres.Beff/1e6, bres.Beff/(p.RmaxGF(*procs)*1e9))
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "topclusters:", err)
-		os.Exit(1)
-	}
+		p.Key, c.Procs, bres.Beff/1e6, bres.Beff/(p.RmaxGF(c.Procs)*1e9))
 }

@@ -20,6 +20,7 @@ import (
 	"log"
 
 	"github.com/hpcbench/beff/internal/beffio"
+	"github.com/hpcbench/beff/internal/cli"
 	"github.com/hpcbench/beff/internal/des"
 	"github.com/hpcbench/beff/internal/machine"
 	"github.com/hpcbench/beff/internal/report"
@@ -27,8 +28,8 @@ import (
 )
 
 func main() {
-	var rf runner.Flags
-	rf.Register(flag.CommandLine)
+	c := cli.New("scalingstudy")
+	c.SweepFlags(nil)
 	flag.Parse()
 
 	sizes := []int{2, 4, 8, 16, 32}
@@ -43,7 +44,8 @@ func main() {
 			}))
 		}
 	}
-	results := runner.Sweep(cells, rf.Options("scalingstudy"))
+	results := runner.Sweep(cells, c.SweepOptions("scalingstudy"))
+	c.CloseCache()
 	if err := runner.Err(results); err != nil {
 		log.Fatal(err)
 	}

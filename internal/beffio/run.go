@@ -164,9 +164,15 @@ type Result struct {
 // compute identical aggregates.
 func Run(w mpi.WorldConfig, fs *simfs.FS, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
+	// The pattern table is read-only and identical on every rank, so it
+	// is built once per run rather than once per rank and method.
+	var byType [NumTypes][]Pattern
+	for _, p := range Table2(opt.MPart) {
+		byType[p.Type] = append(byType[p.Type], p)
+	}
 	var res *Result
 	err := mpi.Run(w, func(c *mpi.Comm) {
-		r := runBody(c, fs, opt)
+		r := runBody(c, fs, opt, &byType)
 		if c.Rank() == 0 {
 			res = r
 		}
@@ -183,6 +189,9 @@ type runState struct {
 	self *mpi.Comm // single-rank communicator for the separated files
 	fs   *simfs.FS
 	opt  Options
+
+	// byType is Table 2 grouped by pattern type, shared by all ranks.
+	byType *[NumTypes][]Pattern
 
 	// writtenReps[num] is the repetition count of the initial write,
 	// the wrap-around bound for rewrite/read and the size-driven count
@@ -202,12 +211,13 @@ type runState struct {
 	segRowOffs  []int64
 }
 
-func runBody(c *mpi.Comm, fs *simfs.FS, opt Options) *Result {
+func runBody(c *mpi.Comm, fs *simfs.FS, opt Options, byType *[NumTypes][]Pattern) *Result {
 	st := &runState{
 		c:           c,
 		self:        c.Split(c.Rank(), 0),
 		fs:          fs,
 		opt:         opt,
+		byType:      byType,
 		writtenReps: map[int]int{},
 		myType2Reps: map[int]int{},
 		patOffsets:  map[int]int64{},
@@ -252,13 +262,8 @@ func runBody(c *mpi.Comm, fs *simfs.FS, opt Options) *Result {
 func (st *runState) runMethod(m AccessMethod) MethodResult {
 	mr := MethodResult{Method: m}
 	var vals, ws []float64
-	patterns := Table2(st.opt.MPart)
-	byType := map[PatternType][]Pattern{}
-	for _, p := range patterns {
-		byType[p.Type] = append(byType[p.Type], p)
-	}
 	for t := PatternType(0); t < NumTypes; t++ {
-		defs := byType[t]
+		defs := st.byType[t]
 		if st.opt.skips(t) {
 			mr.Types = append(mr.Types, TypeResult{Type: t, Skipped: true})
 			continue
@@ -266,7 +271,7 @@ func (st *runState) runMethod(m AccessMethod) MethodResult {
 		if (t == Segmented || t == SegmentedColl) && m == InitialWrite {
 			// Row mapping is defined on the type-3 numbering; types 3
 			// and 4 share the resulting segment layout.
-			st.computeSegmentSize(byType[Segmented])
+			st.computeSegmentSize(st.byType[Segmented])
 		}
 		tr := st.runType(t, m, defs)
 		mr.Types = append(mr.Types, tr)

@@ -1,9 +1,10 @@
 // Package cli factors the flag surface shared by the beff command
-// family (beff, beffio, robustness, bench) into one place: a Config
-// struct holding every common knob, grouped registration helpers so
-// each command installs only the groups it supports, shared validation,
-// and the exit-code convention — runtime failures exit 1, usage errors
-// print the message plus the flag summary and exit 2.
+// family into one place: a Config struct holding every common knob,
+// grouped registration helpers so each command installs only the
+// groups it supports, shared validation, the process's one result
+// cache for the sweep group, and the exit-code convention — runtime
+// failures exit 1, usage errors print the message plus the flag summary
+// and exit 2.
 //
 // The observability flags (-metrics, -metrics-interval, -progress,
 // -debug-addr) and the run harness behind them live in obs.go; a
@@ -15,13 +16,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/hpcbench/beff/internal/machine"
 	"github.com/hpcbench/beff/internal/perturb"
 	"github.com/hpcbench/beff/internal/prof"
+	"github.com/hpcbench/beff/internal/runner"
 )
 
 // Config is the shared command-line surface. Zero value plus a Name is
@@ -62,6 +66,11 @@ type Config struct {
 	Machines    string
 	ProcsLadder string
 
+	// Sweep surface (SweepFlags): worker count and the result cache.
+	J        int
+	CacheDir string
+	NoCache  bool
+
 	// Daemon surface (ServeFlags), used by beffd only.
 	Addr          string
 	QueueLimit    int
@@ -70,6 +79,9 @@ type Config struct {
 	DrainTimeout  time.Duration
 
 	fs *flag.FlagSet // the set the groups registered on, for Usage
+
+	cacheOnce sync.Once
+	cache     *runner.Cache
 
 	hasMachine, hasSeed, hasReps, hasServe bool
 }
@@ -209,6 +221,47 @@ func (c *Config) ParseProcsLadder() ([]int, error) {
 	}
 	return ladder, nil
 }
+
+// SweepFlags registers the sweep surface: -j, -cache and -no-cache.
+func (c *Config) SweepFlags(fs *flag.FlagSet) {
+	fs = c.bind(fs)
+	fs.IntVar(&c.J, "j", runtime.GOMAXPROCS(0), "parallel workers for independent simulation cells")
+	fs.StringVar(&c.CacheDir, "cache", runner.DefaultCacheDir, "result cache directory")
+	fs.BoolVar(&c.NoCache, "no-cache", false, "recompute everything, ignore and do not write the cache")
+}
+
+// Cache opens the -cache directory on first use and returns that same
+// cache on every later call, so all sweeps of one process share one
+// store and its writer lock. It is nil under -no-cache, and nil with a
+// stderr warning when the directory cannot be opened: the cache never
+// aborts a sweep. A directory another process holds opens read-only,
+// also with one warning.
+func (c *Config) Cache() *runner.Cache {
+	c.cacheOnce.Do(func() {
+		if c.NoCache {
+			return
+		}
+		cache, err := runner.OpenCache(c.CacheDir)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: cache disabled: %v\n", c.Name, err)
+			return
+		}
+		if err := cache.ReadOnly(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: cache read-only, results will not be saved: %v\n", c.Name, err)
+		}
+		c.cache = cache
+	})
+	return c.cache
+}
+
+// SweepOptions returns the options for one sweep: -j workers, per-cell
+// progress on stderr under label, and the process's shared Cache.
+func (c *Config) SweepOptions(label string) runner.Options {
+	return runner.Options{Workers: c.J, Progress: os.Stderr, Label: label, Cache: c.Cache()}
+}
+
+// CloseCache releases the cache's writer lock, if Cache opened one.
+func (c *Config) CloseCache() { c.cache.Close() }
 
 // ServeFlags registers the daemon surface: -addr, -queue-limit,
 // -max-client-jobs, -max-jobs and -drain-timeout (beffd only; the

@@ -159,13 +159,17 @@ func (o *Obs) RunnerMetrics() *runner.Metrics {
 }
 
 // SweepOptions wires the harness into runner sweep options: the
-// runner instrument set, and — under -progress — a live repainting
-// line in place of scrolling per-cell progress.
+// runner instrument set, the cache and store instruments, and — under
+// -progress — a live repainting line in place of scrolling per-cell
+// progress.
 func (o *Obs) SweepOptions(opt runner.Options) runner.Options {
 	if o == nil || o.c == nil {
 		return opt
 	}
 	opt.Metrics = o.RunnerMetrics()
+	if o.Enabled() {
+		opt.Cache.Instrument(o.Reg)
+	}
 	if o.c.Progress {
 		w := opt.Progress
 		if w == nil {

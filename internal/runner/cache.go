@@ -4,11 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"github.com/hpcbench/beff/internal/obs"
 	"github.com/hpcbench/beff/internal/store"
@@ -22,156 +22,87 @@ const DefaultCacheDir = ".beffcache"
 // construction instead of serving stale protocols.
 const codeVersion = "beff-sim-v1"
 
-// Cache backends. The store backend keeps entries in an embedded
-// segment-log store (internal/store) — one lookup is a map probe plus
-// one pread instead of an inode walk; the flat backend is the legacy
-// one-JSON-file-per-entry layout.
-const (
-	BackendStore = "store"
-	BackendFlat  = "flat"
-)
-
-// tmpMaxAge is how old an orphaned temp file must be before OpenCache
-// garbage-collects it. Young temp files may belong to a concurrent
-// writer mid-rename; old ones are debris from crashed processes.
-const tmpMaxAge = time.Hour
-
 // Cache is a content-addressed result store: SHA-256 of (code-version
-// salt, canonical-JSON fingerprint) names an entry. Entries live either
-// in a segment-log store or as flat JSON files under dir — both layouts
-// share the directory, and the store backend transparently migrates
-// flat entries inward on first read. Safe for concurrent use by sweep
-// workers; entries are immutable for a given key.
+// salt, canonical-JSON fingerprint) names an entry, kept in an embedded
+// segment-log store (internal/store) under dir. Safe for concurrent use
+// by sweep workers; entries are immutable for a given key.
 type Cache struct {
-	dir      string
-	salt     string
-	st       *store.Store // nil = flat backend
-	degraded error        // why a requested store backend fell back to flat
+	dir  string
+	salt string
+	st   *store.Store
 
-	// Swallowed persistence failures and read-through migrations; nil
-	// until Instrument, and nil obs instruments are no-ops.
-	errs     *obs.Counter
-	migrated *obs.Counter
+	// locked is why the store opened read-only: another process holds
+	// its writer lock. nil when this cache persists its results.
+	locked error
+
+	// Swallowed persistence failures; nil until Instrument, and a nil
+	// obs counter is a no-op.
+	errs *obs.Counter
 }
 
-// OpenCache creates dir (if needed) and returns a cache rooted there
-// on the default store backend. An empty dir means DefaultCacheDir.
+// OpenCache creates dir (if needed) and returns a cache rooted there.
+// An empty dir means DefaultCacheDir. When another process holds the
+// store's writer lock, the cache opens the store read-only: hits on
+// what the holder has persisted are still served, and results this
+// process computes are not persisted (each failed Put counts in
+// runner_cache_store_errors_total). ReadOnly reports that case; any
+// other failure is returned.
 func OpenCache(dir string) (*Cache, error) {
-	return OpenCacheBackend(dir, BackendStore)
-}
-
-// OpenCacheBackend opens the cache on an explicit backend, BackendStore
-// or BackendFlat. A store backend that cannot be opened — most commonly
-// because another process holds the writer lock — degrades to flat
-// rather than failing: the cache must never block a sweep. Entries the
-// degraded writer leaves as flat files are migrated into the store by
-// the lock holder on its next read of those keys. Degraded reports why.
-func OpenCacheBackend(dir, backend string) (*Cache, error) {
 	if dir == "" {
 		dir = DefaultCacheDir
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	st, err := store.Open(dir, store.Options{})
+	var locked error
+	if errors.Is(err, store.ErrLocked) {
+		locked = err
+		st, err = store.Open(dir, store.Options{ReadOnly: true})
+	}
+	if err != nil {
 		return nil, fmt.Errorf("runner: open cache: %w", err)
 	}
-	gcTempFiles(dir)
-	c := &Cache{dir: dir, salt: codeVersion}
-	switch backend {
-	case BackendFlat:
-	case BackendStore, "":
-		st, err := store.Open(dir, store.Options{})
-		if err != nil {
-			c.degraded = err
-		} else {
-			c.st = st
-		}
-	default:
-		return nil, fmt.Errorf("runner: unknown cache backend %q (want %q or %q)", backend, BackendStore, BackendFlat)
-	}
-	return c, nil
-}
-
-// gcTempFiles removes orphaned temp files older than tmpMaxAge: debris
-// from flat-backend writers that died between CreateTemp and rename.
-// The store's own seg-*.tmp files are left alone — the store reaps them
-// itself under the writer lock, where it is safe regardless of age.
-func gcTempFiles(dir string) int {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	cutoff := time.Now().Add(-tmpMaxAge)
-	n := 0
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.Contains(name, ".tmp") || strings.HasPrefix(name, "seg-") {
-			continue
-		}
-		info, err := ent.Info()
-		if err != nil || !info.ModTime().Before(cutoff) {
-			continue
-		}
-		if os.Remove(filepath.Join(dir, name)) == nil {
-			n++
-		}
-	}
-	return n
+	return &Cache{dir: dir, salt: codeVersion, st: st, locked: locked}, nil
 }
 
 // Dir reports the cache's root directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// Backend reports which backend is active: BackendStore or BackendFlat.
-func (c *Cache) Backend() string {
-	if c.st != nil {
-		return BackendStore
-	}
-	return BackendFlat
-}
+// ReadOnly reports why the cache cannot persist results (another
+// process holds the store's writer lock), or nil when it can.
+func (c *Cache) ReadOnly() error { return c.locked }
 
-// Degraded reports why a requested store backend fell back to flat,
-// or nil.
-func (c *Cache) Degraded() error { return c.degraded }
-
-// Store exposes the underlying segment store (nil on the flat backend)
-// for inspection tools.
-func (c *Cache) Store() *store.Store { return c.st }
-
-// Close releases the store backend's writer lock and file handles.
-// A flat-backend (or nil) cache has nothing to release.
+// Close releases the store's writer lock and file handles. A nil cache
+// has nothing to release.
 func (c *Cache) Close() error {
-	if c == nil || c.st == nil {
+	if c == nil {
 		return nil
 	}
 	return c.st.Close()
 }
 
-// Instrument attaches observability: cache-level counters and, on the
-// store backend, the full store_* instrument set.
+// Instrument attaches observability: the cache's persistence-failure
+// counter and the full store_* instrument set.
 func (c *Cache) Instrument(reg *obs.Registry) {
 	if c == nil {
 		return
 	}
 	c.errs = reg.Counter("runner_cache_store_errors_total")
-	c.migrated = reg.Counter("runner_cache_migrated_total")
-	if c.st != nil {
-		c.st.SetMetrics(&store.Metrics{
-			Puts:                reg.Counter("store_puts_total"),
-			Gets:                reg.Counter("store_gets_total"),
-			GetMisses:           reg.Counter("store_get_misses_total"),
-			Deletes:             reg.Counter("store_deletes_total"),
-			Compactions:         reg.Counter("store_compactions_total"),
-			ReclaimedBytes:      reg.Counter("store_compaction_bytes_reclaimed_total"),
-			RecoveryTruncations: reg.Counter("store_recovery_truncations_total"),
-			Segments:            reg.Gauge("store_segments"),
-			LiveEntries:         reg.Gauge("store_entries_live"),
-			LiveBytes:           reg.Gauge("store_bytes_live"),
-			DeadBytes:           reg.Gauge("store_bytes_dead"),
-		})
-	}
+	c.st.SetMetrics(&store.Metrics{
+		Puts:                reg.Counter("store_puts_total"),
+		Gets:                reg.Counter("store_gets_total"),
+		GetMisses:           reg.Counter("store_get_misses_total"),
+		Deletes:             reg.Counter("store_deletes_total"),
+		Compactions:         reg.Counter("store_compactions_total"),
+		ReclaimedBytes:      reg.Counter("store_compaction_bytes_reclaimed_total"),
+		RecoveryTruncations: reg.Counter("store_recovery_truncations_total"),
+		Segments:            reg.Gauge("store_segments"),
+		LiveEntries:         reg.Gauge("store_entries_live"),
+		LiveBytes:           reg.Gauge("store_bytes_live"),
+		DeadBytes:           reg.Gauge("store_bytes_dead"),
+	})
 }
 
 // withSalt returns a copy of the cache keyed under a different code
-// version, sharing the backend. Test hook for salt invalidation.
+// version, sharing the store. Test hook for salt invalidation.
 func (c *Cache) withSalt(salt string) *Cache {
 	cp := *c
 	cp.salt = salt
@@ -207,19 +138,12 @@ func fingerprintKey(salt string, fingerprint any) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// entry is the stored format — identical for both backends, so a flat
-// file's bytes migrate into the store verbatim. Key and Fingerprint are
-// for humans inspecting the cache; only Value is read back.
+// entry is the stored format. Key and Fingerprint are for humans
+// inspecting the cache; only Value is read back.
 type entry struct {
 	Key         string          `json:"key"`
 	Fingerprint json.RawMessage `json:"fingerprint"`
 	Value       json.RawMessage `json:"value"`
-}
-
-// path is where a flat entry for key lives (the migration source on the
-// store backend).
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
 }
 
 // decodeEntry unpacks a stored entry document into the pointer `into`.
@@ -241,37 +165,15 @@ func decodeEntry(data []byte, into any) bool {
 
 // load reads an entry into the pointer `into`, reporting a miss on any
 // failure so the caller recomputes (the subsequent store repairs the
-// entry). On the store backend a miss reads through to a legacy flat
-// file and, on success, migrates it into the store.
+// entry).
 func (c *Cache) load(key string, into any) bool {
-	if c.st != nil {
-		if data, ok, err := c.st.Get(key); err == nil && ok {
-			return decodeEntry(data, into)
-		}
-		data, err := os.ReadFile(c.path(key))
-		if err != nil || !decodeEntry(data, into) {
-			return false
-		}
-		// A live legacy entry: move it into the store. The value is
-		// already decoded, so a failed Put costs nothing but the counter.
-		if err := c.st.Put(key, data); err != nil {
-			c.errs.Inc()
-			return true
-		}
-		c.migrated.Inc()
-		os.Remove(c.path(key))
-		return true
-	}
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return false
-	}
-	return decodeEntry(data, into)
+	data, ok, err := c.st.Get(key)
+	return err == nil && ok && decodeEntry(data, into)
 }
 
-// store writes an entry. Failures are swallowed (and counted, once
-// instrumented): a cache that cannot persist degrades to recomputation,
-// it never fails the sweep.
+// store writes an entry. Failures — including every Put on a read-only
+// cache — are swallowed (and counted, once instrumented): a cache that
+// cannot persist degrades to recomputation, it never fails the sweep.
 func (c *Cache) store(key, cellKey string, fingerprint, value any) {
 	val, err := json.Marshal(value)
 	if err != nil {
@@ -285,34 +187,50 @@ func (c *Cache) store(key, cellKey string, fingerprint, value any) {
 	if err != nil {
 		return
 	}
-	if c.st != nil {
-		if err := c.st.Put(key, data); err != nil {
-			c.errs.Inc()
-			return
-		}
-		// Drop the superseded legacy flat entry, if one is still around.
-		os.Remove(c.path(key))
-		return
+	if err := c.st.Put(key, data); err != nil {
+		c.errs.Inc()
 	}
-	// Flat backend: write atomically via temp file + rename.
-	tmp, err := os.CreateTemp(c.dir, key+".tmp*")
+}
+
+// FlatEntries lists the legacy flat cache files in dir — one
+// <64 hex chars>.json document per entry, the layout caches had before
+// the segment store — in name order (os.ReadDir sorts).
+func FlatEntries(dir string) []string {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		c.errs.Inc()
-		return
+		return nil
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		c.errs.Inc()
-		return
+	var out []string
+	for _, ent := range ents {
+		name := ent.Name()
+		stem, ok := strings.CutSuffix(name, ".json")
+		if ent.IsDir() || !ok || len(stem) != 64 || strings.Trim(stem, "0123456789abcdef") != "" {
+			continue
+		}
+		out = append(out, name)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		c.errs.Inc()
-		return
+	return out
+}
+
+// MigrateFlat moves dir's legacy flat entries into st, which must be
+// open for writing: each file's bytes become the store record under
+// its file name's key, verbatim, and the file is removed once the
+// store holds it. Unreadable or damaged files are left in place and
+// listed in skipped.
+func MigrateFlat(st *store.Store, dir string) (moved int, skipped []string, err error) {
+	for _, name := range FlatEntries(dir) {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		var raw json.RawMessage
+		if err != nil || !decodeEntry(data, &raw) {
+			skipped = append(skipped, name)
+			continue
+		}
+		if err := st.Put(strings.TrimSuffix(name, ".json"), data); err != nil {
+			return moved, skipped, err
+		}
+		os.Remove(path)
+		moved++
 	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		c.errs.Inc()
-	}
+	return moved, skipped, nil
 }

@@ -2,172 +2,113 @@ package runner
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/hpcbench/beff/internal/obs"
+	"github.com/hpcbench/beff/internal/store"
 )
 
-// Tests for the store-backed cache: read-through migration from the
-// flat layout, degraded fallback when the writer lock is taken,
-// temp-file garbage collection, and write races.
+// Tests for the store-backed cache: a second opener while another
+// process holds the writer lock, the store's own temp-file reaping,
+// poisoned entries, write races, and flat-entry migration.
 
-func TestReadThroughMigration(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cache")
-	flat, err := OpenCacheBackend(dir, BackendFlat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var runs atomic.Int32
-	cells := make([]Cell[int], 10)
-	for i := range cells {
-		cells[i] = countingCell(&runs, fp{Machine: "legacy", Procs: i}, i)
-	}
-	Sweep(cells, Options{Cache: flat})
-	if runs.Load() != 10 {
-		t.Fatalf("seed runs = %d", runs.Load())
-	}
-
-	// Reopen on the store backend: every key must hit via read-through,
-	// migrate into the store, and leave no flat file behind.
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	reg := obs.New()
-	c.Instrument(reg)
-	res := Sweep(cells, Options{Cache: c})
-	for i, r := range res {
-		if !r.Cached || r.Value != i {
-			t.Fatalf("cell %d not served through migration: %+v", i, r)
-		}
-	}
-	if runs.Load() != 10 {
-		t.Fatalf("migration recomputed: runs = %d", runs.Load())
-	}
-	if got := reg.Counter("runner_cache_migrated_total").Value(); got != 10 {
-		t.Fatalf("migrated counter = %d", got)
-	}
-	if flats, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(flats) != 0 {
-		t.Fatalf("flat entries left after migration: %v", flats)
-	}
-	if c.Store().Len() != 10 {
-		t.Fatalf("store holds %d entries", c.Store().Len())
-	}
-
-	// The migrated entries survive a reopen without the flat files.
-	c.Close()
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	res = Sweep(cells, Options{Cache: c2})
-	if runs.Load() != 10 || !res[3].Cached {
-		t.Fatalf("migrated entries lost on reopen: runs=%d %+v", runs.Load(), res[3])
-	}
-}
-
-func TestDegradedSecondWriterFallsBackToFlat(t *testing.T) {
+func TestSecondOpenerServesHitsReadOnly(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	holder, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer holder.Close()
+	var runs atomic.Int32
+	held := countingCell(&runs, fp{Machine: "held", Procs: 1}, 11)
+	Sweep([]Cell[int]{held}, Options{Cache: holder})
 
 	// A second cache on the same directory cannot take the writer lock;
-	// it must degrade to flat entries instead of failing.
+	// it must open read-only instead of failing.
 	second, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Backend() != BackendFlat || second.Degraded() == nil {
-		t.Fatalf("second writer: backend=%s degraded=%v", second.Backend(), second.Degraded())
+	defer second.Close()
+	if !errors.Is(second.ReadOnly(), store.ErrLocked) {
+		t.Fatalf("second opener: ReadOnly() = %v, want ErrLocked", second.ReadOnly())
 	}
-	var runs atomic.Int32
-	cell := countingCell(&runs, fp{Machine: "degraded", Procs: 1}, 77)
-	Sweep([]Cell[int]{cell}, Options{Cache: second})
-	key, err := second.keyFor(cell.Fingerprint)
+	reg := obs.New()
+	second.Instrument(reg)
+	before := dirListing(t, dir)
+	storeLen := holder.st.Len()
+
+	fresh := countingCell(&runs, fp{Machine: "fresh", Procs: 1}, 22)
+	res := Sweep([]Cell[int]{held, fresh}, Options{Cache: second})
+	if !res[0].Cached || res[0].Value != 11 {
+		t.Fatalf("holder's entry not served: %+v", res[0])
+	}
+	if res[1].Cached || res[1].Err != nil || res[1].Value != 22 || runs.Load() != 2 {
+		t.Fatalf("fresh cell: runs=%d %+v", runs.Load(), res[1])
+	}
+	if got := reg.Counter("runner_cache_store_errors_total").Value(); got != 1 {
+		t.Fatalf("failed Puts counted = %d, want 1", got)
+	}
+	if after := dirListing(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("second opener changed the directory:\nbefore %v\nafter  %v", before, after)
+	}
+	if holder.st.Len() != storeLen {
+		t.Fatalf("store grew from %d to %d entries", storeLen, holder.st.Len())
+	}
+	if res := Sweep([]Cell[int]{fresh}, Options{Cache: holder}); res[0].Cached {
+		t.Fatal("the read-only opener's result reached the store")
+	}
+}
+
+// dirListing maps each file in dir to its size.
+func dirListing(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(second.path(key)); err != nil {
-		t.Fatalf("degraded writer did not leave a flat entry: %v", err)
+	out := map[string]int64{}
+	for _, ent := range ents {
+		info, err := ent.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ent.Name()] = info.Size()
 	}
-
-	// The lock holder picks the flat entry up by read-through.
-	res := Sweep([]Cell[int]{cell}, Options{Cache: holder})
-	if runs.Load() != 1 || !res[0].Cached || res[0].Value != 77 {
-		t.Fatalf("holder did not migrate the degraded entry: runs=%d %+v", runs.Load(), res[0])
-	}
-	if _, err := os.Stat(second.path(key)); !os.IsNotExist(err) {
-		t.Fatalf("flat entry not cleaned up after migration: %v", err)
-	}
-}
-
-func TestOpenCacheCollectsStaleTempFiles(t *testing.T) {
-	for _, backend := range []string{BackendStore, BackendFlat} {
-		t.Run(backend, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "cache")
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			old := filepath.Join(dir, "deadbeef.tmp123456")
-			fresh := filepath.Join(dir, "cafef00d.tmp654321")
-			for _, p := range []string{old, fresh} {
-				if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			stale := time.Now().Add(-2 * tmpMaxAge)
-			if err := os.Chtimes(old, stale, stale); err != nil {
-				t.Fatal(err)
-			}
-			c, err := OpenCacheBackend(dir, backend)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if _, err := os.Stat(old); !os.IsNotExist(err) {
-				t.Fatalf("stale temp file survived open: %v", err)
-			}
-			if _, err := os.Stat(fresh); err != nil {
-				t.Fatalf("fresh temp file collected: %v", err)
-			}
-		})
-	}
+	return out
 }
 
 func TestGCLeavesStoreTempFilesToTheStore(t *testing.T) {
-	// seg-*.tmp is an uncommitted compaction output. The flat backend
-	// must not touch it regardless of age — only the store, under its
-	// writer lock, knows whether a compactor still owns it.
+	// seg-*.tmp is an uncommitted compaction output. Only the store,
+	// under its writer lock, knows no compactor still owns it: a
+	// read-only second opener must leave it alone, and the next writer
+	// reaps it during recovery.
 	dir := filepath.Join(t.TempDir(), "cache")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	holder, err := OpenCache(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	segTmp := filepath.Join(dir, "seg-00000009.cmp.tmp")
 	if err := os.WriteFile(segTmp, []byte("merge in progress"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stale := time.Now().Add(-2 * tmpMaxAge)
-	if err := os.Chtimes(segTmp, stale, stale); err != nil {
+	second, err := OpenCache(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenCacheBackend(dir, BackendFlat); err != nil {
-		t.Fatal(err)
-	}
+	second.Close()
 	if _, err := os.Stat(segTmp); err != nil {
-		t.Fatalf("flat backend touched the store's temp file: %v", err)
+		t.Fatalf("read-only opener touched the store's temp file: %v", err)
 	}
-	// The store backend reaps it during recovery, under the lock.
-	c, err := OpenCacheBackend(dir, BackendStore)
+	holder.Close()
+	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +135,7 @@ func TestStorePoisonedEntryRecomputedAndRepaired(t *testing.T) {
 	} {
 		// A partial or corrupt write inside the store: the entry document
 		// is damaged even though the record framing is intact.
-		if err := cache.Store().Put(key, []byte(poison)); err != nil {
+		if err := cache.st.Put(key, []byte(poison)); err != nil {
 			t.Fatal(err)
 		}
 		before := runs.Load()
@@ -216,40 +157,34 @@ func TestConcurrentSameKeyWriters(t *testing.T) {
 	// Sweep workers deduplicate in-flight work, but nothing stops two
 	// processes' worth of goroutines racing store() on one key. Last
 	// write wins; no torn reads; no errors surface.
-	for _, backend := range []string{BackendStore, BackendFlat} {
-		t.Run(backend, func(t *testing.T) {
-			c, err := OpenCacheBackend(filepath.Join(t.TempDir(), "cache"), backend)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			fingerprint := fp{Machine: "race", Procs: 1}
-			key, err := c.keyFor(fingerprint)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 50; i++ {
-						c.store(key, "race-cell", fingerprint, 42)
-						var got int
-						if c.load(key, &got) && got != 42 {
-							t.Errorf("torn read: %d", got)
-							return
-						}
+	t.Run("store", func(t *testing.T) {
+		c := openTestCache(t)
+		fingerprint := fp{Machine: "race", Procs: 1}
+		key, err := c.keyFor(fingerprint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					c.store(key, "race-cell", fingerprint, 42)
+					var got int
+					if c.load(key, &got) && got != 42 {
+						t.Errorf("torn read: %d", got)
+						return
 					}
-				}()
-			}
-			wg.Wait()
-			var got int
-			if !c.load(key, &got) || got != 42 {
-				t.Fatalf("final value = %d", got)
-			}
-		})
-	}
+				}
+			}()
+		}
+		wg.Wait()
+		var got int
+		if !c.load(key, &got) || got != 42 {
+			t.Fatalf("final value = %d", got)
+		}
+	})
 }
 
 func TestStoreErrorsCounterOnClosedBackend(t *testing.T) {
@@ -261,7 +196,7 @@ func TestStoreErrorsCounterOnClosedBackend(t *testing.T) {
 	}
 	reg := obs.New()
 	c.Instrument(reg)
-	c.Store().Close()
+	c.st.Close()
 	var runs atomic.Int32
 	cell := countingCell(&runs, fp{Machine: "err", Procs: 1}, 5)
 	res := Sweep([]Cell[int]{cell}, Options{Cache: c})
@@ -273,90 +208,57 @@ func TestStoreErrorsCounterOnClosedBackend(t *testing.T) {
 	}
 }
 
-func TestLoadAfterPartialFlatWrite(t *testing.T) {
-	// A reader must never see a half-written flat entry as a hit: the
-	// writer goes through temp + rename, and a file torn mid-write (the
-	// crashed-writer case GC cleans up) decodes as a miss.
-	c := openFlatCache(t)
-	fingerprint := fp{Machine: "torn", Procs: 2}
-	key, err := c.keyFor(fingerprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.store(key, "torn-cell", fingerprint, 13)
-	full, err := os.ReadFile(c.path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 1; cut < len(full); cut += len(full)/8 + 1 {
-		if err := os.WriteFile(c.path(key), full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var got int
-		if c.load(key, &got) {
-			t.Fatalf("partial write of %d/%d bytes loaded as a hit", cut, len(full))
-		}
-	}
-}
-
-func TestFlagsCacheBackendSelection(t *testing.T) {
-	for _, tc := range []struct {
-		backend string
-		want    string
-	}{
-		{BackendStore, BackendStore},
-		{BackendFlat, BackendFlat},
-	} {
-		f := Flags{J: 1, Dir: filepath.Join(t.TempDir(), "cache"), Backend: tc.backend}
-		opt := f.Options("test")
-		if opt.Cache == nil {
-			t.Fatalf("backend %q: cache disabled", tc.backend)
-		}
-		if got := opt.Cache.Backend(); got != tc.want {
-			t.Fatalf("backend %q: got %q", tc.backend, got)
-		}
-		opt.Cache.Close()
-	}
-	// An unknown backend disables the cache rather than aborting.
-	f := Flags{J: 1, Dir: filepath.Join(t.TempDir(), "cache"), Backend: "bogus"}
-	if opt := f.Options("test"); opt.Cache != nil {
-		t.Fatal("unknown backend did not disable the cache")
-	}
-}
-
 func TestMigrationPreservesExactValueBytes(t *testing.T) {
-	// The golden-corpus guarantee: a value served through migration is
-	// byte-identical to the flat original. Store the raw entry document
-	// and compare the decoded value across backends.
-	dir := filepath.Join(t.TempDir(), "cache")
-	flat, err := OpenCacheBackend(dir, BackendFlat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The golden-corpus guarantee: a value served after MigrateFlat is
+	// byte-identical to the flat original. Write a legacy flat file
+	// holding an entry document, migrate it, and compare the decoded
+	// value.
 	type result struct {
 		Protocol string    `json:"protocol"`
 		Points   []float64 `json:"points"`
 	}
 	fingerprint := fp{Machine: "golden", Procs: 16}
 	want := result{Protocol: "rendezvous", Points: []float64{1.5, 2.25, 1e-9}}
-	key, err := flat.keyFor(fingerprint)
+	key, err := FingerprintKey(fingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat.store(key, "golden-cell", fingerprint, want)
+	val, _ := json.Marshal(want)
+	fpJSON, _ := json.Marshal(fingerprint)
+	doc, _ := json.MarshalIndent(entry{Key: "golden-cell", Fingerprint: fpJSON, Value: val}, "", " ")
+	dir := filepath.Join(t.TempDir(), "cache")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	damaged := strings.Repeat("f", 64) + ".json"
+	if err := os.WriteFile(filepath.Join(dir, damaged), []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	moved, skipped, err := MigrateFlat(c.st, dir)
+	if err != nil || moved != 1 || !reflect.DeepEqual(skipped, []string{damaged}) {
+		t.Fatalf("MigrateFlat = %d moved, skipped %v, %v", moved, skipped, err)
+	}
+	if left := FlatEntries(dir); !reflect.DeepEqual(left, []string{damaged}) {
+		t.Fatalf("flat entries left = %v, want only the damaged one", left)
+	}
+	if got, _, _ := c.st.Get(key); string(got) != string(doc) {
+		t.Fatalf("document changed across migration:\nflat:  %s\nstore: %s", doc, got)
+	}
 	var via result
 	if !c.load(key, &via) {
 		t.Fatal("migrated entry missed")
 	}
-	a, _ := json.Marshal(want)
 	b, _ := json.Marshal(via)
-	if string(a) != string(b) {
-		t.Fatalf("value changed across migration:\nflat:  %s\nstore: %s", a, b)
+	if string(val) != string(b) {
+		t.Fatalf("value changed across migration:\nflat:  %s\nstore: %s", val, b)
 	}
 }

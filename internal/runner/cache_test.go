@@ -33,21 +33,10 @@ func openTestCache(t *testing.T) *Cache {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Backend() != BackendStore || c.Degraded() != nil {
-		t.Fatalf("default backend = %s (degraded: %v)", c.Backend(), c.Degraded())
+	if err := c.ReadOnly(); err != nil {
+		t.Fatalf("fresh cache opened read-only: %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c
-}
-
-// openFlatCache opens the legacy flat-file backend, for tests that poke
-// at the one-file-per-entry layout directly.
-func openFlatCache(t *testing.T) *Cache {
-	t.Helper()
-	c, err := OpenCacheBackend(filepath.Join(t.TempDir(), "cache"), BackendFlat)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return c
 }
 
@@ -83,32 +72,45 @@ func TestCacheHitMissInvalidation(t *testing.T) {
 }
 
 func TestCorruptedEntryFallsBackToRecompute(t *testing.T) {
-	cache := openFlatCache(t)
+	// A crash mid-append leaves a torn record at the segment's tail. The
+	// next open drops it, so the entry misses, is recomputed and is
+	// written back whole.
+	dir := filepath.Join(t.TempDir(), "cache")
 	var runs atomic.Int32
 	cell := countingCell(&runs, fp{Machine: "t3e", Procs: 2}, 7)
+	for cut := int64(1); cut <= 64; cut *= 8 {
+		c, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Sweep([]Cell[int]{cell}, Options{Cache: c})
+		c.Close()
+		segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+		if len(segs) != 1 {
+			t.Fatalf("segments = %v", segs)
+		}
+		info, err := os.Stat(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(segs[0], info.Size()-cut); err != nil {
+			t.Fatal(err)
+		}
 
-	Sweep([]Cell[int]{cell}, Options{Cache: cache})
-	key, err := cache.keyFor(cell.Fingerprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, corruption := range []string{"{truncated", `{"key":"x","value":"not an int"}`, ""} {
-		if err := os.WriteFile(cache.path(key), []byte(corruption), 0o644); err != nil {
+		c, err = OpenCache(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
 		before := runs.Load()
-		res := Sweep([]Cell[int]{cell}, Options{Cache: cache})
-		if res[0].Cached || res[0].Err != nil || res[0].Value != 7 {
-			t.Fatalf("corrupted entry %q not recomputed: %+v", corruption, res[0])
+		res := Sweep([]Cell[int]{cell}, Options{Cache: c})
+		if res[0].Cached || res[0].Err != nil || res[0].Value != 7 || runs.Load() != before+1 {
+			t.Fatalf("torn entry (-%d bytes) not recomputed: %+v", cut, res[0])
 		}
-		if runs.Load() != before+1 {
-			t.Fatalf("corrupted entry %q: body not re-invoked", corruption)
-		}
-		// The recompute must repair the entry.
-		res = Sweep([]Cell[int]{cell}, Options{Cache: cache})
+		res = Sweep([]Cell[int]{cell}, Options{Cache: c})
 		if !res[0].Cached || res[0].Value != 7 {
-			t.Fatalf("entry not repaired after corruption %q: %+v", corruption, res[0])
+			t.Fatalf("entry not repaired after tearing %d bytes: %+v", cut, res[0])
 		}
+		c.Close()
 	}
 }
 
@@ -117,7 +119,7 @@ func TestNullValueEntryFallsBackToRecompute(t *testing.T) {
 	// pointer-typed result by setting it to nil — a poisoned hit that
 	// downstream code dereferences. It must be treated as corruption:
 	// miss, recompute, repair.
-	cache := openFlatCache(t)
+	cache := openTestCache(t)
 	var runs atomic.Int32
 	type payload struct{ N int }
 	cell := Cell[*payload]{
@@ -134,7 +136,7 @@ func TestNullValueEntryFallsBackToRecompute(t *testing.T) {
 		`{"key":"ptr-cell","fingerprint":{},"value":null}`,
 		"\x00\x01binary garbage\xff",
 	} {
-		if err := os.WriteFile(cache.path(key), []byte(corruption), 0o644); err != nil {
+		if err := cache.st.Put(key, []byte(corruption)); err != nil {
 			t.Fatal(err)
 		}
 		before := runs.Load()
@@ -196,13 +198,13 @@ func TestFailedCellNotStored(t *testing.T) {
 }
 
 func TestCacheEntryIsInspectable(t *testing.T) {
-	cache := openFlatCache(t)
+	cache := openTestCache(t)
 	cell := countingCell(new(atomic.Int32), fp{Machine: "sx5", Procs: 4}, 5)
 	Sweep([]Cell[int]{cell}, Options{Cache: cache})
 	key, _ := cache.keyFor(cell.Fingerprint)
-	data, err := os.ReadFile(cache.path(key))
-	if err != nil {
-		t.Fatal(err)
+	data, ok, err := cache.st.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("entry missing: %v", err)
 	}
 	for _, want := range []string{`"key"`, `"fingerprint"`, `"value"`, "sx5"} {
 		if !strings.Contains(string(data), want) {

@@ -45,12 +45,10 @@ type Config struct {
 	Workers int
 
 	// CacheDir roots the shared result cache ("" means
-	// runner.DefaultCacheDir); CacheBackend selects its layout ("" means
-	// runner.BackendStore); NoCache disables on-disk memoisation
+	// runner.DefaultCacheDir); NoCache disables on-disk memoisation
 	// (in-flight dedupe still applies).
-	CacheDir     string
-	CacheBackend string
-	NoCache      bool
+	CacheDir string
+	NoCache  bool
 
 	// QueueLimit bounds cells admitted but not yet finished,
 	// server-wide; a submission that would exceed it is rejected with
@@ -111,7 +109,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	var cache *runner.Cache
 	if !cfg.NoCache {
-		c, err := runner.OpenCacheBackend(cfg.CacheDir, cfg.CacheBackend)
+		c, err := runner.OpenCache(cfg.CacheDir)
 		if err != nil {
 			return nil, err
 		}
@@ -144,23 +142,9 @@ func New(cfg Config) (*Server, error) {
 // a secondary debug listener in cmd/beffd).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// CacheDir reports the shared cache directory, or "" when caching is
+// Cache reports the shared result cache, or nil when caching is
 // disabled.
-func (s *Server) CacheDir() string {
-	if s.cache == nil {
-		return ""
-	}
-	return s.cache.Dir()
-}
-
-// CacheBackend reports the active cache backend (runner.BackendStore
-// or runner.BackendFlat), or "" when caching is disabled.
-func (s *Server) CacheBackend() string {
-	if s.cache == nil {
-		return ""
-	}
-	return s.cache.Backend()
-}
+func (s *Server) Cache() *runner.Cache { return s.cache }
 
 // Handler returns the full route table.
 func (s *Server) Handler() http.Handler {
@@ -179,7 +163,7 @@ func (s *Server) Handler() http.Handler {
 
 // Drain gracefully retires the server: admission stops (submissions
 // get 503 reason "draining"), every admitted cell — queued or running
-// — completes, job watchers flush, the cache's store backend releases
+// — completes, job watchers flush, the cache's store releases
 // its writer lock, and Drain returns. The result cache needs no
 // separate flush: every entry is written atomically at cell
 // completion. Returns ctx.Err if the context expires first; cells

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/hpcbench/beff/internal/runner"
+	"github.com/hpcbench/beff/internal/store"
 )
 
 // newTestServer builds a Server with a per-test cache directory and
@@ -574,13 +575,13 @@ func TestCacheSharedAcrossRequests(t *testing.T) {
 	}
 }
 
-// TestStoreMetricsExported: the cache's store backend publishes its
+// TestStoreMetricsExported: the cache's store publishes its
 // instruments into the service registry, so /metrics exposes segment
 // and entry gauges plus the swallowed-persistence-failure counter.
 func TestStoreMetricsExported(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	if got := s.CacheBackend(); got != runner.BackendStore {
-		t.Fatalf("cache backend = %q", got)
+	if c := s.Cache(); c == nil || c.ReadOnly() != nil {
+		t.Fatalf("cache not writable: %+v", c)
 	}
 	code, data := post(t, ts, "/api/v1/sweeps", quickSpec)
 	if code != http.StatusAccepted {
@@ -602,7 +603,6 @@ func TestStoreMetricsExported(t *testing.T) {
 		"store_bytes_live",
 		"store_compactions_total",
 		"runner_cache_store_errors_total",
-		"runner_cache_migrated_total",
 	} {
 		if !strings.Contains(string(body), name) {
 			t.Fatalf("/metrics missing %s:\n%s", name, body)
@@ -621,45 +621,64 @@ func TestStoreMetricsExported(t *testing.T) {
 }
 
 // TestGoldenAcrossCacheBackends is the migration acceptance pin: the
-// same golden cell served from a flat cache, from a store that
-// migrated that flat cache, and from a fresh store must all be
-// byte-identical to the corpus entry.
+// golden cell as the retired flat backend left it on disk
+// (testdata/legacy_flat, one <key>.json document) is migrated into a
+// store with runner.MigrateFlat and then served over HTTP from the
+// cache, byte-identical to the corpus entry without being recomputed.
+// A fresh store computes the same bytes.
 func TestGoldenAcrossCacheBackends(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("..", "check", "testdata", "golden", "beff_t3e.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetch := func(t *testing.T, cfg Config) (*Server, []byte) {
-		s, ts := newTestServer(t, cfg)
+	fetch := func(t *testing.T, cfg Config) (JobStatus, []byte) {
+		_, ts := newTestServer(t, cfg)
 		code, data := post(t, ts, "/api/v1/sweeps", goldenSpec)
 		if code != http.StatusAccepted {
 			t.Fatalf("submit: %d: %s", code, data)
 		}
 		st := decodeStatus(t, data)
-		waitState(t, ts, st.ID, func(j JobStatus) bool { return j.State == "done" })
+		st = waitState(t, ts, st.ID, func(j JobStatus) bool { return j.State == "done" })
 		code, cell := get(t, ts, "/api/v1/jobs/"+st.ID+"/cells/0")
 		if code != http.StatusOK {
 			t.Fatalf("cell fetch: %d: %s", code, cell)
 		}
-		return s, cell
+		return st, cell
 	}
 
-	dir := filepath.Join(t.TempDir(), "cache")
-	t.Run("flat", func(t *testing.T) {
-		_, cell := fetch(t, Config{Workers: 2, CacheDir: dir, CacheBackend: runner.BackendFlat})
-		if !bytes.Equal(cell, want) {
-			t.Fatalf("flat backend differs from golden (%d vs %d bytes)", len(cell), len(want))
-		}
-	})
 	t.Run("migrated-store", func(t *testing.T) {
-		// Same cache dir, store backend: the cell is served through
-		// read-through migration of the flat entry, not recomputed.
-		s, cell := fetch(t, Config{Workers: 2, CacheDir: dir})
+		dir := filepath.Join(t.TempDir(), "cache")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		legacy := filepath.Join("testdata", "legacy_flat")
+		for _, name := range runner.FlatEntries(legacy) {
+			data, err := os.ReadFile(filepath.Join(legacy, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved, skipped, err := runner.MigrateFlat(st, dir)
+		if err != nil || moved != 1 || len(skipped) != 0 {
+			t.Fatalf("MigrateFlat = %d moved, skipped %v, %v", moved, skipped, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		job, cell := fetch(t, Config{Workers: 2, CacheDir: dir})
+		if job.CellsCached != 1 {
+			t.Fatalf("migrated cell was recomputed: %+v", job)
+		}
 		if !bytes.Equal(cell, want) {
 			t.Fatalf("migrated store differs from golden (%d vs %d bytes)", len(cell), len(want))
-		}
-		if v, ok := s.Registry().Snapshot().Get("runner_cache_migrated_total"); !ok || v.Value == 0 {
-			t.Fatalf("cell was not served via migration: %+v, %v", v, ok)
 		}
 	})
 	t.Run("fresh-store", func(t *testing.T) {

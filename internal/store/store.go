@@ -29,8 +29,8 @@
 //     process and read-only Opens from other processes — never take
 //     it.
 //
-// The runner's result cache (internal/runner) fronts this store with
-// a transparent read-through migration from the legacy flat layout;
+// The runner's result cache (internal/runner) fronts this store,
+// opening it read-only when another process holds the lock;
 // cmd/beffstore is the inspection/compaction/migration CLI.
 package store
 
