@@ -213,7 +213,7 @@ func main() {
 		iters    = flag.Int("iters", 3, "repetitions per cell (best wall time counts)")
 		out      = flag.String("o", "BENCH_core.json", "output JSON path ('-' for stdout only)")
 		baseline = flag.String("baseline", "", "prior bench JSON to embed and compute speedups against (single report or history; latest entry counts)")
-		gate     = flag.String("gate", "", "regression gate: compare against this committed bench JSON (single report or history; latest entry counts) and exit 1 on >10% wall slowdown, any allocs/op increase or any headline drift")
+		gate     = flag.String("gate", "", "regression gate: compare against this committed bench JSON (single report or history; latest entry counts) and exit 1 on >10% wall slowdown, any allocs/op increase, >5% bytes/op growth or any headline drift")
 		trend    = flag.String("trend", "", "trajectory gate: compare against the best historical point per cell in this bench history JSON and exit 1 on regression")
 		appendTo = flag.String("append", "", "fold this run into the bench history JSON at this path (created if absent; skipped when a gate fails)")
 		sha      = flag.String("sha", "", "git commit to record in the report, for history entries")
@@ -367,6 +367,11 @@ func main() {
 // the committed report before the gate fails the run.
 const gateWallTolerance = 0.10
 
+// gateBytesTolerance is the allowed relative growth of allocated bytes
+// per op against the committed report. Allocation counts alone miss a
+// buffer that grows without allocating more often.
+const gateBytesTolerance = 0.05
+
 // applyBaseline embeds the latest entry of the bench JSON at path (a
 // single report or a history) into rep and prints the per-cell
 // speedups against it.
@@ -406,9 +411,10 @@ func headlineDrift(cur, recorded float64) bool {
 // and returns one message per violation — a wall slowdown beyond the
 // tolerance, any allocs/op growth (the simulator is deterministic,
 // so allocation counts must not drift at all; a hair of slack absorbs
-// runtime-internal noise), or any headline drift — plus the names of
-// cells whose only offence is wall time, which the caller may
-// re-measure before accepting the verdict. Large improvements pass but
+// runtime-internal noise), bytes/op growth beyond gateBytesTolerance,
+// or any headline drift — plus the names of cells whose only offence
+// is wall time, which the caller may re-measure before accepting the
+// verdict. Large improvements pass but
 // are called out on stdout so the committed file gets regenerated. The
 // deltas are recorded in the report (Baseline/Speedups), which CI
 // uploads as the artifact.
@@ -438,6 +444,10 @@ func runGate(rep *Report, committed []CellResult) (failures, wallSuspects []stri
 			if cur.AllocsPerA > base.AllocsPerA+1e-3 {
 				failures = append(failures, fmt.Sprintf("%s: %.4f allocs/op, committed %.4f (allocation growth is gated at zero)",
 					cur.Name, cur.AllocsPerA, base.AllocsPerA))
+			}
+			if base.BytesPerOp > 0 && cur.BytesPerOp > base.BytesPerOp*(1+gateBytesTolerance) {
+				failures = append(failures, fmt.Sprintf("%s: %.1f B/op is %.0f%% over the committed %.1f",
+					cur.Name, cur.BytesPerOp, (cur.BytesPerOp/base.BytesPerOp-1)*100, base.BytesPerOp))
 			}
 			if headlineDrift(cur.HeadlineMB, base.HeadlineMB) {
 				failures = append(failures, fmt.Sprintf("%s: headline %v MB/s, committed %v (results changed)",

@@ -160,6 +160,37 @@ func TestGateAndTrendCatchHeadlineDrift(t *testing.T) {
 	}
 }
 
+// TestGateCatchesBytesGrowth: allocated bytes per op are gated at +5%
+// against the committed cell, even when allocs/op and wall hold — a
+// buffer that grows without allocating more often shows only here.
+func TestGateCatchesBytesGrowth(t *testing.T) {
+	withBytes := func(c CellResult, b float64) CellResult {
+		c.BytesPerOp = b
+		return c
+	}
+	base := []CellResult{withBytes(cell4("beffio_t3e_8", 1.0, 5), 1000)}
+
+	within := mkReport(4, withBytes(cell4("beffio_t3e_8", 1.0, 5), 1049))
+	if f, s := runGate(&within, base); len(f) != 0 || len(s) != 0 {
+		t.Errorf("4.9%% bytes growth should pass: %v", f)
+	}
+	grown := mkReport(4, withBytes(cell4("beffio_t3e_8", 1.0, 5), 1060))
+	f, s := runGate(&grown, base)
+	if len(f) != 1 || !strings.Contains(f[0], "B/op") || len(s) != 0 {
+		t.Errorf("6%% bytes growth should fail the gate without a wall suspect: %v / %v", f, s)
+	}
+	shrunk := mkReport(4, withBytes(cell4("beffio_t3e_8", 1.0, 5), 73))
+	if f, _ := runGate(&shrunk, base); len(f) != 0 {
+		t.Errorf("fewer bytes should pass: %v", f)
+	}
+
+	// A committed cell without bytes/op is not compared.
+	old := []CellResult{cell4("beffio_t3e_8", 1.0, 5)}
+	if f, _ := runGate(&grown, old); len(f) != 0 {
+		t.Errorf("zero committed bytes/op should not be compared: %v", f)
+	}
+}
+
 // TestBaselineReadsHistory: -baseline accepts a history document and
 // compares against its latest entry, like -gate does.
 func TestBaselineReadsHistory(t *testing.T) {

@@ -2,9 +2,8 @@ package des
 
 import "testing"
 
-// BenchmarkEngineHandoff measures the raw cost of one scheduler
-// round-trip (Sleep → engine → resume): the unit everything else in the
-// simulator is built from.
+// BenchmarkEngineHandoff measures a Sleep with nothing else queued:
+// the SleepUntil fast path, which never switches goroutines.
 func BenchmarkEngineHandoff(b *testing.B) {
 	e := NewEngine()
 	b.ResetTimer()
@@ -19,7 +18,8 @@ func BenchmarkEngineHandoff(b *testing.B) {
 }
 
 // BenchmarkEngineTwoProcPingPong measures a condition-variable
-// hand-off between two processes.
+// hand-off between two processes: one dispatch, so one goroutine
+// switch, per iteration.
 func BenchmarkEngineTwoProcPingPong(b *testing.B) {
 	e := NewEngine()
 	c := e.NewCond("pp")

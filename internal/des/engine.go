@@ -17,13 +17,15 @@ import (
 type Engine struct {
 	clock    Time
 	queue    procHeap
-	running  *Proc
-	yieldCh  chan *Proc
 	seq      uint64
 	procs    []*Proc
 	finished int
-	aborting bool
 	failure  error
+
+	// done wakes Run's goroutine when the baton has nowhere to go: the
+	// run queue emptied (normal end or deadlock), a process failed, or
+	// an aborted process finished unwinding during teardown.
+	done chan struct{}
 
 	// advanceObs holds observers registered through OnAdvance, all
 	// notified on every clock advance in registration order.
@@ -38,18 +40,18 @@ type Engine struct {
 // costs one predictable branch per dispatch. Attach with SetMetrics
 // before Run.
 type Metrics struct {
-	// Dispatches counts baton handoffs: one per process resumed by the
-	// scheduler loop (fast-path self-advances are not dispatches).
+	// Dispatches counts baton handoffs: one per process popped from the
+	// run queue and resumed, whichever goroutine passed it the baton
+	// (fast-path self-advances are not dispatches).
 	Dispatches *obs.Counter
 
 	// Advances counts clock movements to a strictly later virtual
-	// time, across both the scheduler loop and the SleepUntil fast
-	// path.
+	// time, across both queue dispatches and the SleepUntil fast path.
 	Advances *obs.Counter
 
 	// FastAdvances counts SleepUntil fast-path advances — sleeps that
-	// skipped the heap and channel handoff because no other process
-	// woke earlier.
+	// skipped the heap and the goroutine handoff because no other
+	// process woke earlier.
 	FastAdvances *obs.Counter
 
 	// HeapDepthMax is the high-watermark of the run-queue depth.
@@ -61,7 +63,7 @@ func (e *Engine) SetMetrics(m *Metrics) { e.metrics = m }
 
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{yieldCh: make(chan *Proc)}
+	return &Engine{done: make(chan struct{})}
 }
 
 // Now reports the current virtual time. It is only meaningful while Run
@@ -73,7 +75,8 @@ func (e *Engine) Now() Time { return e.clock }
 // guarantees to >= from; internal/check uses this hook to assert it
 // independently. Observers compose: each OnAdvance call adds a
 // subscriber, and all of them fire in registration order. Hooks run
-// inside the scheduler loop and must not call back into the engine.
+// on whichever goroutine is passing the baton on, while no process
+// runs, and must not call back into the engine.
 func (e *Engine) OnAdvance(fn func(from, to Time)) {
 	if fn != nil {
 		e.advanceObs = append(e.advanceObs, fn)
@@ -105,11 +108,16 @@ func (a abortError) Error() string { return "des: simulation aborted: " + a.caus
 // own Proc handle. Run returns an error if the simulation deadlocks
 // (every live process blocked on a Cond) or if any process panics or
 // calls Proc.Fail.
+//
+// There is no scheduler goroutine: a process that yields or finishes
+// passes the baton straight to the next one (see schedule), so each
+// dispatch costs one goroutine switch. Run's own goroutine only starts
+// the first process and then waits on done.
 func (e *Engine) Run(n int, body func(p *Proc)) error {
 	if n <= 0 {
 		return fmt.Errorf("des: Run needs at least one process, got %d", n)
 	}
-	if e.running != nil || len(e.procs) != 0 {
+	if len(e.procs) != 0 {
 		return fmt.Errorf("des: engine already used; create a fresh engine per Run")
 	}
 	e.procs = make([]*Proc, n)
@@ -117,82 +125,82 @@ func (e *Engine) Run(n int, body func(p *Proc)) error {
 		p := &Proc{id: i, eng: e, resume: make(chan resumeMsg), label: fmt.Sprintf("proc %d", i)}
 		e.procs[i] = p
 		e.push(p, 0)
-		go func(p *Proc) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, isAbort := r.(abortError); isAbort {
-						// Engine-initiated teardown: report back silently.
-						p.state = stateDone
-						e.yieldCh <- p
-						return
-					}
-					p.state = stateDone
-					p.err = fmt.Errorf("des: %s panicked: %v", p.label, r)
-					e.yieldCh <- p
-					return
-				}
-			}()
-			p.waitResume() // first activation
-			body(p)
-			p.state = stateDone
-			e.yieldCh <- p
-		}(p)
+		go p.run(body)
 	}
-	return e.loop()
-}
-
-// loop is the scheduler: pop the earliest runnable process, advance the
-// clock, hand it the baton, and wait for it to yield or finish.
-func (e *Engine) loop() error {
-	for e.queue.Len() > 0 {
-		p := e.pop()
-		if p.wakeAt < e.clock {
-			// Should be impossible: wake times are always >= the clock
-			// at the moment they are set.
-			return fmt.Errorf("des: time ran backwards (clock %v, wake %v for %s)", e.clock, p.wakeAt, p.label)
-		}
-		if e.needsAdvance() {
-			e.notifyAdvance(e.clock, p.wakeAt)
-		}
-		if m := e.metrics; m != nil {
-			m.Dispatches.Inc()
-			if p.wakeAt > e.clock {
-				m.Advances.Inc()
-			}
-		}
-		e.clock = p.wakeAt
-		p.now = p.wakeAt
-		e.running = p
-		p.resume <- resumeMsg{}
-		<-e.yieldCh
-		e.running = nil
-		switch p.state {
-		case stateDone:
-			e.finished++
-			if p.err != nil && e.failure == nil {
-				e.failure = p.err
-			}
-			if e.failure != nil {
-				return e.teardown()
-			}
-		case stateQueued, stateBlocked:
-			// Re-queued by its own Sleep / Cond wait; nothing to do.
-		default:
-			return fmt.Errorf("des: %s yielded in unexpected state %d", p.label, p.state)
-		}
+	e.schedule()
+	<-e.done
+	if e.failure == nil && e.finished != len(e.procs) {
+		e.failure = e.deadlockError()
 	}
-	if e.finished != len(e.procs) {
-		err := e.deadlockError()
-		e.failure = err
+	if e.failure != nil {
 		return e.teardown()
 	}
 	return nil
 }
 
-// teardown force-unwinds every process that is still blocked so their
-// goroutines exit, then reports the recorded failure.
+// run is a process goroutine: wait for the first activation, execute
+// body, then pass the baton on. A panic (including Proc.Fail) records
+// the failure and wakes Run instead; the abortError panic raised by
+// teardown just reports the unwinding as finished.
+func (p *Proc) run(body func(p *Proc)) {
+	e := p.eng
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		p.state = stateDone
+		if _, isAbort := r.(abortError); !isAbort {
+			e.finished++
+			if e.failure == nil {
+				e.failure = fmt.Errorf("des: %s panicked: %v", p.label, r)
+			}
+		}
+		e.done <- struct{}{}
+	}()
+	p.waitResume() // first activation
+	body(p)
+	p.state = stateDone
+	e.finished++
+	e.schedule()
+}
+
+// schedule passes the baton on: it pops the earliest runnable process,
+// advances the clock, and resumes that process. It is called by the
+// goroutine giving up the baton, which must not touch simulation state
+// afterwards. With the run queue empty it wakes Run instead, which
+// tells a finished simulation from a deadlock.
+func (e *Engine) schedule() {
+	if e.queue.Len() == 0 {
+		e.done <- struct{}{}
+		return
+	}
+	p := e.pop()
+	p.state = stateRunning
+	if p.wakeAt < e.clock {
+		// Should be impossible: wake times are always >= the clock at
+		// the moment they are set.
+		e.failure = fmt.Errorf("des: time ran backwards (clock %v, wake %v for %s)", e.clock, p.wakeAt, p.label)
+		e.done <- struct{}{}
+		return
+	}
+	if e.needsAdvance() {
+		e.notifyAdvance(e.clock, p.wakeAt)
+	}
+	if m := e.metrics; m != nil {
+		m.Dispatches.Inc()
+		if p.wakeAt > e.clock {
+			m.Advances.Inc()
+		}
+	}
+	e.clock = p.wakeAt
+	p.resume <- resumeMsg{}
+}
+
+// teardown force-unwinds every process that has not finished so their
+// goroutines exit, one at a time over done, then reports the recorded
+// failure.
 func (e *Engine) teardown() error {
-	e.aborting = true
 	for _, p := range e.procs {
 		if p.state == stateDone {
 			continue
@@ -205,7 +213,7 @@ func (e *Engine) teardown() error {
 		}
 		p.state = stateAborting
 		p.resume <- resumeMsg{abort: true}
-		<-e.yieldCh
+		<-e.done
 	}
 	return e.failure
 }

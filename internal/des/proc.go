@@ -26,7 +26,6 @@ type Proc struct {
 	seq     uint64
 	heapIdx int
 	state   procState
-	err     error
 	resume  chan resumeMsg
 
 	// waitingOn names the Cond the process is blocked on, for deadlock
@@ -70,11 +69,13 @@ func (p *Proc) SleepUntil(t Time) {
 		t = p.now
 	}
 	e := p.eng
-	// Fast path: if no queued process wakes at or before t, the scheduler
-	// would pop this process straight back, so the heap round-trip and
-	// the two channel handoffs can be skipped. The comparison is strict
-	// because an already-queued process with the same wake time carries a
-	// smaller sequence number and must run first.
+	// Fast path: if no queued process wakes at or before t, schedule
+	// would pop this process straight back, so the heap round-trip is
+	// skipped. It is also what keeps schedule from ever resuming the
+	// process that called it, which would block on its own channel. The
+	// comparison is strict because an already-queued process with the
+	// same wake time carries a smaller sequence number and must run
+	// first.
 	if e.queue.Len() == 0 || e.queue[0].wakeAt > t {
 		if e.needsAdvance() {
 			e.notifyAdvance(e.clock, t)
@@ -94,10 +95,11 @@ func (p *Proc) SleepUntil(t Time) {
 	p.yield()
 }
 
-// yield hands the baton back to the engine and waits to be resumed. On
-// resume the process's clock is set to its scheduled wake time.
+// yield passes the baton to the next runnable process and waits to be
+// resumed. On resume the process's clock is set to its scheduled wake
+// time.
 func (p *Proc) yield() {
-	p.eng.yieldCh <- p
+	p.eng.schedule()
 	p.waitResume()
 }
 
@@ -106,7 +108,6 @@ func (p *Proc) waitResume() {
 	if msg.abort {
 		panic(abortError{cause: fmt.Errorf("engine teardown")})
 	}
-	p.state = stateRunning
 	p.now = p.wakeAt
 }
 

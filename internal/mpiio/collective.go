@@ -19,7 +19,7 @@ func newCoordination() *coordination {
 }
 
 type callState struct {
-	deposits map[int][]extent
+	deposits [][]extent // by rank
 	plan     *tpPlan
 	finished int
 
@@ -28,21 +28,36 @@ type callState struct {
 	orderedBase    int64
 }
 
-func (co *coordination) state(seq int64) *callState {
+// state returns the shared state of collective call seq on a
+// communicator of size ranks.
+func (co *coordination) state(seq int64, size int) *callState {
 	cs := co.calls[seq]
 	if cs == nil {
-		cs = &callState{deposits: map[int][]extent{}}
+		cs = &callState{deposits: make([][]extent, size)}
 		co.calls[seq] = cs
 	}
 	return cs
 }
 
 // tpPlan is a two-phase transfer plan: who sends how much to which
-// aggregator, and the merged extent runs each aggregator accesses.
+// aggregator, and the merged extent runs each aggregator accesses. All
+// three are indexed by rank; send and recv rows are views into one
+// size×size buffer each.
 type tpPlan struct {
-	send map[int][]int64  // rank → per-destination byte counts
-	recv map[int][]int64  // rank → per-source byte counts
-	runs map[int][]extent // aggregator rank → merged extents in its domain
+	send [][]int64  // rank → per-destination byte counts
+	recv [][]int64  // rank → per-source byte counts
+	runs [][]extent // aggregator rank → merged extents in its domain
+}
+
+// countMatrix returns size rows of size zeroed counts backed by one
+// allocation.
+func countMatrix(size int) [][]int64 {
+	flat := make([]int64, size*size)
+	rows := make([][]int64, size)
+	for r := range rows {
+		rows[r] = flat[r*size : (r+1)*size : (r+1)*size]
+	}
+	return rows
 }
 
 // aggregatorRanks spreads a aggregators evenly over size ranks.
@@ -73,13 +88,9 @@ func (f *File) makePlan(cs *callState) *tpPlan {
 		}
 	}
 	plan := &tpPlan{
-		send: map[int][]int64{},
-		recv: map[int][]int64{},
-		runs: map[int][]extent{},
-	}
-	for r := 0; r < size; r++ {
-		plan.send[r] = make([]int64, size)
-		plan.recv[r] = make([]int64, size)
+		send: countMatrix(size),
+		recv: countMatrix(size),
+		runs: make([][]extent, size),
 	}
 	if lo < 0 || hi <= lo {
 		return plan // nothing to move
@@ -175,7 +186,7 @@ func mergeExtents(exts []extent) []extent {
 func (f *File) twoPhase(seq int64, exts []extent, write bool) {
 	c := f.comm
 	co := f.sh.coord
-	cs := co.state(seq)
+	cs := co.state(seq, c.Size())
 	cs.deposits[c.Rank()] = exts
 
 	// Synchronisation doubling as the offset/shape exchange of real
@@ -338,7 +349,7 @@ func (f *File) orderedAccess(size int64, data []byte, write bool) {
 	// pointer as this call's base and advances it for the whole group;
 	// everyone else reads the recorded base. Execution order between
 	// ranks therefore cannot skew the offsets.
-	cs := f.sh.coord.state(seq)
+	cs := f.sh.coord.state(seq, c.Size())
 	if !cs.orderedClaimed {
 		cs.orderedBase = f.sh.sharedPtr
 		f.sh.sharedPtr += total

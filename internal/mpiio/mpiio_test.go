@@ -1,6 +1,8 @@
 package mpiio
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -484,7 +486,7 @@ func TestTwoPhasePlanConservesBytes(t *testing.T) {
 			file.SetView(View{Disp: int64(c.Rank()) * block, BlockLen: block, Stride: stride})
 			exts := file.view.extents(0, size)
 			seq := file.nextSeq()
-			cs := file.sh.coord.state(seq)
+			cs := file.sh.coord.state(seq, c.Size())
 			cs.deposits[c.Rank()] = exts
 			c.Barrier() // everyone deposited
 			if c.Rank() == 0 {
@@ -560,5 +562,63 @@ func TestReopenPreservesFileState(t *testing.T) {
 			t.Errorf("reopen read %q", got)
 		}
 		g.Close()
+	})
+}
+
+func TestTimingOnlyReadAllocatesNoBuffer(t *testing.T) {
+	const size = 4 * mB
+	runIO(t, 1, testFSCfg(), func(c *mpi.Comm, fs *simfs.FS) {
+		f, _ := Open(c, fs, "t", ModeCreate|ModeRdWr, Info{})
+		f.WriteAt(0, size, nil)
+		f.Sync()
+		if got := f.ReadAt(0, size); got != nil {
+			t.Errorf("timing-only read returned %d bytes, want nil", len(got))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(10, func() { f.ReadAt(0, size) })
+		runtime.ReadMemStats(&after)
+		// The simulated I/O path allocates a few small records per
+		// request; a host buffer for the read would be size bytes.
+		if allocs > 8 {
+			t.Errorf("timing-only ReadAt: %.0f allocs/op", allocs)
+		}
+		if perOp := (after.TotalAlloc - before.TotalAlloc) / 11; perOp > size/64 {
+			t.Errorf("timing-only ReadAt allocated %d bytes/op for a %d-byte read", perOp, size)
+		}
+		f.Close()
+	})
+}
+
+func TestReadSpanningHolePayloadHole(t *testing.T) {
+	// Rank 0 reads three 256 kB extents of a timing-only file through a
+	// strided view; each takes ~86 us from the server caches. Between
+	// the first extent's completion and the second's, rank 1 stores a
+	// payload inside the second, so the first extent comes back without
+	// payload and the later ones with it.
+	const blk = 256 * kB
+	runIO(t, 2, testFSCfg(), func(c *mpi.Comm, fs *simfs.FS) {
+		f, _ := Open(c, fs, "h", ModeCreate|ModeRdWr, Info{})
+		f.WriteAt(0, 5*blk, nil)
+		f.Sync()
+		c.Barrier()
+		if c.Rank() == 1 {
+			c.Proc().Sleep(110 * des.Microsecond)
+			f.WriteAt(2*blk+8, 8, []byte("PAYLOAD!"))
+			f.Close()
+			return
+		}
+		f.SetView(View{Disp: 0, BlockLen: blk, Stride: 2 * blk})
+		got := f.ReadAt(0, 3*blk)
+		want := make([]byte, 3*blk)
+		copy(want[blk+8:], "PAYLOAD!")
+		if !bytes.Equal(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Errorf("read %d bytes, want %d; first difference at %d", len(got), len(want), i)
+		}
+		f.Close()
 	})
 }

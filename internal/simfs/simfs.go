@@ -771,15 +771,6 @@ func (f *File) StoreContent(off int64, data []byte) {
 	f.writeContent(off, data)
 }
 
-// FetchContent returns payload bytes previously stored at an offset
-// range, without charging any simulated time.
-func (f *File) FetchContent(off, size int64) []byte {
-	if len(f.content) == 0 {
-		return nil
-	}
-	return f.readContent(off, size)
-}
-
 // ---------------------------------------------------------------------
 // Content tracking (for tests and examples; benchmarks run timing-only)
 
