@@ -13,6 +13,7 @@ import (
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/des"
 	"github.com/hpcbench/beff/internal/machine"
+	"github.com/hpcbench/beff/internal/mpiio"
 	"github.com/hpcbench/beff/internal/perturb"
 	"github.com/hpcbench/beff/internal/runner"
 )
@@ -184,4 +185,52 @@ func TestGoldenPatternTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "patterntable_2mb.json", pats)
+}
+
+// goldenBeffIOOptionCells pins the b_eff_io option paths the default
+// cells never take: §5.4 geometric batching; a skipped segmented type
+// with the §6 random-access extension; and two-phase buffering off
+// under a repetition cap. Three ranks keep every per-rank split
+// uneven.
+var goldenBeffIOOptionCells = []struct {
+	name string
+	opt  beffio.Options
+}{
+	{"geometric", beffio.Options{GeometricBatching: true}},
+	{"skip3_random", beffio.Options{SkipTypes: []beffio.PatternType{beffio.Segmented}, MeasureRandomAccess: true, Seed: 7}},
+	{"nocb_reps3", beffio.Options{Info: mpiio.Info{NoCollectiveBuffering: true}, MaxRepsPerPattern: 3}},
+}
+
+func TestGoldenBeffIOOptions(t *testing.T) {
+	p, err := machine.Lookup("t3e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range goldenBeffIOOptionCells {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := p.BuildIOWorld(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := p.BuildFS()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := check.New()
+			c.WatchWorld(&w)
+			c.WatchNet(w.Net)
+			c.WatchFS(fs)
+			opt := tc.opt
+			opt.T, opt.MPart = des.DurationOf(0.5), p.MPart()
+			res, err := beffio.Run(w, fs, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.VerifyBeffIO(res)
+			if err := c.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			goldenCompare(t, "beffio_"+tc.name+"_t3e.json", res)
+		})
+	}
 }

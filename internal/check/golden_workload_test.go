@@ -126,3 +126,80 @@ func TestGoldenWorkloads(t *testing.T) {
 		})
 	}
 }
+
+// leavesSpec drives every leaf shape — strided, shared, separate,
+// segmented and collective segmented — through each region policy of
+// the streaming executor: a fresh write, a pure read wrapping over the
+// written extent, a re-read under repeat, a seeded read/write mix, and
+// zipf-selected files whose first reads find nothing written.
+const leavesSpec = `{"name": "leaves", "seed": 5, "phases": [
+	{"name": "write", "pattern": {"op": "seq", "nodes": [
+		{"op": "strided", "count": 3, "chunk": 4096, "mem": 16384},
+		{"op": "shared", "count": 3, "chunk": 8192},
+		{"op": "separate", "count": 3, "chunk": 8192},
+		{"op": "segmented", "count": 3, "chunk": 8192},
+		{"op": "segmented", "count": 3, "chunk": 8192, "collective": true}]}},
+	{"name": "read", "pattern": {"op": "seq", "nodes": [
+		{"op": "strided", "count": 4, "chunk": 4096, "mem": 16384, "read": true},
+		{"op": "shared", "count": 4, "chunk": 8192, "read": true},
+		{"op": "separate", "count": 4, "chunk": 8192, "read": true},
+		{"op": "segmented", "count": 4, "chunk": 8192, "read": true},
+		{"op": "segmented", "count": 4, "chunk": 8192, "collective": true, "read": true}]}},
+	{"name": "reread", "pattern": {"op": "repeat", "count": 2, "body": {"op": "seq", "nodes": [
+		{"op": "strided", "count": 2, "chunk": 4096, "read": true},
+		{"op": "shared", "count": 2, "chunk": 16384, "read": true},
+		{"op": "separate", "count": 2, "chunk": 4096, "read": true},
+		{"op": "segmented", "count": 2, "chunk": 16384, "read": true},
+		{"op": "segmented", "count": 2, "chunk": 4096, "collective": true, "read": true}]}}},
+	{"name": "mix", "pattern": {"op": "mix", "count": 2, "read_fraction": 0.5, "body": {"op": "seq", "nodes": [
+		{"op": "strided", "count": 3, "chunk": 4096, "mem": 8192},
+		{"op": "shared", "count": 3, "chunk": 8192},
+		{"op": "separate", "count": 3, "chunk": 8192},
+		{"op": "segmented", "count": 3, "chunk": 8192},
+		{"op": "segmented", "count": 3, "chunk": 8192, "collective": true}]}}},
+	{"name": "zipf", "pattern": {"op": "zipf", "count": 4, "theta": 1.5, "files": 3, "body": {"op": "seq", "nodes": [
+		{"op": "strided", "count": 2, "chunk": 4096, "mem": 8192, "read": true},
+		{"op": "shared", "count": 2, "chunk": 8192, "read": true},
+		{"op": "separate", "count": 2, "chunk": 8192, "read": true},
+		{"op": "segmented", "count": 2, "chunk": 8192, "read": true},
+		{"op": "segmented", "count": 2, "chunk": 8192, "collective": true, "read": true},
+		{"op": "strided", "count": 2, "chunk": 4096, "mem": 8192},
+		{"op": "shared", "count": 2, "chunk": 8192},
+		{"op": "separate", "count": 2, "chunk": 8192},
+		{"op": "segmented", "count": 2, "chunk": 8192},
+		{"op": "segmented", "count": 2, "chunk": 8192, "collective": true}]}}}
+]}`
+
+// TestGoldenWorkloadLeaves pins leavesSpec on the burst-buffer system
+// at three ranks, so every leaf's view, seek and wrap arithmetic is
+// fixed byte for byte.
+func TestGoldenWorkloadLeaves(t *testing.T) {
+	spec, err := workload.Parse([]byte(leavesSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := machine.Lookup("bb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := p.BuildIOWorld(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := p.BuildFS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := check.New()
+	c.WatchWorld(&w)
+	c.WatchNet(w.Net)
+	c.WatchFS(fs)
+	res, err := workload.Run(w, fs, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, "workload_leaves_bb.json", res)
+}
