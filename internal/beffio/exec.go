@@ -3,11 +3,15 @@ package beffio
 import (
 	"github.com/hpcbench/beff/internal/mpi"
 	"github.com/hpcbench/beff/internal/mpiio"
+	"github.com/hpcbench/beff/internal/workload"
 )
 
-// This file executes individual patterns: the per-type data layouts,
-// the time-driven repetition loops with global or process-local
-// termination, and the size-driven segmented types.
+// This file executes individual patterns: the paper's region rules
+// (implicit alignment, rewrite/read wrapping, the segment layout) and
+// its termination rules (time-driven with global or process-local
+// decisions, size-driven for the segmented types). The workload leaf
+// kernel (workload.Place), the same code that runs workload specs,
+// performs each repetition.
 
 // timeDrivenGlobal repeats doRep until the pattern's scheduled time is
 // exhausted, deciding termination the way the paper describes: the
@@ -67,45 +71,77 @@ func (st *runState) timeDrivenLocal(p Pattern, doRep func(rep int)) int {
 	return reps
 }
 
-// sizeDriven repeats doRep a predetermined number of times (the
-// segmented types, whose extent was fixed when the segment size was
-// computed).
-func sizeDriven(reps int, doRep func(rep int)) int {
-	for r := 0; r < reps; r++ {
-		doRep(r)
-	}
-	return reps
-}
-
 // wrapFor bounds rewrite/read repositioning to the initially written
-// region of a pattern.
+// region of a pattern. Separated-file termination is process-local,
+// so there each process wraps over its own repetitions.
 func (st *runState) wrapFor(p Pattern, m AccessMethod) int {
 	if m == InitialWrite {
 		return 0 // no wrap: writing fresh data
 	}
-	if w := st.writtenReps[p.Num]; w > 0 {
-		return w
+	if p.Type == Separate {
+		return max(st.myType2Reps[p.Num], 1)
 	}
-	return 1
+	return max(st.writtenReps[p.Num], 1)
 }
 
 // runPattern executes one Table-2 pattern under one access method and
 // returns its measurement. idx is the pattern's position within its
-// type.
+// type. The paper's rules fix where the pattern's data lives and when
+// it stops; the workload leaf kernel performs each repetition:
+//
+//   - scatter and shared: a region of L*n bytes per repetition at the
+//     type's implicit alignment, global time-driven termination, and
+//     rewrite/read wrapping over the initial write's repetitions;
+//   - separated files: the same layout in every process's file, with
+//     process-local termination; the region end uses the maximum
+//     repetitions across processes, so processes with fewer leave
+//     holes, as the real benchmark does;
+//   - segmented: each process owns one segment of the common file, and
+//     each row a size-driven stretch of it; the fill-up row writes the
+//     rest of the segment in one call.
 func (st *runState) runPattern(f *mpiio.File, t PatternType, m AccessMethod, p Pattern, idx int) PatternMeasurement {
 	c := st.c
 	start := c.Wtime()
-	var reps int
+	n := int64(c.Size())
+	leaf := typeLeaves[t]
+	l, base, wrap := p.DiskChunk, st.patOffset(p), st.wrapFor(p, m)
+	var segment int64
+	reps := 1
+	if t == Segmented || t == SegmentedColl {
+		base, segment, wrap = st.segPatOffset(idx), st.segmentSize, 0
+		if l == workload.FillUp {
+			l = segment - base // positive: computeSegmentSize rounds up past the rows
+		} else {
+			reps = st.segReps(idx)
+		}
+	}
+	a := workload.Place(c, f, leaf.op, leaf.collective, l, p.MemChunk, base, segment, wrap)
+	doRep := func(rep int) { a.Rep(rep, m == Read) }
+
 	var bytes int64
 	switch t {
-	case Scatter:
-		reps, bytes = st.runScatter(f, m, p)
-	case SharedColl:
-		reps, bytes = st.runShared(f, m, p)
+	case Scatter, SharedColl:
+		reps = st.timeDrivenGlobal(p, doRep)
+		bytes = int64(reps) * p.MemChunk * n
+		if m == InitialWrite {
+			st.recordRegion(p, base, reps, bytes)
+		}
 	case Separate:
-		reps, bytes = st.runSeparate(f, m, p)
-	case Segmented, SegmentedColl:
-		reps, bytes = st.runSegmented(f, t, m, p, idx)
+		myReps := st.timeDrivenLocal(p, doRep)
+		reps = int(c.AllreduceInt64(mpi.OpMax, []int64{int64(myReps)})[0])
+		if m == InitialWrite {
+			st.myType2Reps[p.Num] = myReps
+			st.recordRegion(p, base, reps, int64(reps)*l)
+		}
+		bytes = c.AllreduceInt64(mpi.OpSum, []int64{int64(myReps) * l})[0]
+	default: // size-driven: the segment layout fixed the count
+		for rep := 0; rep < reps; rep++ {
+			doRep(rep)
+		}
+		bytes = int64(reps) * l * n
+		if m == InitialWrite {
+			st.writtenReps[p.Num] = reps
+		}
 	}
 	el := c.Wtime() - start
 	secs := c.AllreduceFloat64(mpi.OpMax, []float64{el})[0]
@@ -128,154 +164,10 @@ func (st *runState) patOffset(p Pattern) int64 {
 	return st.typeCursor[p.Type]
 }
 
-// nextOffset advances the type's cursor past a freshly written region.
-func (st *runState) nextOffset(p Pattern, end int64) {
-	st.typeCursor[p.Type] = end
-}
-
-// runScatter executes a type-0 pattern: a strided view interleaving
-// the processes' disk chunks, one collective call per memory chunk L.
-func (st *runState) runScatter(f *mpiio.File, m AccessMethod, p Pattern) (int, int64) {
-	c := st.c
-	n := int64(c.Size())
-	l, L := p.DiskChunk, p.MemChunk
-	base := st.patOffset(p)
-	if err := f.SetView(mpiio.View{
-		Disp:     base + int64(c.Rank())*l,
-		BlockLen: l,
-		Stride:   n * l,
-	}); err != nil {
-		c.Proc().Fail("beffio: scatter view: %v", err)
-	}
-	wrap := st.wrapFor(p, m)
-	doRep := func(rep int) {
-		pos := int64(rep)
-		if wrap > 0 {
-			pos = int64(rep % wrap)
-		}
-		f.SeekSet(pos * L)
-		if m == Read {
-			f.ReadAll(L)
-		} else {
-			f.WriteAll(L, nil)
-		}
-	}
-	reps := st.timeDrivenGlobal(p, doRep)
-	if m == InitialWrite {
-		st.writtenReps[p.Num] = reps
-		st.patOffsets[p.Num] = base
-		st.nextOffset(p, base+int64(reps)*L*n)
-	}
-	return reps, int64(reps) * L * n
-}
-
-// runShared executes a type-1 pattern: ordered collective accesses at
-// the shared file pointer, one call per disk chunk.
-func (st *runState) runShared(f *mpiio.File, m AccessMethod, p Pattern) (int, int64) {
-	c := st.c
-	n := int64(c.Size())
-	l := p.DiskChunk
-	base := st.patOffset(p)
-	f.SeekShared(base)
-	wrap := st.wrapFor(p, m)
-	doRep := func(rep int) {
-		if wrap > 0 && rep > 0 && rep%wrap == 0 {
-			f.SeekShared(base)
-		}
-		if m == Read {
-			f.ReadOrdered(l)
-		} else {
-			f.WriteOrdered(l, nil)
-		}
-	}
-	reps := st.timeDrivenGlobal(p, doRep)
-	if m == InitialWrite {
-		st.writtenReps[p.Num] = reps
-		st.patOffsets[p.Num] = base
-		st.nextOffset(p, base+int64(reps)*l*n)
-	}
-	return reps, int64(reps) * l * n
-}
-
-// runSeparate executes a type-2 pattern: each process writes its own
-// file noncollectively with process-local termination.
-func (st *runState) runSeparate(f *mpiio.File, m AccessMethod, p Pattern) (int, int64) {
-	c := st.c
-	l := p.DiskChunk
-	base := st.patOffset(p) // same layout in every process's file
-	f.SeekSet(base)
-	wrap := 0
-	if m != InitialWrite {
-		if w := st.myType2Reps[p.Num]; w > 0 {
-			wrap = w
-		} else {
-			wrap = 1
-		}
-	}
-	doRep := func(rep int) {
-		if wrap > 0 {
-			f.SeekSet(base + int64(rep%wrap)*l)
-		}
-		if m == Read {
-			f.Read(l)
-		} else {
-			f.Write(l, nil)
-		}
-	}
-	myReps := st.timeDrivenLocal(p, doRep)
-	maxReps := int(c.AllreduceInt64(mpi.OpMax, []int64{int64(myReps)})[0])
-	if m == InitialWrite {
-		st.myType2Reps[p.Num] = myReps
-		// The canonical region end uses the max across processes so
-		// every file's pattern regions stay aligned; processes with
-		// fewer repetitions leave holes, as the real benchmark does.
-		st.writtenReps[p.Num] = maxReps
-		st.patOffsets[p.Num] = base
-		st.nextOffset(p, base+int64(maxReps)*l)
-	}
-	total := c.AllreduceInt64(mpi.OpSum, []int64{int64(myReps) * l})[0]
-	return maxReps, total
-}
-
-// runSegmented executes type-3/4 patterns: each process owns one
-// contiguous segment of a common file; repetitions are size-driven
-// from the counts estimated off types 1-2.
-func (st *runState) runSegmented(f *mpiio.File, t PatternType, m AccessMethod, p Pattern, idx int) (int, int64) {
-	c := st.c
-	n := int64(c.Size())
-	seg := st.segmentSize
-	if err := f.SetView(mpiio.ContiguousView(int64(c.Rank()) * seg)); err != nil {
-		c.Proc().Fail("beffio: segmented view: %v", err)
-	}
-	inSegBase := st.segPatOffset(idx)
-	var l int64
-	var reps int
-	if p.DiskChunk == FillUp {
-		l = seg - inSegBase
-		reps = 1
-		if l <= 0 {
-			return 0, 0
-		}
-	} else {
-		l = p.DiskChunk
-		reps = st.segReps(idx)
-	}
-	doRep := func(rep int) {
-		f.SeekSet(inSegBase + int64(rep)*l)
-		switch {
-		case m == Read && t == SegmentedColl:
-			f.ReadAll(l)
-		case m == Read:
-			f.Read(l)
-		case t == SegmentedColl:
-			f.WriteAll(l, nil)
-		default:
-			f.Write(l, nil)
-		}
-	}
-	sizeDriven(reps, doRep)
-	if m == InitialWrite {
-		st.writtenReps[p.Num] = reps
-	}
-	return reps, int64(reps) * l * n
+// recordRegion notes an initial write's repetitions and region and
+// advances the type's cursor past its size bytes.
+func (st *runState) recordRegion(p Pattern, base int64, reps int, size int64) {
+	st.writtenReps[p.Num] = reps
+	st.patOffsets[p.Num] = base
+	st.typeCursor[p.Type] = base + size
 }

@@ -1,6 +1,10 @@
 package beffio
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/hpcbench/beff/internal/workload"
+)
 
 // FuzzTable2 checks that the resolved pattern table keeps the paper's
 // scheduling contract for any plausible M_PART: 43 rows numbered in
@@ -8,10 +12,10 @@ import "testing"
 // chunks that are whole multiples of their disk chunks, and fill-up
 // rows only where the segmented types put them.
 func FuzzTable2(f *testing.F) {
-	f.Add(int64(2 * mB))            // the M_PART floor
-	f.Add(int64(4 * mB))            // the SP/T3E value for 512 MB nodes
-	f.Add(int64(2*mB + 12345))      // non-power-of-two
-	f.Add(int64(1) << 38)           // 256 GB: far above any modelled node
+	f.Add(int64(2 * mB))       // the M_PART floor
+	f.Add(int64(4 * mB))       // the SP/T3E value for 512 MB nodes
+	f.Add(int64(2*mB + 12345)) // non-power-of-two
+	f.Add(int64(1) << 38)      // 256 GB: far above any modelled node
 	f.Fuzz(func(t *testing.T, mpart int64) {
 		if mpart < 2*mB || mpart > int64(1)<<40 {
 			t.Skip("outside the M_PART contract: max(2 MB, mem/128)")
@@ -32,8 +36,8 @@ func FuzzTable2(f *testing.F) {
 			if p.U > 0 {
 				timed++
 			}
-			if p.DiskChunk == FillUp {
-				if p.MemChunk != FillUp || p.U != 0 {
+			if p.DiskChunk == workload.FillUp {
+				if p.MemChunk != workload.FillUp || p.U != 0 {
 					t.Fatalf("pattern %d: malformed fill-up row %+v", i, p)
 				}
 				if p.Type != Segmented && p.Type != SegmentedColl {
@@ -97,7 +101,7 @@ func FuzzSegmentLayout(f *testing.F) {
 			writtenReps: map[int]int{},
 		}
 		for _, p := range defs {
-			if p.DiskChunk == FillUp {
+			if p.DiskChunk == workload.FillUp {
 				continue
 			}
 			st.writtenReps[p.Num-16] = next() // type-1 sibling

@@ -68,18 +68,14 @@ const (
 	mB = int64(1) << 20
 )
 
-// FillUp marks the special pattern 33/42 chunk size: fill the rest of
-// the segment.
-const FillUp = int64(-1)
-
 // Pattern is one row of Table 2, with sizes resolved against M_PART.
 type Pattern struct {
 	// Num is the pattern number 0..42 as in Table 2.
 	Num int
 	// Type is the pattern's family.
 	Type PatternType
-	// DiskChunk is l, the contiguous chunk on disk (FillUp for the
-	// fill-up-segment pattern).
+	// DiskChunk is l, the contiguous chunk on disk (workload.FillUp for
+	// the fill-up-segment pattern).
 	DiskChunk int64
 	// MemChunk is L, the contiguous chunk in memory handled per call;
 	// equal to DiskChunk except in the scatter type.
@@ -105,20 +101,25 @@ func (p Pattern) String() string {
 	return fmt.Sprintf("pattern %d (%v, l=%d, L=%d, U=%d)", p.Num, p.Type, p.DiskChunk, p.MemChunk, p.U)
 }
 
+// typeLeaves is the Table-2 correspondence between pattern types and
+// the workload leaf shapes that generate and execute them.
+var typeLeaves = [NumTypes]struct {
+	op         string
+	collective bool
+}{
+	Scatter:       {workload.OpStrided, false},
+	SharedColl:    {workload.OpShared, false},
+	Separate:      {workload.OpSeparate, false},
+	Segmented:     {workload.OpSegmented, false},
+	SegmentedColl: {workload.OpSegmented, true},
+}
+
 // patternTypeOf maps a workload table row to the pattern family.
 func patternTypeOf(r workload.TableRow) (PatternType, error) {
-	switch r.Op {
-	case workload.OpStrided:
-		return Scatter, nil
-	case workload.OpShared:
-		return SharedColl, nil
-	case workload.OpSeparate:
-		return Separate, nil
-	case workload.OpSegmented:
-		if r.Collective {
-			return SegmentedColl, nil
+	for t, leaf := range typeLeaves {
+		if leaf.op == r.Op && leaf.collective == r.Collective {
+			return PatternType(t), nil
 		}
-		return Segmented, nil
 	}
 	return 0, fmt.Errorf("beffio: no pattern type for workload op %q", r.Op)
 }

@@ -3,6 +3,8 @@ package beffio
 import (
 	"testing"
 	"testing/quick"
+
+	"github.com/hpcbench/beff/internal/workload"
 )
 
 func TestTable2Structure(t *testing.T) {
@@ -93,7 +95,7 @@ func TestTable2ScatterChunksPerCallExact(t *testing.T) {
 	// The non-wellformed scatter rows are constructed so L/l is an
 	// integer: 32 chunks of 32kB+8 = 1MB+256B etc.
 	for _, p := range Table2(2 * mB) {
-		if p.Type != Scatter || p.DiskChunk == FillUp {
+		if p.Type != Scatter || p.DiskChunk == workload.FillUp {
 			continue
 		}
 		k := p.ChunksPerCall()
@@ -105,7 +107,7 @@ func TestTable2ScatterChunksPerCallExact(t *testing.T) {
 
 func TestTable2NonScatterLEqualsDisk(t *testing.T) {
 	for _, p := range Table2(2 * mB) {
-		if p.Type == Scatter || p.DiskChunk == FillUp {
+		if p.Type == Scatter || p.DiskChunk == workload.FillUp {
 			continue
 		}
 		if p.MemChunk != p.DiskChunk {
@@ -116,7 +118,7 @@ func TestTable2NonScatterLEqualsDisk(t *testing.T) {
 
 func TestTable2WellformedFlags(t *testing.T) {
 	for _, p := range Table2(2 * mB) {
-		if p.DiskChunk == FillUp {
+		if p.DiskChunk == workload.FillUp {
 			continue
 		}
 		isPow2 := p.DiskChunk&(p.DiskChunk-1) == 0
@@ -130,7 +132,7 @@ func TestTable2WellformedFlags(t *testing.T) {
 func TestTable2FillUpPatterns(t *testing.T) {
 	pats := Table2(2 * mB)
 	for _, num := range []int{33, 42} {
-		if pats[num].DiskChunk != FillUp || pats[num].U != 0 {
+		if pats[num].DiskChunk != workload.FillUp || pats[num].U != 0 {
 			t.Errorf("pattern %d should be the U=0 fill-up, got %+v", num, pats[num])
 		}
 	}

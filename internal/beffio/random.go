@@ -53,19 +53,16 @@ func (st *runState) runRandomAccess(seed int64) []RandomAccessMeasurement {
 		rng := rand.New(rand.NewSource(seed + chunk + int64(c.Rank())*7919))
 		m := RandomAccessMeasurement{Chunk: chunk}
 		for _, write := range []bool{false, true} {
-			// A small fixed slice of the schedule: U=1 equivalent.
-			allowed := st.opt.T.Seconds() / float64(NumMethods) / float64(SumU)
+			// A small fixed slice of the schedule: one time unit.
 			start := c.Wtime()
-			reps := 0
-			for c.Wtime()-start < allowed && reps < st.opt.MaxRepsPerPattern {
+			reps := st.timeDrivenLocal(Pattern{U: 1}, func(int) {
 				off := rng.Int63n(slots) * chunk
 				if write {
 					f.WriteAt(off, chunk, nil)
 				} else {
 					f.ReadAt(off, chunk)
 				}
-				reps++
-			}
+			})
 			el := c.Wtime() - start
 			secs := c.AllreduceFloat64(mpi.OpMax, []float64{el})[0]
 			total := c.AllreduceInt64(mpi.OpSum, []int64{int64(reps) * chunk})[0]

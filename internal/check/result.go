@@ -5,6 +5,7 @@ import (
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/runner"
 	"github.com/hpcbench/beff/internal/stats"
+	"github.com/hpcbench/beff/internal/workload"
 )
 
 // Post-hoc result audits: recompute every reduction a benchmark result
@@ -148,8 +149,8 @@ func (c *Checker) VerifyPatternTable(pats []beffio.Pattern) {
 		if p.U > 0 {
 			timed++
 		}
-		if p.DiskChunk == beffio.FillUp {
-			if p.MemChunk != beffio.FillUp || p.U != 0 {
+		if p.DiskChunk == workload.FillUp {
+			if p.MemChunk != workload.FillUp || p.U != 0 {
 				c.Reportf("beffio/pattern-table", "fill-up pattern %d must have L = fill-up and U = 0 (L = %d, U = %d)",
 					p.Num, p.MemChunk, p.U)
 			}

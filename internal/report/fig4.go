@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"github.com/hpcbench/beff/internal/beffio"
+	"github.com/hpcbench/beff/internal/workload"
 )
 
 // Fig4Chart renders a b_eff_io result the way the paper's Fig. 4 does:
@@ -32,7 +33,7 @@ func Fig4Chart(res *beffio.Result) string {
 				continue
 			}
 			for _, pm := range tr.Patterns {
-				if pm.Pattern.DiskChunk == beffio.FillUp || pm.Pattern.U == 0 {
+				if pm.Pattern.DiskChunk == workload.FillUp || pm.Pattern.U == 0 {
 					continue
 				}
 				k := key{pm.Pattern.DiskChunk, pm.Pattern.Wellformed}

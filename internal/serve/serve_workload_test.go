@@ -96,8 +96,8 @@ func TestWorkloadCanonicalizationSharesCache(t *testing.T) {
 
 // TestWorkloadValidation covers the admission rules of the workload
 // field: required for bench "workload", rejected elsewhere, and specs
-// are validated — including the table-only fill-up notation — before
-// any cell is admitted.
+// are validated — including the table-only fill-up, u and wellformed
+// fields — before any cell is admitted.
 func TestWorkloadValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
@@ -107,6 +107,8 @@ func TestWorkloadValidation(t *testing.T) {
 		{"spec on wrong bench", `{"bench":"beff","machines":["cluster"],"procs":[2],"workload":{"name":"w","phases":[{"name":"p","pattern":{"op":"shared","chunk":1024}}]}}`},
 		{"invalid spec", `{"bench":"workload","machines":["cluster"],"procs":[2],"workload":{"name":"w","phases":[{"name":"p","pattern":{"op":"shared","chunk":-1}}]}}`},
 		{"fill-up not runnable", `{"bench":"workload","machines":["cluster"],"procs":[2],"workload":{"name":"w","phases":[{"name":"p","pattern":{"op":"segmented","chunk":-1}}]}}`},
+		{"u not runnable", `{"bench":"workload","machines":["cluster"],"procs":[2],"workload":{"name":"w","phases":[{"name":"p","pattern":{"op":"shared","chunk":1024,"count":2,"u":40}}]}}`},
+		{"wellformed not runnable", `{"bench":"workload","machines":["cluster"],"procs":[2],"workload":{"name":"w","phases":[{"name":"p","pattern":{"op":"shared","chunk":1024,"count":2,"wellformed":false}}]}}`},
 		{"unknown spec field", `{"bench":"workload","machines":["cluster"],"procs":[2],"workload":{"name":"w","stride":9,"phases":[{"name":"p","pattern":{"op":"shared","chunk":1024}}]}}`},
 	}
 	for _, tc := range cases {

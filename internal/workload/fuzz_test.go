@@ -69,3 +69,46 @@ func FuzzParseWorkload(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRunWorkload holds the executor to the promise Validate makes:
+// any accepted, runnable spec executes without panicking or failing,
+// and two runs of it produce byte-identical results. Specs are capped
+// at 256 leaf operations so each input simulates quickly.
+func FuzzRunWorkload(f *testing.F) {
+	for _, s := range []string{
+		`{"name":"w","phases":[{"name":"p","pattern":{"op":"strided","count":2,"chunk":1024,"mem":4096}}]}`,
+		`{"name":"w","seed":7,"phases":[{"name":"p","pattern":{"op":"bursty","count":2,"burst":3,"gap_ms":5,"body":{"op":"shared","count":2,"chunk":32768}}}]}`,
+		`{"name":"w","phases":[{"name":"p","pattern":{"op":"mix","count":4,"read_fraction":0.5,"body":{"op":"segmented","count":2,"chunk":16384,"collective":true}}}]}`,
+		`{"name":"w","phases":[{"name":"p","pattern":{"op":"zipf","count":8,"theta":1.3,"files":16,"body":{"op":"separate","count":1,"chunk":8192,"read":true}}}]}`,
+		`{"name":"w","phases":[{"name":"a","pattern":{"op":"segmented","count":3,"chunk":4096}},{"name":"b","pattern":{"op":"repeat","count":2,"body":{"op":"seq","nodes":[{"op":"segmented","count":5,"chunk":4096,"read":true},{"op":"shared","chunk":100,"read":true}]}}}]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil || s.Runnable() != nil {
+			return
+		}
+		var ops int64
+		for _, ph := range s.Phases {
+			ops += opsEstimate(ph.Pattern)
+		}
+		if ops > 256 {
+			return
+		}
+		run := func() []byte {
+			res, err := Run(testWorld(t, 2), testFS(t), s)
+			if err != nil {
+				t.Fatalf("accepted spec failed to run: %v\n%s", err, data)
+			}
+			j, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j
+		}
+		if a, b := run(), run(); !bytes.Equal(a, b) {
+			t.Fatalf("two runs differ:\n%s\n%s", a, b)
+		}
+	})
+}

@@ -80,9 +80,10 @@ func Run(w mpi.WorldConfig, fs *simfs.FS, spec *Spec) (*Result, error) {
 }
 
 // Runnable reports whether the streaming executor can run the spec.
-// A valid spec may still be table-only (fill-up chunks); callers that
-// admit specs for execution — the HTTP API, the CLI — should reject
-// such specs up front rather than at run time.
+// A valid spec may still be table-only (fill-up chunks, the u time
+// units, wellformed overrides); callers that admit specs for
+// execution — the HTTP API, the CLI — should reject such specs up
+// front rather than at run time.
 func (s *Spec) Runnable() error {
 	for _, ph := range s.Phases {
 		if err := checkRunnable(ph.Pattern); err != nil {
@@ -93,13 +94,20 @@ func (s *Spec) Runnable() error {
 }
 
 // checkRunnable rejects the table-only constructs the streaming
-// executor has no semantics for.
+// executor has no semantics for. Accepting and ignoring them would
+// also split identical traffic across cache entries, since the spec
+// is part of the cell fingerprint.
 func checkRunnable(n *Node) error {
 	if n == nil {
 		return nil
 	}
-	if n.Chunk == FillUp {
+	switch {
+	case n.Chunk == FillUp:
 		return fmt.Errorf("fill-up chunks are only meaningful in table-style specs (see TableRows)")
+	case n.U != 0:
+		return fmt.Errorf("u schedules table-style specs only; the streaming executor runs count-driven")
+	case n.Wellformed != nil:
+		return fmt.Errorf("wellformed classifies table-style rows only (see TableRows)")
 	}
 	for _, c := range n.Nodes {
 		if err := checkRunnable(c); err != nil {
@@ -226,14 +234,8 @@ func (ec *execState) exec(n *Node) {
 			ec.exec(n.Body)
 			ec.sel = ec.sel[:len(ec.sel)-1]
 		}
-	case OpStrided:
-		ec.runStrided(n)
-	case OpShared:
-		ec.runShared(n)
-	case OpSeparate:
-		ec.runSeparate(n)
-	case OpSegmented:
-		ec.runSegmented(n)
+	case OpStrided, OpShared, OpSeparate, OpSegmented:
+		ec.runLeaf(n)
 	default:
 		ec.c.Proc().Fail("workload: unvalidated op %q", n.Op)
 	}
@@ -257,12 +259,6 @@ func (ec *execState) dir(n *Node) bool {
 	return n.Read
 }
 
-// pureRead reports whether the leaf only reads (no mix ancestor that
-// could flip repetitions into writes).
-func (ec *execState) pureRead(n *Node) bool {
-	return n.Read && len(ec.mix) == 0
-}
-
 // open returns (opening on first use) the cached handle for name.
 func (ec *execState) open(name string, comm *mpi.Comm, separate bool) *mpiio.File {
 	if f, ok := ec.handles[name]; ok {
@@ -281,198 +277,53 @@ func (ec *execState) open(name string, comm *mpi.Comm, separate bool) *mpiio.Fil
 	return f
 }
 
-// claim reserves size bytes of the logical file and returns the base.
-func (ec *execState) claim(key string, size int64) int64 {
-	base := ec.cursor[key]
-	ec.cursor[key] = base + size
-	return base
-}
-
-// noteWritten raises the written high-water mark.
-func (ec *execState) noteWritten(key string, end int64) {
-	if end > ec.written[key] {
-		ec.written[key] = end
-	}
-}
-
-// readRegion resolves a pure-read leaf's target: wrap over the written
-// extent when there is one (count repetitions re-reading it), or a
-// fresh claim when the file was never written (raw disk reads).
-// stride is the bytes one repetition covers across all ranks.
-func (ec *execState) readRegion(key string, stride int64, count int) (base int64, wrap int) {
-	if w := ec.written[key]; w >= stride {
-		return 0, int(w / stride)
-	}
-	return ec.claim(key, int64(count)*stride), count
-}
-
-// runStrided executes a strided (scatter) leaf: rank r's disk chunks
-// interleave at r*l modulo n*l, Mem bytes per collective call.
-func (ec *execState) runStrided(n *Node) {
+// runLeaf executes one access leaf Count times under the region policy
+// above. One repetition covers stride bytes of the logical file across
+// all ranks; separated files are per rank, so there the stride is one
+// rank's share. The leaf kernel (Place, Access.Rep) turns each
+// repetition into mpiio calls.
+func (ec *execState) runLeaf(n *Node) {
 	c := ec.c
-	np := int64(c.Size())
-	l := n.Chunk
-	L := n.Mem
-	if L == 0 {
-		L = l
+	size := n.Chunk
+	if n.Mem > 0 {
+		size = n.Mem
 	}
-	stride := L * np
-	name := ec.baseName()
-	f := ec.open(name, c, false)
-	var base int64
-	wrap := n.Count
-	if ec.pureRead(n) {
-		base, wrap = ec.readRegion(name, stride, n.Count)
+	stride := size * int64(c.Size())
+	key := ec.baseName()
+	var f *mpiio.File
+	if n.Op == OpSeparate {
+		stride = size
+		f = ec.open(fmt.Sprintf("%s.r%d", key, c.Rank()), ec.self, true)
+		key += "@sep"
 	} else {
-		base = ec.claim(name, int64(n.Count)*stride)
+		f = ec.open(key, c, false)
 	}
-	if err := f.SetView(mpiio.View{
-		Disp:     base + int64(c.Rank())*l,
-		BlockLen: l,
-		Stride:   np * l,
-	}); err != nil {
-		c.Proc().Fail("workload: strided view: %v", err)
+	// A pure read (no mix ancestor to flip it into writes) wraps over
+	// the written extent; anything else, or a read of a never-written
+	// file (raw disk reads), claims a fresh region from the cursor.
+	base, wrap := ec.cursor[key], n.Count
+	if w := ec.written[key]; n.Read && len(ec.mix) == 0 && w >= stride {
+		base, wrap = 0, int(w/stride)
+	} else {
+		ec.cursor[key] = base + int64(n.Count)*stride
 	}
+	var segment int64
+	if n.Op == OpSegmented {
+		segment = int64(wrap) * n.Chunk
+	}
+	a := Place(c, f, n.Op, n.Collective, n.Chunk, n.Mem, base, segment, wrap)
 	wrote := false
 	for rep := 0; rep < n.Count; rep++ {
-		f.SeekSet(int64(rep%wrap) * L)
 		if ec.dir(n) {
-			f.ReadAll(L)
-			ec.readBytes += L
+			ec.readBytes += a.Rep(rep, true)
 		} else {
-			f.WriteAll(L, nil)
-			ec.writeBytes += L
+			ec.writeBytes += a.Rep(rep, false)
 			wrote = true
 		}
 		ec.ops++
 	}
 	if wrote {
-		ec.noteWritten(name, base+int64(n.Count)*stride)
-	}
-}
-
-// runShared executes a shared leaf: ordered collective accesses at the
-// shared file pointer, one call per chunk.
-func (ec *execState) runShared(n *Node) {
-	c := ec.c
-	np := int64(c.Size())
-	l := n.Chunk
-	stride := l * np
-	name := ec.baseName()
-	f := ec.open(name, c, false)
-	if err := f.SetView(mpiio.ContiguousView(0)); err != nil {
-		c.Proc().Fail("workload: shared view: %v", err)
-	}
-	var base int64
-	wrap := n.Count
-	if ec.pureRead(n) {
-		base, wrap = ec.readRegion(name, stride, n.Count)
-	} else {
-		base = ec.claim(name, int64(n.Count)*stride)
-	}
-	f.SeekShared(base)
-	wrote := false
-	for rep := 0; rep < n.Count; rep++ {
-		if rep > 0 && rep%wrap == 0 {
-			f.SeekShared(base)
-		}
-		if ec.dir(n) {
-			f.ReadOrdered(l)
-			ec.readBytes += l
-		} else {
-			f.WriteOrdered(l, nil)
-			ec.writeBytes += l
-			wrote = true
-		}
-		ec.ops++
-	}
-	if wrote {
-		ec.noteWritten(name, base+int64(n.Count)*stride)
-	}
-}
-
-// runSeparate executes a separate leaf: each rank accesses its own
-// file noncollectively. The layout is identical in every rank's file,
-// so the logical cursor stays rank-invariant.
-func (ec *execState) runSeparate(n *Node) {
-	c := ec.c
-	l := n.Chunk
-	key := ec.baseName() + "@sep"
-	name := fmt.Sprintf("%s.r%d", ec.baseName(), c.Rank())
-	f := ec.open(name, ec.self, true)
-	if err := f.SetView(mpiio.ContiguousView(0)); err != nil {
-		c.Proc().Fail("workload: separate view: %v", err)
-	}
-	var base int64
-	wrap := n.Count
-	if ec.pureRead(n) {
-		base, wrap = ec.readRegion(key, l, n.Count)
-	} else {
-		base = ec.claim(key, int64(n.Count)*l)
-	}
-	wrote := false
-	for rep := 0; rep < n.Count; rep++ {
-		f.SeekSet(base + int64(rep%wrap)*l)
-		if ec.dir(n) {
-			f.Read(l)
-			ec.readBytes += l
-		} else {
-			f.Write(l, nil)
-			ec.writeBytes += l
-			wrote = true
-		}
-		ec.ops++
-	}
-	if wrote {
-		ec.noteWritten(key, base+int64(n.Count)*l)
-	}
-}
-
-// runSegmented executes a segmented leaf: rank r owns one contiguous
-// segment of the communal file; Collective selects collective calls.
-func (ec *execState) runSegmented(n *Node) {
-	c := ec.c
-	np := int64(c.Size())
-	l := n.Chunk
-	name := ec.baseName()
-	f := ec.open(name, c, false)
-	var disp int64
-	wrap := n.Count
-	wrote := false
-	if ec.pureRead(n) {
-		base, w := ec.readRegion(name, l*np, n.Count)
-		wrap = w
-		disp = base + int64(c.Rank())*int64(wrap)*l
-	} else {
-		base := ec.claim(name, int64(n.Count)*l*np)
-		disp = base + int64(c.Rank())*int64(n.Count)*l
-	}
-	if err := f.SetView(mpiio.ContiguousView(disp)); err != nil {
-		c.Proc().Fail("workload: segmented view: %v", err)
-	}
-	for rep := 0; rep < n.Count; rep++ {
-		f.SeekSet(int64(rep%wrap) * l)
-		read := ec.dir(n)
-		switch {
-		case read && n.Collective:
-			f.ReadAll(l)
-		case read:
-			f.Read(l)
-		case n.Collective:
-			f.WriteAll(l, nil)
-		default:
-			f.Write(l, nil)
-		}
-		if read {
-			ec.readBytes += l
-		} else {
-			ec.writeBytes += l
-			wrote = true
-		}
-		ec.ops++
-	}
-	if wrote {
-		ec.noteWritten(name, disp-int64(c.Rank())*int64(n.Count)*l+int64(n.Count)*l*np)
+		ec.written[key] = max(ec.written[key], base+int64(n.Count)*stride)
 	}
 }
 

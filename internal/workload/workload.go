@@ -70,6 +70,10 @@ const (
 	MaxTheta     = 16
 	MaxZipfFiles = 1 << 16
 	MaxTotalOps  = 1 << 21
+
+	// MaxChunksPerCall bounds Mem/Chunk on strided leaves: every disk
+	// chunk of a call is a separate file extent. Table 2 needs 1024.
+	MaxChunksPerCall = 1 << 12
 )
 
 // Spec is the root of a workload description: a seed and a list of
@@ -367,6 +371,9 @@ func validateNode(n *Node, depth int, nodes *int) error {
 			}
 			if n.Mem < n.Chunk || n.Mem > MaxChunk || n.Mem%n.Chunk != 0 {
 				return fmt.Errorf("mem %d must be a multiple of chunk %d within [chunk,%d]", n.Mem, n.Chunk, MaxChunk)
+			}
+			if n.Mem/n.Chunk > MaxChunksPerCall {
+				return fmt.Errorf("mem %d spans %d chunks per call, limit %d", n.Mem, n.Mem/n.Chunk, MaxChunksPerCall)
 			}
 		}
 		if n.Collective && n.Op != OpSegmented {

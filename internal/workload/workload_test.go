@@ -52,6 +52,7 @@ func TestValidateRejectsMalformedNodes(t *testing.T) {
 		{"fillup outside segmented", &Node{Op: OpShared, Chunk: FillUp}},
 		{"mem on shared", &Node{Op: OpShared, Chunk: 1 * kB, Mem: 2 * kB}},
 		{"mem not multiple", &Node{Op: OpStrided, Chunk: 1000, Mem: 2500}},
+		{"mem spans too many chunks", &Node{Op: OpStrided, Chunk: 1, Mem: 2 * MaxChunksPerCall}},
 		{"collective on shared", &Node{Op: OpShared, Chunk: 1 * kB, Collective: true}},
 		{"u out of range", &Node{Op: OpShared, Chunk: 1 * kB, U: 65}},
 		{"seq without children", &Node{Op: OpSeq}},
@@ -206,5 +207,27 @@ func TestRunRejectsFillUpLeaves(t *testing.T) {
 	s := leafSpec(&Node{Op: OpSegmented, Chunk: FillUp})
 	if _, err := Run(testWorld(t, 2), testFS(t), s); err == nil {
 		t.Fatal("fill-up leaf executed, want error")
+	}
+}
+
+// TestRunnableRejectsTableOnlyFields: u and wellformed only mean
+// something to table-style specs, so the streaming executor refuses
+// leaves that carry them instead of silently ignoring them.
+func TestRunnableRejectsTableOnlyFields(t *testing.T) {
+	for _, js := range []string{
+		`{"name":"w","phases":[{"name":"p","pattern":{"op":"shared","chunk":1024,"count":2,"u":40}}]}`,
+		`{"name":"w","phases":[{"name":"p","pattern":{"op":"shared","chunk":1024,"count":2,"wellformed":false}}]}`,
+		`{"name":"w","phases":[{"name":"p","pattern":{"op":"repeat","body":{"op":"separate","chunk":1024,"wellformed":true}}}]}`,
+	} {
+		s, err := Parse([]byte(js))
+		if err != nil {
+			t.Fatalf("%s: valid spec rejected by Parse: %v", js, err)
+		}
+		if err := s.Runnable(); err == nil {
+			t.Fatalf("%s: Runnable accepted a table-only field", js)
+		}
+		if _, err := Run(testWorld(t, 2), testFS(t), s); err == nil {
+			t.Fatalf("%s: table-only field executed, want error", js)
+		}
 	}
 }
