@@ -344,7 +344,9 @@ func (st *runState) allowedTime(p Pattern) float64 {
 // value.
 func (st *runState) runType(t PatternType, m AccessMethod, defs []Pattern) TypeResult {
 	c := st.c
-	tr := TypeResult{Type: t}
+	// Patterns is sized up front: growing it by append cost every rank
+	// a few allocations per type and method.
+	tr := TypeResult{Type: t, Patterns: make([]PatternMeasurement, 0, len(defs))}
 	if m == InitialWrite && c.Rank() == 0 {
 		// A stale file from a previous run would turn the initial
 		// write into a rewrite.

@@ -3,7 +3,7 @@ package des
 import "testing"
 
 // BenchmarkEngineHandoff measures a Sleep with nothing else queued:
-// the SleepUntil fast path, which never switches goroutines.
+// the SleepUntil fast path, which never leaves the process's coroutine.
 func BenchmarkEngineHandoff(b *testing.B) {
 	e := NewEngine()
 	b.ResetTimer()
@@ -18,8 +18,8 @@ func BenchmarkEngineHandoff(b *testing.B) {
 }
 
 // BenchmarkEngineTwoProcPingPong measures a condition-variable
-// hand-off between two processes: one dispatch, so one goroutine
-// switch, per iteration.
+// hand-off between two processes: one dispatch per iteration, that is
+// one yield back to Run's loop and one coroutine resume.
 func BenchmarkEngineTwoProcPingPong(b *testing.B) {
 	e := NewEngine()
 	c := e.NewCond("pp")

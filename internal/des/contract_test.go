@@ -76,9 +76,13 @@ func TestDispatchSequencePinned(t *testing.T) {
 	}
 }
 
-// TestRunLeaksNoGoroutines checks that every process goroutine exits
+// TestRunLeaksNoGoroutines checks that every process coroutine exits
 // however a run ends, including processes that were never activated
-// before the run aborted.
+// before the run aborted, and that each activated process runs its
+// body's defers exactly once. Run stops every coroutine before it
+// returns, so the goroutine count is checked once, right after Run; it
+// may only be lower, when a goroutine of an earlier test was still
+// exiting at the first reading.
 func TestRunLeaksNoGoroutines(t *testing.T) {
 	const n = 8
 	cases := []struct {
@@ -119,23 +123,71 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			e := NewEngine()
-			err := e.Run(n, tc.body(e.NewCond("c")))
+			body := tc.body(e.NewCond("c"))
+			var activated, deferred [n]int
+			err := e.Run(n, func(p *Proc) {
+				activated[p.ID()]++
+				defer func() { deferred[p.ID()]++ }()
+				body(p)
+			})
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("goroutines: %d before Run, %d after", before, after)
+			}
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatal(err)
 			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
 				t.Fatalf("err = %v, want it to mention %q", err, tc.wantErr)
 			}
-			// The last goroutine may still be returning from its final
-			// channel send when Run returns; give it a bounded moment.
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > before {
-				if time.Now().After(deadline) {
-					t.Fatalf("goroutines: %d before Run, %d after", before, runtime.NumGoroutine())
+			if activated[0] != 1 {
+				t.Errorf("proc 0 activated %d times, want 1", activated[0])
+			}
+			for i := range activated {
+				if activated[i] > 1 || deferred[i] != activated[i] {
+					t.Errorf("proc %d: activated %d times, ran its defers %d times", i, activated[i], deferred[i])
 				}
-				runtime.Gosched()
-				time.Sleep(time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestGoexitInBodyExitsRunsCaller checks that a runtime.Goexit inside a
+// body (what t.FailNow does) exits Run's calling goroutine rather than
+// hanging Run, and that Run still stops every other process on the way
+// out: each runs its defers once, and no goroutine is left behind.
+func TestGoexitInBodyExitsRunsCaller(t *testing.T) {
+	const n = 8
+	before := runtime.NumGoroutine()
+	after := make(chan int, 1)
+	returned, deferred := false, 0
+	go func() {
+		// Run's own deferred teardown has finished by the time this
+		// runs; the only goroutine Run may leave is this one.
+		defer func() { after <- runtime.NumGoroutine() }()
+		e := NewEngine()
+		c := e.NewCond("c")
+		e.Run(n, func(p *Proc) {
+			defer func() { deferred++ }()
+			p.Sleep(Duration(p.ID()))
+			if p.ID() == 3 {
+				runtime.Goexit()
+			}
+			p.Wait(c)
+		})
+		returned = true
+	}()
+	select {
+	case got := <-after:
+		if returned {
+			t.Error("Run returned after a body called runtime.Goexit")
+		}
+		if deferred != n {
+			t.Errorf("%d of %d processes ran their defers", deferred, n)
+		}
+		if got > before+1 {
+			t.Errorf("goroutines: %d before Run, %d after (want %d: only Run's caller)", before, got, before+1)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run's caller still running 5s after a body called runtime.Goexit")
 	}
 }

@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package des
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 
@@ -14,18 +17,20 @@ import (
 // blocked on a Cond. The engine always resumes the runnable process with
 // the smallest wake-up time, which preserves causality: shared state is
 // only ever mutated in nondecreasing virtual-time order.
+//
+// Each process is an iter.Pull coroutine, and Run's loop is the only
+// scheduler: it resumes one process at a time and regains control when
+// that process yields or finishes. A resume is a coroutine switch, which
+// bypasses the Go scheduler, and iter.Pull's race annotations give the
+// happens-before edges that keep -race clean.
 type Engine struct {
 	clock    Time
 	queue    procHeap
 	seq      uint64
-	procs    []*Proc
+	procs    []Proc
+	running  *Proc // the process Run's loop resumed last
 	finished int
 	failure  error
-
-	// done wakes Run's goroutine when the baton has nowhere to go: the
-	// run queue emptied (normal end or deadlock), a process failed, or
-	// an aborted process finished unwinding during teardown.
-	done chan struct{}
 
 	// advanceObs holds observers registered through OnAdvance, all
 	// notified on every clock advance in registration order.
@@ -40,9 +45,9 @@ type Engine struct {
 // costs one predictable branch per dispatch. Attach with SetMetrics
 // before Run.
 type Metrics struct {
-	// Dispatches counts baton handoffs: one per process popped from the
-	// run queue and resumed, whichever goroutine passed it the baton
-	// (fast-path self-advances are not dispatches).
+	// Dispatches counts coroutine resumes: one per process popped from
+	// the run queue by Run's loop (fast-path self-advances are not
+	// dispatches).
 	Dispatches *obs.Counter
 
 	// Advances counts clock movements to a strictly later virtual
@@ -50,7 +55,7 @@ type Metrics struct {
 	Advances *obs.Counter
 
 	// FastAdvances counts SleepUntil fast-path advances — sleeps that
-	// skipped the heap and the goroutine handoff because no other
+	// skipped the heap and the coroutine switch because no other
 	// process woke earlier.
 	FastAdvances *obs.Counter
 
@@ -63,7 +68,7 @@ func (e *Engine) SetMetrics(m *Metrics) { e.metrics = m }
 
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{done: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now reports the current virtual time. It is only meaningful while Run
@@ -75,8 +80,9 @@ func (e *Engine) Now() Time { return e.clock }
 // guarantees to >= from; internal/check uses this hook to assert it
 // independently. Observers compose: each OnAdvance call adds a
 // subscriber, and all of them fire in registration order. Hooks run
-// on whichever goroutine is passing the baton on, while no process
-// runs, and must not call back into the engine.
+// while no other process runs: on Run's goroutine for a dispatch, and
+// inside the sleeping process for a SleepUntil fast-path advance. They
+// must not call back into the engine.
 func (e *Engine) OnAdvance(fn func(from, to Time)) {
 	if fn != nil {
 		e.advanceObs = append(e.advanceObs, fn)
@@ -96,23 +102,21 @@ func (e *Engine) needsAdvance() bool {
 	return len(e.advanceObs) > 0
 }
 
-// abortError is the sentinel carried by the panic that tears down
-// leftover process goroutines when a run aborts (deadlock or a process
-// failure). It must never escape to user code.
-type abortError struct{ cause error }
+// abortError is the panic that unwinds a suspended process when Run
+// stops its coroutine (deadlock, a process failure, or Run's caller
+// exiting). Proc.run swallows it; it must never escape to user code.
+type abortError struct{}
 
-func (a abortError) Error() string { return "des: simulation aborted: " + a.cause.Error() }
+func (abortError) Error() string { return "des: process stopped by engine teardown" }
 
 // Run creates n processes executing body and drives the simulation until
 // every process has returned. The process with rank 0..n-1 is passed its
 // own Proc handle. Run returns an error if the simulation deadlocks
 // (every live process blocked on a Cond) or if any process panics or
-// calls Proc.Fail.
-//
-// There is no scheduler goroutine: a process that yields or finishes
-// passes the baton straight to the next one (see schedule), so each
-// dispatch costs one goroutine switch. Run's own goroutine only starts
-// the first process and then waits on done.
+// calls Proc.Fail. A runtime.Goexit in a body (t.FailNow, say) exits
+// Run's calling goroutine, as if the body had run there. However Run
+// exits, it first stops every process that has not finished, so no
+// coroutine outlives it.
 func (e *Engine) Run(n int, body func(p *Proc)) error {
 	if n <= 0 {
 		return fmt.Errorf("des: Run needs at least one process, got %d", n)
@@ -120,109 +124,91 @@ func (e *Engine) Run(n int, body func(p *Proc)) error {
 	if len(e.procs) != 0 {
 		return fmt.Errorf("des: engine already used; create a fresh engine per Run")
 	}
-	e.procs = make([]*Proc, n)
-	for i := 0; i < n; i++ {
-		p := &Proc{id: i, eng: e, resume: make(chan resumeMsg), label: fmt.Sprintf("proc %d", i)}
-		e.procs[i] = p
+	// Each iter.Pull costs about ten allocations, so nothing else is
+	// allocated per process: the processes share one slab and one start
+	// function, which finds its process in e.running on the first
+	// resume, and the run queue never regrows.
+	e.procs = make([]Proc, n)
+	e.queue = make(procHeap, 0, n)
+	start := func(suspend func(struct{}) bool) { e.running.run(body, suspend) }
+	for i := range e.procs {
+		p := &e.procs[i]
+		p.id, p.eng = i, e
+		p.next, p.stop = iter.Pull(start)
 		e.push(p, 0)
-		go p.run(body)
 	}
-	e.schedule()
-	<-e.done
-	if e.failure == nil && e.finished != len(e.procs) {
-		e.failure = e.deadlockError()
-	}
-	if e.failure != nil {
-		return e.teardown()
-	}
-	return nil
-}
-
-// run is a process goroutine: wait for the first activation, execute
-// body, then pass the baton on. A panic (including Proc.Fail) records
-// the failure and wakes Run instead; the abortError panic raised by
-// teardown just reports the unwinding as finished.
-func (p *Proc) run(body func(p *Proc)) {
-	e := p.eng
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
+	defer e.teardown()
+	for e.failure == nil && e.queue.Len() > 0 {
+		p := e.pop()
+		p.state = stateRunning
+		if p.wakeAt < e.clock {
+			// Should be impossible: wake times are always >= the clock at
+			// the moment they are set.
+			e.failure = fmt.Errorf("des: time ran backwards (clock %v, wake %v for %s)", e.clock, p.wakeAt, p.Label())
+			break
 		}
-		p.state = stateDone
-		if _, isAbort := r.(abortError); !isAbort {
-			e.finished++
-			if e.failure == nil {
-				e.failure = fmt.Errorf("des: %s panicked: %v", p.label, r)
+		if e.needsAdvance() {
+			e.notifyAdvance(e.clock, p.wakeAt)
+		}
+		if m := e.metrics; m != nil {
+			m.Dispatches.Inc()
+			if p.wakeAt > e.clock {
+				m.Advances.Inc()
 			}
 		}
-		e.done <- struct{}{}
-	}()
-	p.waitResume() // first activation
-	body(p)
-	p.state = stateDone
-	e.finished++
-	e.schedule()
-}
-
-// schedule passes the baton on: it pops the earliest runnable process,
-// advances the clock, and resumes that process. It is called by the
-// goroutine giving up the baton, which must not touch simulation state
-// afterwards. With the run queue empty it wakes Run instead, which
-// tells a finished simulation from a deadlock.
-func (e *Engine) schedule() {
-	if e.queue.Len() == 0 {
-		e.done <- struct{}{}
-		return
+		e.clock = p.wakeAt
+		e.running = p
+		p.next()
 	}
-	p := e.pop()
-	p.state = stateRunning
-	if p.wakeAt < e.clock {
-		// Should be impossible: wake times are always >= the clock at
-		// the moment they are set.
-		e.failure = fmt.Errorf("des: time ran backwards (clock %v, wake %v for %s)", e.clock, p.wakeAt, p.label)
-		e.done <- struct{}{}
-		return
-	}
-	if e.needsAdvance() {
-		e.notifyAdvance(e.clock, p.wakeAt)
-	}
-	if m := e.metrics; m != nil {
-		m.Dispatches.Inc()
-		if p.wakeAt > e.clock {
-			m.Advances.Inc()
-		}
-	}
-	e.clock = p.wakeAt
-	p.resume <- resumeMsg{}
-}
-
-// teardown force-unwinds every process that has not finished so their
-// goroutines exit, one at a time over done, then reports the recorded
-// failure.
-func (e *Engine) teardown() error {
-	for _, p := range e.procs {
-		if p.state == stateDone {
-			continue
-		}
-		// Remove from the run queue if present, then resume with the
-		// abort flag set; the process panics with abortError which its
-		// wrapper swallows.
-		if p.state == stateQueued {
-			e.queue.remove(p.heapIdx)
-		}
-		p.state = stateAborting
-		p.resume <- resumeMsg{abort: true}
-		<-e.done
+	if e.failure == nil && e.finished != n {
+		e.failure = e.deadlockError()
 	}
 	return e.failure
 }
 
+// run is a process's coroutine body. It is entered on the process's
+// first dispatch. A panic (including Proc.Fail) records the failure and
+// ends the coroutine, which hands control back to Run's loop; the
+// abortError panic raised when teardown stops the process is only
+// unwinding and counts for nothing.
+func (p *Proc) run(body func(p *Proc), suspend func(struct{}) bool) {
+	e := p.eng
+	p.suspend = suspend
+	defer func() {
+		p.state = stateDone
+		r := recover()
+		if _, isAbort := r.(abortError); isAbort {
+			return
+		}
+		e.finished++
+		if r != nil && e.failure == nil {
+			e.failure = fmt.Errorf("des: %s panicked: %v", p.Label(), r)
+		}
+	}()
+	body(p)
+}
+
+// teardown stops the coroutine of every process that has not finished.
+// A suspended process unwinds through its body's defers with
+// abortError; one that was never activated is dropped without running.
+func (e *Engine) teardown() {
+	for i := range e.procs {
+		p := &e.procs[i]
+		if p.state == stateDone {
+			continue
+		}
+		if p.state == stateQueued {
+			e.queue.remove(p.heapIdx)
+		}
+		p.stop()
+	}
+}
+
 func (e *Engine) deadlockError() error {
 	var stuck []string
-	for _, p := range e.procs {
-		if p.state == stateBlocked {
-			stuck = append(stuck, fmt.Sprintf("%s (at %v, waiting on %s)", p.label, p.now, p.waitingOn))
+	for i := range e.procs {
+		if p := &e.procs[i]; p.state == stateBlocked {
+			stuck = append(stuck, fmt.Sprintf("%s (at %v, waiting on %s)", p.Label(), p.now, p.waitingOn))
 		}
 	}
 	sort.Strings(stuck)

@@ -5,18 +5,15 @@ import "fmt"
 type procState int8
 
 const (
-	stateQueued   procState = iota // in the run queue with a wake time
-	stateRunning                   // currently holding the baton
-	stateBlocked                   // parked on a Cond
-	stateDone                      // body returned (or abort completed)
-	stateAborting                  // being torn down
+	stateQueued  procState = iota // in the run queue with a wake time
+	stateRunning                  // resumed by Run's loop
+	stateBlocked                  // parked on a Cond
+	stateDone                     // body returned or unwound
 )
 
-type resumeMsg struct{ abort bool }
-
 // Proc is the handle a simulated process uses to interact with virtual
-// time. All methods must be called only from the process's own goroutine
-// while it holds the baton (which it always does between engine yields).
+// time. All methods must be called only from the process's own body,
+// which runs only while Run has resumed it.
 type Proc struct {
 	id      int
 	label   string
@@ -26,7 +23,13 @@ type Proc struct {
 	seq     uint64
 	heapIdx int
 	state   procState
-	resume  chan resumeMsg
+
+	// next resumes the process's coroutine and stop unwinds it (see
+	// iter.Pull); suspend is the coroutine's yield function, which
+	// returns false once the process is being stopped.
+	next    func() (struct{}, bool)
+	stop    func()
+	suspend func(struct{}) bool
 
 	// waitingOn names the Cond the process is blocked on, for deadlock
 	// diagnostics.
@@ -42,8 +45,14 @@ func (p *Proc) Now() Time { return p.now }
 // SetLabel attaches a human-readable name used in diagnostics.
 func (p *Proc) SetLabel(l string) { p.label = l }
 
-// Label returns the diagnostic name of the process.
-func (p *Proc) Label() string { return p.label }
+// Label returns the diagnostic name of the process: the one set with
+// SetLabel, or "proc <id>".
+func (p *Proc) Label() string {
+	if p.label == "" {
+		return fmt.Sprintf("proc %d", p.id)
+	}
+	return p.label
+}
 
 // Fail aborts the whole simulation with the given error. It does not
 // return.
@@ -69,13 +78,11 @@ func (p *Proc) SleepUntil(t Time) {
 		t = p.now
 	}
 	e := p.eng
-	// Fast path: if no queued process wakes at or before t, schedule
-	// would pop this process straight back, so the heap round-trip is
-	// skipped. It is also what keeps schedule from ever resuming the
-	// process that called it, which would block on its own channel. The
-	// comparison is strict because an already-queued process with the
-	// same wake time carries a smaller sequence number and must run
-	// first.
+	// Fast path: if no queued process wakes at or before t, Run's loop
+	// would pop this process straight back, so the heap round-trip and
+	// both coroutine switches are skipped. The comparison is strict
+	// because an already-queued process with the same wake time carries
+	// a smaller sequence number and must run first.
 	if e.queue.Len() == 0 || e.queue[0].wakeAt > t {
 		if e.needsAdvance() {
 			e.notifyAdvance(e.clock, t)
@@ -95,18 +102,13 @@ func (p *Proc) SleepUntil(t Time) {
 	p.yield()
 }
 
-// yield passes the baton to the next runnable process and waits to be
-// resumed. On resume the process's clock is set to its scheduled wake
-// time.
+// yield suspends the process's coroutine, handing control back to
+// Run's loop, until the loop resumes it. On resume the process's clock
+// is set to its scheduled wake time. If Run is stopping the process
+// instead, yield unwinds it with abortError.
 func (p *Proc) yield() {
-	p.eng.schedule()
-	p.waitResume()
-}
-
-func (p *Proc) waitResume() {
-	msg := <-p.resume
-	if msg.abort {
-		panic(abortError{cause: fmt.Errorf("engine teardown")})
+	if !p.suspend(struct{}{}) {
+		panic(abortError{})
 	}
 	p.now = p.wakeAt
 }
@@ -132,7 +134,7 @@ func (e *Engine) NewCond(name string) *Cond {
 // are broadcasts, and another waiter may have consumed the state change.
 func (p *Proc) Wait(c *Cond) {
 	if c.eng != p.eng {
-		p.Fail("des: %s waited on a Cond from a different engine", p.label)
+		p.Fail("des: %s waited on a Cond from a different engine", p.Label())
 	}
 	p.state = stateBlocked
 	p.waitingOn = c.name
@@ -142,8 +144,8 @@ func (p *Proc) Wait(c *Cond) {
 }
 
 // WaitFor parks the calling process until pred() is true, re-checking
-// after every wake-up of c. pred is evaluated with the baton held, so it
-// may freely read shared simulation state.
+// after every wake-up of c. pred is evaluated while the process runs, so
+// it may freely read shared simulation state.
 func (p *Proc) WaitFor(c *Cond, pred func() bool) {
 	for !pred() {
 		p.Wait(c)

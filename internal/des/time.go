@@ -1,6 +1,6 @@
 // Package des implements a deterministic, sequential discrete-event
-// simulation engine. Simulated processes are goroutines, but the engine
-// runs exactly one of them at a time and hands control off explicitly,
+// simulation engine. Simulated processes are coroutines that the engine
+// resumes one at a time, always the one with the earliest wake-up time,
 // so every run of a simulation is reproducible and free of data races by
 // construction.
 //

@@ -7,8 +7,9 @@
 // Reduce, Allreduce, Gather, Allgather, Alltoallv), communicator
 // duplication and splitting, Cartesian topologies, and a virtual Wtime.
 //
-// Ranks are goroutines inside a des.Engine; exactly one runs at a time,
-// so simulations are deterministic and race-free by construction.
+// Ranks are processes (coroutines) of a des.Engine; exactly one runs at
+// a time, so simulations are deterministic and race-free by
+// construction.
 //
 // # Observing a run
 //
@@ -82,8 +83,8 @@ type WorldConfig struct {
 
 // Observer is one composable subscriber to a World run. Any field may
 // be nil; non-nil hooks of every registered observer fire in
-// registration order. Hooks run inside the simulation (with the
-// engine baton held) and must not block or call back into the engine.
+// registration order. Hooks run inside the simulation (while no other
+// rank runs) and must not block or call back into the engine.
 type Observer struct {
 	// OnSend observes every point-to-point message at the moment it is
 	// submitted: world ranks of sender and receiver, payload size in

@@ -42,8 +42,8 @@ type Access struct {
 // With wrap > 0 repetition rep reuses repetition rep%wrap's place, so
 // rewrites and reads cycle over an already-written region; wrap 0
 // walks forward without bound.
-func Place(c *mpi.Comm, f *mpiio.File, op string, collective bool, l, mem, base, segment int64, wrap int) *Access {
-	a := &Access{f: f, collective: collective, size: l, base: base, wrap: wrap}
+func Place(c *mpi.Comm, f *mpiio.File, op string, collective bool, l, mem, base, segment int64, wrap int) Access {
+	a := Access{f: f, collective: collective, size: l, base: base, wrap: wrap}
 	view := mpiio.ContiguousView(base + int64(c.Rank())*segment)
 	switch op {
 	case OpStrided:
