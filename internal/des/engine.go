@@ -124,10 +124,11 @@ func (e *Engine) Run(n int, body func(p *Proc)) error {
 	if len(e.procs) != 0 {
 		return fmt.Errorf("des: engine already used; create a fresh engine per Run")
 	}
-	// Each iter.Pull costs about ten allocations, so nothing else is
-	// allocated per process: the processes share one slab and one start
-	// function, which finds its process in e.running on the first
-	// resume, and the run queue never regrows.
+	// Each iter.Pull costs eleven allocations and cmd/bench gates
+	// allocations, so nothing else is allocated per process: the
+	// processes share one slab and one start function, which finds its
+	// process in e.running on the first resume, and the run queue never
+	// regrows.
 	e.procs = make([]Proc, n)
 	e.queue = make(procHeap, 0, n)
 	start := func(suspend func(struct{}) bool) { e.running.run(body, suspend) }
