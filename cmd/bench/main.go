@@ -1,21 +1,21 @@
 // Command bench is the simulator's performance harness: it runs
 // fixed-seed b_eff and b_eff_io cells, measures the host-side cost of
 // the simulation core (nanoseconds and heap allocations per simulated
-// message, peak RSS), and writes the numbers as JSON so the perf
-// trajectory of the hot paths is tracked in-repo from PR to PR.
+// message, peak RSS), and gates them against the committed trajectory
+// in BENCH_history.json, one entry per measured commit.
 //
 // Usage:
 //
-//	bench                         # full cells, write BENCH_core.json
-//	bench -quick                  # small cells, CI smoke
-//	bench -baseline old.json      # embed old numbers (report or history) and report speedups
-//	bench -cpuprofile cpu.out     # profile the cells
+//	bench                                  # full cells, print per-cell lines
+//	bench -quick -gate BENCH_history.json  # small cells, gated (CI smoke)
+//	bench -gate BENCH_history.json -append BENCH_history.json -sha $(git rev-parse --short HEAD)
+//	bench -cpuprofile cpu.out              # profile the cells
 //
 // An "op" is one simulated message through the full des+simnet+mpi
 // stack; ns/op and allocs/op are therefore the per-message cost the
 // ROADMAP's "as fast as the hardware allows" goal cares about. Each
 // cell also records its headline benchmark value (b_eff in MB/s), so a
-// perf regression that changes results is caught by the same file.
+// perf regression that changes results is caught by the same gate.
 package main
 
 import (
@@ -45,55 +45,40 @@ type CellResult struct {
 	HeadlineMB float64 `json:"headline_mb_s"` // the cell's benchmark value, for result-drift detection
 }
 
-// Report is the schema of BENCH_core.json, and of one entry in a
-// BENCH_*.json history (see History).
+// Report is one measured run: one entry of a History.
 type Report struct {
-	Generated string                `json:"generated"`
-	GitSHA    string                `json:"git_sha,omitempty"` // commit the numbers were measured at (-sha)
-	GoVersion string                `json:"go_version"`
-	NumCPU    int                   `json:"num_cpu,omitempty"` // host cores: context for the walls
-	Quick     bool                  `json:"quick,omitempty"`
-	PeakRSSKB int64                 `json:"peak_rss_kb,omitempty"` // omitted where getrusage is unavailable
-	Cells     []CellResult          `json:"cells"`
-	Baseline  []CellResult          `json:"baseline,omitempty"`
-	BaseRSSKB int64                 `json:"baseline_peak_rss_kb,omitempty"`
-	Speedups  map[string]SpeedupRow `json:"speedups,omitempty"`
+	Generated string       `json:"generated"`
+	GitSHA    string       `json:"git_sha,omitempty"` // commit the numbers were measured at (-sha)
+	GoVersion string       `json:"go_version"`
+	NumCPU    int          `json:"num_cpu,omitempty"` // host cores: context for the walls
+	Quick     bool         `json:"quick,omitempty"`
+	PeakRSSKB int64        `json:"peak_rss_kb,omitempty"` // omitted where getrusage is unavailable
+	Cells     []CellResult `json:"cells"`
 }
 
-// SpeedupRow compares one cell against the baseline run.
-type SpeedupRow struct {
-	Wall   float64 `json:"wall"`   // baseline wall / current wall
-	Allocs float64 `json:"allocs"` // baseline allocs/op / current allocs/op
-}
-
-// History is the multi-point trajectory schema: one Report per
-// measured commit, oldest first. bench -append folds a gated run into
-// it; -gate and -trend read either this shape or a bare single Report
-// (the legacy BENCH_core.json layout).
+// History is the schema of BENCH_history.json: one Report per
+// measured commit, oldest first. -gate reads it and -append folds a
+// gated run into it.
 type History struct {
 	Entries []Report `json:"entries"`
 }
 
-// loadHistory reads a bench JSON file in either format: a History
-// document (entries non-empty) or a legacy single Report, which loads
-// as a one-entry history.
+// loadHistory reads a bench history. A file without entries — which
+// includes a bare single Report, the retired BENCH_core.json layout —
+// is an error naming the file.
 func loadHistory(path string) ([]Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var h History
-	if err := json.Unmarshal(data, &h); err == nil && len(h.Entries) > 0 {
-		return h.Entries, nil
+	if err := json.Unmarshal(data, &h); err != nil {
+		return nil, fmt.Errorf("%s: not a bench history: %w", path, err)
 	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: neither a bench history nor a bench report: %w", path, err)
+	if len(h.Entries) == 0 {
+		return nil, fmt.Errorf(`%s: no history entries (want {"entries": [...]}, one report per commit)`, path)
 	}
-	if len(r.Cells) == 0 {
-		return nil, fmt.Errorf("%s: no cells (empty history?)", path)
-	}
-	return []Report{r}, nil
+	return h.Entries, nil
 }
 
 // cell is one fixed-seed workload with a way to count its messages.
@@ -166,8 +151,9 @@ func cells(quick bool) []cell {
 		beffCell("t3e", 64, 4, false),
 		beffCell("cluster", 32, 4, true),
 		beffioCell("t3e", 16, des.DurationOf(0.5)),
-		// The -quick cells ride along so the CI gate (bench -quick
-		// -gate) always finds its baselines in the committed report.
+		// The -quick cells ride along so every full entry of the
+		// history also carries the points the CI gate (bench -quick
+		// -gate) compares against.
 		beffCell("t3e", 16, 2, true),
 		beffioCell("t3e", 8, des.DurationOf(0.2)),
 	}
@@ -211,12 +197,9 @@ func main() {
 	var (
 		quick    = flag.Bool("quick", false, "small cells for CI smoke runs")
 		iters    = flag.Int("iters", 3, "repetitions per cell (best wall time counts)")
-		out      = flag.String("o", "BENCH_core.json", "output JSON path ('-' for stdout only)")
-		baseline = flag.String("baseline", "", "prior bench JSON to embed and compute speedups against (single report or history; latest entry counts)")
-		gate     = flag.String("gate", "", "regression gate: compare against this committed bench JSON (single report or history; latest entry counts) and exit 1 on >10% wall slowdown, any allocs/op increase, >5% bytes/op growth or any headline drift")
-		trend    = flag.String("trend", "", "trajectory gate: compare against the best historical point per cell in this bench history JSON and exit 1 on regression")
-		appendTo = flag.String("append", "", "fold this run into the bench history JSON at this path (created if absent; skipped when a gate fails)")
-		sha      = flag.String("sha", "", "git commit to record in the report, for history entries")
+		gate     = flag.String("gate", "", "regression gate: compare against this bench history and exit 1 on >10% wall or any allocs/op growth over the best point, >5% bytes/op growth over the latest point, or any headline drift")
+		appendTo = flag.String("append", "", "fold this run into the bench history at this path (created if absent; skipped when the gate fails)")
+		sha      = flag.String("sha", "", "git commit to record in the history entry")
 		date     = flag.String("date", "", "timestamp to record as generated (default: current UTC time; pin it for deterministic history entries)")
 	)
 	flag.Parse()
@@ -248,35 +231,14 @@ func main() {
 	}
 	stopProf()
 	rep.PeakRSSKB = peakRSSKB()
-
-	if *baseline != "" {
-		fatal(applyBaseline(&rep, *baseline))
+	if rep.PeakRSSKB > 0 {
+		fmt.Printf("peak RSS %d kB\n", rep.PeakRSSKB)
 	}
 
 	var gateFailures []string
-	if *gate != "" || *trend != "" {
-		var gateEntries, trendEntries []Report
-		if *gate != "" {
-			entries, err := loadHistory(*gate)
-			fatal(err)
-			gateEntries = entries
-		}
-		if *trend != "" {
-			entries, err := loadHistory(*trend)
-			fatal(err)
-			trendEntries = entries
-		}
-		evaluate := func() (failures, suspects []string) {
-			if len(gateEntries) > 0 {
-				f, s := runGate(&rep, gateEntries[len(gateEntries)-1].Cells)
-				failures, suspects = append(failures, f...), append(suspects, s...)
-			}
-			if len(trendEntries) > 0 {
-				f, s := runTrend(&rep, trendEntries)
-				failures, suspects = append(failures, f...), append(suspects, s...)
-			}
-			return failures, suspects
-		}
+	if *gate != "" {
+		hist, err := loadHistory(*gate)
+		fatal(err)
 		// Allocation counts are deterministic, so that half of the gate
 		// is judged immediately. Wall clock is noisy even best-of-iters
 		// on shared runners, so a cell failing only on wall is
@@ -289,19 +251,13 @@ func main() {
 		}
 		for round := 0; ; round++ {
 			var suspects []string
-			gateFailures, suspects = evaluate()
+			gateFailures, suspects = runGate(rep.Cells, hist)
 			if len(suspects) == 0 || round == 2 {
 				break
 			}
-			seen := map[string]bool{}
 			fmt.Printf("gate: re-measuring %d wall-suspect cell(s), round %d/2\n", len(suspects), round+1)
 			for _, name := range suspects {
-				cl, ok := byName[name]
-				if !ok || seen[name] {
-					continue
-				}
-				seen[name] = true
-				r, err := measure(cl, *iters)
+				r, err := measure(byName[name], *iters)
 				fatal(err)
 				for i := range rep.Cells {
 					if rep.Cells[i].Name != name {
@@ -322,37 +278,11 @@ func main() {
 
 	if *appendTo != "" {
 		if len(gateFailures) > 0 {
-			fmt.Fprintln(os.Stderr, "bench: -append skipped: a gate failed")
+			fmt.Fprintln(os.Stderr, "bench: -append skipped: the gate failed")
 		} else {
-			// The history entry is the measurement alone — embedded
-			// baselines and speedup tables are per-run context that would
-			// bloat a committed trajectory.
-			entry := rep
-			entry.Baseline, entry.BaseRSSKB, entry.Speedups = nil, 0, nil
-			var entries []Report
-			if _, err := os.Stat(*appendTo); err == nil {
-				entries, err = loadHistory(*appendTo)
-				fatal(err)
-			}
-			entries = append(entries, entry)
-			hdata, err := json.MarshalIndent(History{Entries: entries}, "", "  ")
+			n, err := appendHistory(*appendTo, rep)
 			fatal(err)
-			fatal(os.WriteFile(*appendTo, append(hdata, '\n'), 0o644))
-			fmt.Printf("appended to %s (%d entries)\n", *appendTo, len(entries))
-		}
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	fatal(err)
-	data = append(data, '\n')
-	if *out == "-" {
-		os.Stdout.Write(data)
-	} else {
-		fatal(os.WriteFile(*out, data, 0o644))
-		if rep.PeakRSSKB > 0 {
-			fmt.Printf("wrote %s (peak RSS %d kB)\n", *out, rep.PeakRSSKB)
-		} else {
-			fmt.Printf("wrote %s\n", *out)
+			fmt.Printf("appended to %s (%d entries)\n", *appendTo, n)
 		}
 	}
 	if len(gateFailures) > 0 {
@@ -363,41 +293,31 @@ func main() {
 	}
 }
 
+// appendHistory folds rep into the history at path, creating the file
+// if it is absent, and reports the new entry count.
+func appendHistory(path string, rep Report) (int, error) {
+	var entries []Report
+	if _, err := os.Stat(path); err == nil {
+		if entries, err = loadHistory(path); err != nil {
+			return 0, err
+		}
+	}
+	entries = append(entries, rep)
+	data, err := json.MarshalIndent(History{Entries: entries}, "", "  ")
+	if err != nil {
+		return 0, err
+	}
+	return len(entries), os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
 // gateWallTolerance is the allowed relative wall-clock drift against
-// the committed report before the gate fails the run.
+// the best recorded point before the gate fails the run.
 const gateWallTolerance = 0.10
 
 // gateBytesTolerance is the allowed relative growth of allocated bytes
-// per op against the committed report. Allocation counts alone miss a
-// buffer that grows without allocating more often.
+// per op against the latest recorded point. Allocation counts alone
+// miss a buffer that grows without allocating more often.
 const gateBytesTolerance = 0.05
-
-// applyBaseline embeds the latest entry of the bench JSON at path (a
-// single report or a history) into rep and prints the per-cell
-// speedups against it.
-func applyBaseline(rep *Report, path string) error {
-	entries, err := loadHistory(path)
-	if err != nil {
-		return err
-	}
-	base := entries[len(entries)-1]
-	rep.Baseline = base.Cells
-	rep.BaseRSSKB = base.PeakRSSKB
-	rep.Speedups = map[string]SpeedupRow{}
-	for _, b := range base.Cells {
-		for _, c := range rep.Cells {
-			if c.Name == b.Name && c.WallSec > 0 && c.AllocsPerA > 0 {
-				row := SpeedupRow{
-					Wall:   b.WallSec / c.WallSec,
-					Allocs: b.AllocsPerA / c.AllocsPerA,
-				}
-				rep.Speedups[c.Name] = row
-				fmt.Printf("%-20s speedup: %.2fx wall, %.2fx allocs/op\n", c.Name, row.Wall, row.Allocs)
-			}
-		}
-	}
-	return nil
-}
 
 // headlineDrift reports whether a cell's benchmark value moved away
 // from a recorded one. The simulation is deterministic, so any move
@@ -407,95 +327,68 @@ func headlineDrift(cur, recorded float64) bool {
 	return recorded != 0 && math.Abs(cur-recorded) > 1e-9*math.Abs(recorded)
 }
 
-// runGate compares the fresh measurements against the committed cells
-// and returns one message per violation — a wall slowdown beyond the
-// tolerance, any allocs/op growth (the simulator is deterministic,
-// so allocation counts must not drift at all; a hair of slack absorbs
-// runtime-internal noise), bytes/op growth beyond gateBytesTolerance,
-// or any headline drift — plus the names of cells whose only offence
-// is wall time, which the caller may re-measure before accepting the
-// verdict. Large improvements pass but
-// are called out on stdout so the committed file gets regenerated. The
-// deltas are recorded in the report (Baseline/Speedups), which CI
-// uploads as the artifact.
-func runGate(rep *Report, committed []CellResult) (failures, wallSuspects []string) {
-	rep.Baseline = committed
-	rep.Speedups = map[string]SpeedupRow{}
-	for _, cur := range rep.Cells {
-		for _, base := range committed {
-			if base.Name != cur.Name || base.WallSec <= 0 {
-				continue
-			}
-			row := SpeedupRow{Wall: base.WallSec / cur.WallSec, Allocs: 0}
-			if cur.AllocsPerA > 0 {
-				row.Allocs = base.AllocsPerA / cur.AllocsPerA
-			}
-			rep.Speedups[cur.Name] = row
-			slow := cur.WallSec/base.WallSec - 1
-			switch {
-			case slow > gateWallTolerance:
-				failures = append(failures, fmt.Sprintf("%s: wall %.3fs is %.0f%% over the committed %.3fs",
-					cur.Name, cur.WallSec, slow*100, base.WallSec))
-				wallSuspects = append(wallSuspects, cur.Name)
-			case slow < -gateWallTolerance:
-				fmt.Printf("%-20s gate: %.0f%% faster than the committed report — regenerate BENCH_core.json to keep it honest\n",
-					cur.Name, -slow*100)
-			}
-			if cur.AllocsPerA > base.AllocsPerA+1e-3 {
-				failures = append(failures, fmt.Sprintf("%s: %.4f allocs/op, committed %.4f (allocation growth is gated at zero)",
-					cur.Name, cur.AllocsPerA, base.AllocsPerA))
-			}
-			if base.BytesPerOp > 0 && cur.BytesPerOp > base.BytesPerOp*(1+gateBytesTolerance) {
-				failures = append(failures, fmt.Sprintf("%s: %.1f B/op is %.0f%% over the committed %.1f",
-					cur.Name, cur.BytesPerOp, (cur.BytesPerOp/base.BytesPerOp-1)*100, base.BytesPerOp))
-			}
-			if headlineDrift(cur.HeadlineMB, base.HeadlineMB) {
-				failures = append(failures, fmt.Sprintf("%s: headline %v MB/s, committed %v (results changed)",
-					cur.Name, cur.HeadlineMB, base.HeadlineMB))
-			}
-		}
-	}
-	return failures, wallSuspects
-}
-
-// runTrend gates the run against the best historical point per cell:
-// across every history entry, the lowest wall and the lowest
-// allocs/op. The headline must equal the one recorded with the best
-// wall. A run may match the latest entry and still fail here if an
-// older entry was better — the trajectory is not allowed to decay one
-// tolerable step at a time.
-func runTrend(rep *Report, hist []Report) (failures, wallSuspects []string) {
-	for _, cur := range rep.Cells {
-		var best CellResult
-		var bestAllocs float64
-		var bestWallAt, bestAllocsAt string
+// runGate compares fresh measurements against a bench history, cell by
+// cell, and returns one message per violation:
+//   - wall more than gateWallTolerance over the best (lowest) recorded
+//     wall anywhere in the history, so the trajectory cannot decay one
+//     tolerable step at a time;
+//   - allocs/op over the best recorded point (the simulator is
+//     deterministic, so allocation counts must not grow; a hair of
+//     slack absorbs runtime-internal noise);
+//   - bytes/op more than gateBytesTolerance over the latest entry that
+//     has the cell;
+//   - any headline drift against the latest entry or the best-wall
+//     entry.
+//
+// Cells whose offence is wall time are also returned as suspects, which
+// the caller may re-measure before accepting the verdict. A cell no
+// entry records is not compared. Large improvements pass but are
+// called out on stdout so the history gets a new point.
+func runGate(cells []CellResult, hist []Report) (failures, wallSuspects []string) {
+	for _, cur := range cells {
+		var best, latest, bestAllocs CellResult
+		var bestAt, latestAt, bestAllocsAt string
 		for _, h := range hist {
 			for _, base := range h.Cells {
 				if base.Name != cur.Name || base.WallSec <= 0 {
 					continue
 				}
+				latest, latestAt = base, entryLabel(h)
 				if best.WallSec == 0 || base.WallSec < best.WallSec {
-					best, bestWallAt = base, entryLabel(h)
+					best, bestAt = base, latestAt
 				}
-				if base.AllocsPerA > 0 && (bestAllocs == 0 || base.AllocsPerA < bestAllocs) {
-					bestAllocs, bestAllocsAt = base.AllocsPerA, entryLabel(h)
+				if base.AllocsPerA > 0 && (bestAllocs.AllocsPerA == 0 || base.AllocsPerA < bestAllocs.AllocsPerA) {
+					bestAllocs, bestAllocsAt = base, latestAt
 				}
 			}
 		}
-		if best.WallSec > 0 {
-			if slow := cur.WallSec/best.WallSec - 1; slow > gateWallTolerance {
-				failures = append(failures, fmt.Sprintf("%s: wall %.3fs is %.0f%% over the best historical %.3fs (%s)",
-					cur.Name, cur.WallSec, slow*100, best.WallSec, bestWallAt))
-				wallSuspects = append(wallSuspects, cur.Name)
-			}
-			if headlineDrift(cur.HeadlineMB, best.HeadlineMB) {
-				failures = append(failures, fmt.Sprintf("%s: headline %v MB/s, best historical point has %v (%s; results changed)",
-					cur.Name, cur.HeadlineMB, best.HeadlineMB, bestWallAt))
-			}
+		if best.WallSec == 0 {
+			continue
 		}
-		if bestAllocs > 0 && cur.AllocsPerA > bestAllocs+1e-3 {
-			failures = append(failures, fmt.Sprintf("%s: %.4f allocs/op, best historical %.4f (%s)",
-				cur.Name, cur.AllocsPerA, bestAllocs, bestAllocsAt))
+		if slow := cur.WallSec/best.WallSec - 1; slow > gateWallTolerance {
+			failures = append(failures, fmt.Sprintf("%s: wall %.3fs is %.0f%% over the best recorded %.3fs (%s)",
+				cur.Name, cur.WallSec, slow*100, best.WallSec, bestAt))
+			wallSuspects = append(wallSuspects, cur.Name)
+		}
+		if fast := 1 - cur.WallSec/latest.WallSec; fast > gateWallTolerance {
+			fmt.Printf("%-20s gate: %.0f%% faster than the latest entry (%s) — append this run to the history to keep it honest\n",
+				cur.Name, fast*100, latestAt)
+		}
+		if bestAllocs.AllocsPerA > 0 && cur.AllocsPerA > bestAllocs.AllocsPerA+1e-3 {
+			failures = append(failures, fmt.Sprintf("%s: %.4f allocs/op, best recorded %.4f (%s; allocation growth is gated at zero)",
+				cur.Name, cur.AllocsPerA, bestAllocs.AllocsPerA, bestAllocsAt))
+		}
+		if latest.BytesPerOp > 0 && cur.BytesPerOp > latest.BytesPerOp*(1+gateBytesTolerance) {
+			failures = append(failures, fmt.Sprintf("%s: %.1f B/op is %.0f%% over the latest %.1f (%s)",
+				cur.Name, cur.BytesPerOp, (cur.BytesPerOp/latest.BytesPerOp-1)*100, latest.BytesPerOp, latestAt))
+		}
+		if headlineDrift(cur.HeadlineMB, latest.HeadlineMB) {
+			failures = append(failures, fmt.Sprintf("%s: headline %v MB/s, latest entry has %v (%s; results changed)",
+				cur.Name, cur.HeadlineMB, latest.HeadlineMB, latestAt))
+		}
+		if best.HeadlineMB != latest.HeadlineMB && headlineDrift(cur.HeadlineMB, best.HeadlineMB) {
+			failures = append(failures, fmt.Sprintf("%s: headline %v MB/s, best-wall entry has %v (%s; results changed)",
+				cur.Name, cur.HeadlineMB, best.HeadlineMB, bestAt))
 		}
 	}
 	return failures, wallSuspects

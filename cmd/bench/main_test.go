@@ -8,106 +8,188 @@ import (
 	"testing"
 )
 
-func mkReport(numCPU int, cells ...CellResult) Report {
-	return Report{GoVersion: "go-test", NumCPU: numCPU, Cells: cells}
+func mkReport(sha string, cells ...CellResult) Report {
+	return Report{GitSHA: sha, GoVersion: "go-test", NumCPU: 4, Cells: cells}
 }
 
 func cell4(name string, wall, allocs float64) CellResult {
 	return CellResult{Name: name, Ops: 1000, WallSec: wall, NsPerOp: wall * 1e9 / 1000, AllocsPerA: allocs}
 }
 
+func withBytes(c CellResult, b float64) CellResult {
+	c.BytesPerOp = b
+	return c
+}
+
+func withHeadline(c CellResult, mb float64) CellResult {
+	c.HeadlineMB = mb
+	return c
+}
+
 func TestGateWallAndAllocs(t *testing.T) {
-	base := []CellResult{cell4("beff_t3e_16", 1.0, 5)}
+	hist := []Report{mkReport("aaaa111", cell4("beff_t3e_16", 1.0, 5))}
 	// Within tolerance: pass.
-	rep := mkReport(4, cell4("beff_t3e_16", 1.05, 5))
-	if f, s := runGate(&rep, base); len(f) != 0 || len(s) != 0 {
-		t.Errorf("5%% drift should pass: %v", f)
+	if f, s := runGate([]CellResult{cell4("beff_t3e_16", 1.05, 5.0005)}, hist); len(f) != 0 || len(s) != 0 {
+		t.Errorf("5%% wall drift and allocs within 1e-3 should pass: %v", f)
 	}
-	// Beyond tolerance: fail and suspect.
-	rep = mkReport(4, cell4("beff_t3e_16", 1.2, 5))
-	f, s := runGate(&rep, base)
-	if len(f) != 1 || len(s) != 1 {
+	// Wall beyond tolerance: fail and suspect.
+	f, s := runGate([]CellResult{cell4("beff_t3e_16", 1.2, 5)}, hist)
+	if len(f) != 1 || len(s) != 1 || !strings.Contains(f[0], "wall") {
 		t.Errorf("20%% drift should fail with a wall suspect: %v / %v", f, s)
 	}
-	// A speedup populates the Speedups table.
-	rep = mkReport(4, cell4("beff_t3e_16", 0.5, 5))
-	runGate(&rep, base)
-	if row, ok := rep.Speedups["beff_t3e_16"]; !ok || row.Wall < 1.9 || row.Wall > 2.1 {
-		t.Errorf("speedup row = %+v", rep.Speedups)
+	// Allocation growth: fail, but re-measuring cannot fix it.
+	f, s = runGate([]CellResult{cell4("beff_t3e_16", 1.0, 5.01)}, hist)
+	if len(f) != 1 || len(s) != 0 || !strings.Contains(f[0], "allocs/op") {
+		t.Errorf("allocs/op growth should fail without a wall suspect: %v / %v", f, s)
+	}
+	// A cell no entry records is not compared.
+	if f, s := runGate([]CellResult{cell4("beff_t3e_64", 9, 9)}, hist); len(f) != 0 || len(s) != 0 {
+		t.Errorf("unrecorded cell should not be compared: %v", f)
 	}
 }
 
-// TestTrendGateUsesBestHistoricalPoint: the trend gate compares each
-// cell against the best value anywhere in the history, so a slow
-// decay that stays within tolerance of the latest entry still fails
-// against an older, better one.
-func TestTrendGateUsesBestHistoricalPoint(t *testing.T) {
+// TestGateUsesBestRecordedPoint: wall and allocs/op are compared
+// against the best value anywhere in the history, so a slow decay that
+// stays within tolerance of the latest entry still fails against an
+// older, better one.
+func TestGateUsesBestRecordedPoint(t *testing.T) {
 	hist := []Report{
-		func() Report {
-			r := mkReport(4, cell4("beff_t3e_16", 1.0, 5))
-			r.GitSHA = "aaaa111"
-			return r
-		}(),
-		mkReport(4, cell4("beff_t3e_16", 1.08, 5)), // 8% slower, tolerated vs previous
+		mkReport("aaaa111", cell4("beff_t3e_16", 1.0, 5)),
+		mkReport("bbbb222", cell4("beff_t3e_16", 1.08, 5.5)), // 8% slower, tolerated vs previous
 	}
 	// 8% over the latest entry but 17% over the best point: must fail,
 	// and the message must name the best entry's commit.
-	rep := mkReport(4, cell4("beff_t3e_16", 1.17, 5))
-	failures, suspects := runTrend(&rep, hist)
-	if len(failures) != 1 || len(suspects) != 1 {
-		t.Fatalf("decay past the best point should fail: %v", failures)
+	f, s := runGate([]CellResult{cell4("beff_t3e_16", 1.17, 5)}, hist)
+	if len(f) != 1 || len(s) != 1 {
+		t.Fatalf("decay past the best point should fail: %v", f)
 	}
-	if !strings.Contains(failures[0], "aaaa111") {
-		t.Errorf("failure should name the best entry: %v", failures[0])
+	if !strings.Contains(f[0], "aaaa111") {
+		t.Errorf("failure should name the best entry: %v", f[0])
 	}
 
 	// Matching the best point passes.
-	rep = mkReport(4, cell4("beff_t3e_16", 1.02, 5))
-	if f, _ := runTrend(&rep, hist); len(f) != 0 {
+	if f, _ := runGate([]CellResult{cell4("beff_t3e_16", 1.02, 5)}, hist); len(f) != 0 {
 		t.Errorf("2%% over best should pass: %v", f)
 	}
 
-	// Allocs are gated against the historical best too.
-	rep = mkReport(4, cell4("beff_t3e_16", 1.0, 6))
-	if f, _ := runTrend(&rep, hist); len(f) != 1 || !strings.Contains(f[0], "allocs/op") {
-		t.Errorf("allocs decay should fail: %v", f)
+	// Allocs at the latest entry's level are over the best point.
+	f, _ = runGate([]CellResult{cell4("beff_t3e_16", 1.0, 5.5)}, hist)
+	if len(f) != 1 || !strings.Contains(f[0], "allocs/op") || !strings.Contains(f[0], "aaaa111") {
+		t.Errorf("allocs decay past the best point should fail naming it: %v", f)
+	}
+}
+
+// TestGateCatchesBytesGrowth: allocated bytes per op are gated at +5%
+// against the latest entry that has the cell, even when allocs/op and
+// wall hold — a buffer that grows without allocating more often shows
+// only here.
+func TestGateCatchesBytesGrowth(t *testing.T) {
+	hist := []Report{
+		mkReport("aaaa111", withBytes(cell4("beffio_t3e_8", 1.0, 5), 500)),
+		mkReport("bbbb222", withBytes(cell4("beffio_t3e_8", 1.0, 5), 1000)),
+		mkReport("cccc333", cell4("beff_t3e_16", 1.0, 5)), // does not have the cell
+	}
+	at := func(b float64) []CellResult { return []CellResult{withBytes(cell4("beffio_t3e_8", 1.0, 5), b)} }
+
+	if f, s := runGate(at(1049), hist); len(f) != 0 || len(s) != 0 {
+		t.Errorf("4.9%% bytes growth over the latest should pass: %v", f)
+	}
+	f, s := runGate(at(1060), hist)
+	if len(f) != 1 || !strings.Contains(f[0], "B/op") || !strings.Contains(f[0], "bbbb222") || len(s) != 0 {
+		t.Errorf("6%% bytes growth should fail naming the latest entry, without a wall suspect: %v / %v", f, s)
+	}
+	if f, _ := runGate(at(73), hist); len(f) != 0 {
+		t.Errorf("fewer bytes should pass: %v", f)
+	}
+
+	// A latest entry without bytes/op is not compared.
+	old := []Report{mkReport("aaaa111", cell4("beffio_t3e_8", 1.0, 5))}
+	if f, _ := runGate(at(1060), old); len(f) != 0 {
+		t.Errorf("zero recorded bytes/op should not be compared: %v", f)
+	}
+}
+
+// TestGateCatchesHeadlineDrift: a change that alters a cell's benchmark
+// value fails the gate even when wall and allocs/op are unchanged. It
+// is compared against both the latest entry and the best-wall entry.
+func TestGateCatchesHeadlineDrift(t *testing.T) {
+	const mb = 1212.168050094987
+	base := withHeadline(cell4("beff_t3e_16", 1.0, 5), mb)
+	hist := []Report{mkReport("aaaa111", base)}
+
+	if f, _ := runGate([]CellResult{base}, hist); len(f) != 0 {
+		t.Errorf("unchanged headline should pass: %v", f)
+	}
+	f, s := runGate([]CellResult{withHeadline(base, 1212.17)}, hist)
+	if len(f) != 1 || !strings.Contains(f[0], "headline") || len(s) != 0 {
+		t.Errorf("headline drift should fail once without a wall suspect: %v / %v", f, s)
+	}
+
+	// The best-wall entry and the latest entry disagree: matching
+	// either one alone fails against the other.
+	split := []Report{
+		mkReport("aaaa111", base),
+		mkReport("bbbb222", withHeadline(cell4("beff_t3e_16", 1.05, 5), 1212.17)),
+	}
+	f, _ = runGate([]CellResult{base}, split)
+	if len(f) != 1 || !strings.Contains(f[0], "latest") || !strings.Contains(f[0], "bbbb222") {
+		t.Errorf("drift against the latest entry should fail naming it: %v", f)
+	}
+	f, _ = runGate([]CellResult{withHeadline(base, 1212.17)}, split)
+	if len(f) != 1 || !strings.Contains(f[0], "best-wall") || !strings.Contains(f[0], "aaaa111") {
+		t.Errorf("drift against the best-wall entry should fail naming it: %v", f)
+	}
+
+	// A recorded headline of zero predates the field: not compared.
+	old := []Report{mkReport("aaaa111", cell4("beff_t3e_16", 1.0, 5))}
+	if f, _ := runGate([]CellResult{withHeadline(base, 1212.17)}, old); len(f) != 0 {
+		t.Errorf("zero recorded headline should not be compared: %v", f)
+	}
+}
+
+// TestGateOnlyWallIsSuspect: with every kind of failure at once, only
+// the wall failure names a suspect for re-measurement; allocation
+// counts, bytes and headlines are deterministic.
+func TestGateOnlyWallIsSuspect(t *testing.T) {
+	hist := []Report{mkReport("aaaa111", withHeadline(withBytes(cell4("beff_t3e_16", 1.0, 5), 1000), 100))}
+	cur := withHeadline(withBytes(cell4("beff_t3e_16", 2.0, 6), 2000), 101)
+	f, s := runGate([]CellResult{cur}, hist)
+	if len(f) != 4 {
+		t.Errorf("want wall, allocs/op, B/op and headline failures, got %v", f)
+	}
+	if len(s) != 1 || s[0] != "beff_t3e_16" {
+		t.Errorf("suspects = %v, want the one wall failure", s)
 	}
 }
 
 func TestLoadHistoryBothFormats(t *testing.T) {
 	dir := t.TempDir()
-
-	single := filepath.Join(dir, "single.json")
-	rep := mkReport(4, cell4("beff_t3e_16", 1.0, 5))
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(single, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := loadHistory(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Cells[0].Name != "beff_t3e_16" {
-		t.Errorf("single report should load as a one-entry history: %+v", entries)
+	rep := mkReport("aaaa111", cell4("beff_t3e_16", 1.0, 5))
+	write := func(name string, v any) string {
+		t.Helper()
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
 
-	multi := filepath.Join(dir, "history.json")
-	data, err = json.Marshal(History{Entries: []Report{rep, rep}})
+	entries, err := loadHistory(write("history.json", History{Entries: []Report{rep, rep}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(multi, data, 0o644); err != nil {
-		t.Fatal(err)
+	if len(entries) != 2 || entries[1].Cells[0].Name != "beff_t3e_16" {
+		t.Errorf("history should load both entries: %+v", entries)
 	}
-	entries, err = loadHistory(multi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Errorf("history should load both entries, got %d", len(entries))
+
+	// A bare single report is the retired BENCH_core.json layout.
+	single := write("single.json", rep)
+	if _, err := loadHistory(single); err == nil || !strings.Contains(err.Error(), single) {
+		t.Errorf("a bare report should be rejected with an error naming the file, got %v", err)
 	}
 
 	for name, content := range map[string]string{
@@ -124,95 +206,28 @@ func TestLoadHistoryBothFormats(t *testing.T) {
 	}
 }
 
-// TestGateAndTrendCatchHeadlineDrift: a change that alters a cell's
-// benchmark value fails both gates even when wall and allocs/op are
-// unchanged, and is not a wall suspect (re-measuring cannot fix it).
-func TestGateAndTrendCatchHeadlineDrift(t *testing.T) {
-	withHeadline := func(c CellResult, mb float64) CellResult {
-		c.HeadlineMB = mb
-		return c
+// TestAppendRoundTrip: -append creates the history, folds later runs
+// in after it, and what it writes loads and gates.
+func TestAppendRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trajectory.json")
+	cells := []CellResult{withHeadline(withBytes(cell4("beff_t3e_16", 1.0, 5), 1000), 1212.168050094987)}
+	for i, sha := range []string{"aaaa111", "bbbb222"} {
+		n, err := appendHistory(path, mkReport(sha, cells...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != i+1 {
+			t.Errorf("append %d reported %d entries", i+1, n)
+		}
 	}
-	base := withHeadline(cell4("beff_t3e_16", 1.0, 5), 1212.168050094987)
-	hist := []Report{mkReport(4, base)}
-
-	same := mkReport(4, base)
-	if f, _ := runGate(&same, hist[0].Cells); len(f) != 0 {
-		t.Errorf("unchanged headline should pass the gate: %v", f)
-	}
-	if f, _ := runTrend(&same, hist); len(f) != 0 {
-		t.Errorf("unchanged headline should pass the trend: %v", f)
-	}
-
-	moved := mkReport(4, withHeadline(base, 1212.17))
-	f, s := runGate(&moved, hist[0].Cells)
-	if len(f) != 1 || !strings.Contains(f[0], "headline") || len(s) != 0 {
-		t.Errorf("headline drift should fail the gate without a wall suspect: %v / %v", f, s)
-	}
-	f, s = runTrend(&moved, hist)
-	if len(f) != 1 || !strings.Contains(f[0], "headline") || len(s) != 0 {
-		t.Errorf("headline drift should fail the trend without a wall suspect: %v / %v", f, s)
-	}
-
-	// A recorded headline of zero predates the field: not compared.
-	old := []CellResult{cell4("beff_t3e_16", 1.0, 5)}
-	if f, _ := runGate(&moved, old); len(f) != 0 {
-		t.Errorf("zero recorded headline should not be compared: %v", f)
-	}
-}
-
-// TestGateCatchesBytesGrowth: allocated bytes per op are gated at +5%
-// against the committed cell, even when allocs/op and wall hold — a
-// buffer that grows without allocating more often shows only here.
-func TestGateCatchesBytesGrowth(t *testing.T) {
-	withBytes := func(c CellResult, b float64) CellResult {
-		c.BytesPerOp = b
-		return c
-	}
-	base := []CellResult{withBytes(cell4("beffio_t3e_8", 1.0, 5), 1000)}
-
-	within := mkReport(4, withBytes(cell4("beffio_t3e_8", 1.0, 5), 1049))
-	if f, s := runGate(&within, base); len(f) != 0 || len(s) != 0 {
-		t.Errorf("4.9%% bytes growth should pass: %v", f)
-	}
-	grown := mkReport(4, withBytes(cell4("beffio_t3e_8", 1.0, 5), 1060))
-	f, s := runGate(&grown, base)
-	if len(f) != 1 || !strings.Contains(f[0], "B/op") || len(s) != 0 {
-		t.Errorf("6%% bytes growth should fail the gate without a wall suspect: %v / %v", f, s)
-	}
-	shrunk := mkReport(4, withBytes(cell4("beffio_t3e_8", 1.0, 5), 73))
-	if f, _ := runGate(&shrunk, base); len(f) != 0 {
-		t.Errorf("fewer bytes should pass: %v", f)
-	}
-
-	// A committed cell without bytes/op is not compared.
-	old := []CellResult{cell4("beffio_t3e_8", 1.0, 5)}
-	if f, _ := runGate(&grown, old); len(f) != 0 {
-		t.Errorf("zero committed bytes/op should not be compared: %v", f)
-	}
-}
-
-// TestBaselineReadsHistory: -baseline accepts a history document and
-// compares against its latest entry, like -gate does.
-func TestBaselineReadsHistory(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "history.json")
-	data, err := json.Marshal(History{Entries: []Report{
-		mkReport(1, cell4("beff_t3e_16", 4.0, 5)),
-		mkReport(1, cell4("beff_t3e_16", 2.0, 5)),
-	}})
+	hist, err := loadHistory(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	if len(hist) != 2 || hist[0].GitSHA != "aaaa111" || hist[1].GitSHA != "bbbb222" {
+		t.Fatalf("entries = %+v, want aaaa111 then bbbb222", hist)
 	}
-	rep := mkReport(1, cell4("beff_t3e_16", 1.0, 5))
-	if err := applyBaseline(&rep, path); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Baseline) != 1 {
-		t.Fatalf("baseline cells = %+v, want the latest entry's one cell", rep.Baseline)
-	}
-	if row, ok := rep.Speedups["beff_t3e_16"]; !ok || row.Wall != 2 {
-		t.Errorf("speedup against the latest entry = %+v, want 2x wall", rep.Speedups)
+	if f, s := runGate(cells, hist); len(f) != 0 || len(s) != 0 {
+		t.Errorf("the appended run should pass its own gate: %v", f)
 	}
 }

@@ -151,10 +151,10 @@ func (o *Obs) RunnerMetrics() *runner.Metrics {
 	}
 	r := o.Reg
 	return &runner.Metrics{
-		CellsDone:   r.Counter("runner_cells_done_total"),
-		CellsFailed: r.Counter("runner_cells_failed_total"),
-		CacheHits:   r.Counter("runner_cache_hits_total"),
-		WorkersBusy: r.Gauge("runner_workers_busy"),
+		Done:      r.Counter("runner_cells_done_total"),
+		Failed:    r.Counter("runner_cells_failed_total"),
+		CacheHits: r.Counter("runner_cache_hits_total"),
+		InFlight:  r.Gauge("runner_workers_busy"),
 	}
 }
 

@@ -25,12 +25,12 @@ func FuzzProfileJSON(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte(`{"links":[{"factor":0}]}`))                               // rejected: factor outside (0,1]
-	f.Add([]byte(`{"noise":[{"period":1e-300,"detour":1e-308}]}`))          // extreme but valid scales
-	f.Add([]byte(`{"io":[{"period":1e300,"hiccup":1e299,"prob":0.5}]}`))    // duration overflow bait
-	f.Add([]byte(`{"links":[{"factor":0.5,"start":1e18,"end":2e18}]}`))     // far-future window
-	f.Add([]byte(`{"stragglers":[{"count":3,"slowdown":1}]}`))              // boundary slowdown
-	f.Add([]byte(`{"links":[{"flap_prob":0.5,"factor":0.5}]}`))             // rejected: prob without period
+	f.Add([]byte(`{"links":[{"factor":0}]}`))                            // rejected: factor outside (0,1]
+	f.Add([]byte(`{"noise":[{"period":1e-300,"detour":1e-308}]}`))       // extreme but valid scales
+	f.Add([]byte(`{"io":[{"period":1e300,"hiccup":1e299,"prob":0.5}]}`)) // duration overflow bait
+	f.Add([]byte(`{"links":[{"factor":0.5,"start":1e18,"end":2e18}]}`))  // far-future window
+	f.Add([]byte(`{"stragglers":[{"count":3,"slowdown":1}]}`))           // boundary slowdown
+	f.Add([]byte(`{"links":[{"flap_prob":0.5,"factor":0.5}]}`))          // rejected: prob without period
 	f.Add([]byte(`not json`))
 
 	sampleTimes := []des.Time{

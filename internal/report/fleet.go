@@ -44,8 +44,8 @@ type FleetPerturbed struct {
 // FleetPoint is one (machine, procs) measurement of the sweep.
 type FleetPoint struct {
 	Procs      int     `json:"procs"`
-	Beff       float64 `json:"beff"`        // bytes/s
-	AtLmax     float64 `json:"at_lmax"`     // bytes/s
+	Beff       float64 `json:"beff"`         // bytes/s
+	AtLmax     float64 `json:"at_lmax"`      // bytes/s
 	RingAtLmax float64 `json:"ring_at_lmax"` // bytes/s
 	PingPong   float64 `json:"ping_pong,omitempty"`
 	Lmax       int64   `json:"lmax_bytes"`

@@ -1,8 +1,6 @@
 package runner
 
 import (
-	"fmt"
-
 	"github.com/hpcbench/beff/internal/beffio"
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/machine"
@@ -91,33 +89,8 @@ func BeffConfigCell(key string, cf machine.ConfigFile, procs int, opt core.Optio
 // partition size, against a fresh instance of the profile's filesystem
 // (honouring its I/O-placement policy). MPart defaults from the
 // profile before fingerprinting, so explicit and defaulted options
-// cache identically.
+// cache identically. It is RobustBeffIOCell without a perturbation
+// profile.
 func BeffIOCell(machineKey string, procs int, opt beffio.Options) Cell[*beffio.Result] {
-	fp := func() beffioFingerprint {
-		if opt.MPart == 0 {
-			if p, err := machine.Lookup(machineKey); err == nil {
-				opt.MPart = p.MPart()
-			}
-		}
-		return beffioFingerprint{Bench: "beffio", Machine: machineKey, Procs: procs, Options: opt}
-	}()
-	return Cell[*beffio.Result]{
-		Key:         fmt.Sprintf("beffio:%s@%d", machineKey, procs),
-		Fingerprint: fp,
-		Run: func() (*beffio.Result, error) {
-			p, err := machine.Lookup(machineKey)
-			if err != nil {
-				return nil, err
-			}
-			w, err := p.BuildIOWorld(procs)
-			if err != nil {
-				return nil, err
-			}
-			fs, err := p.BuildFS()
-			if err != nil {
-				return nil, err
-			}
-			return beffio.Run(w, fs, fp.Options)
-		},
-	}
+	return RobustBeffIOCell(machineKey, procs, opt, nil, 0, 0)
 }

@@ -10,10 +10,10 @@ import (
 
 func sweepMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		CellsDone:   reg.Counter("runner_cells_done_total"),
-		CellsFailed: reg.Counter("runner_cells_failed_total"),
-		CacheHits:   reg.Counter("runner_cache_hits_total"),
-		WorkersBusy: reg.Gauge("runner_workers_busy"),
+		Done:      reg.Counter("runner_cells_done_total"),
+		Failed:    reg.Counter("runner_cells_failed_total"),
+		CacheHits: reg.Counter("runner_cache_hits_total"),
+		InFlight:  reg.Gauge("runner_workers_busy"),
 	}
 }
 

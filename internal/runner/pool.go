@@ -11,13 +11,13 @@ import (
 	"github.com/hpcbench/beff/internal/obs"
 )
 
-// The Pool is the service-shaped counterpart of Sweep: where Sweep
-// runs one fixed batch of cells and returns, a Pool is a long-lived
-// worker set that accepts tasks one at a time, hands back a Handle per
-// submission, and keeps running until Close drains it. It is the
-// execution layer under cmd/beffd — every HTTP sweep request becomes
-// pool tasks — but it is service-agnostic: anything that wants
-// submit/poll/cancel semantics over simulation cells can use it.
+// The Pool is the one cell executor: a long-lived worker set that
+// accepts tasks one at a time, hands back a Handle per submission, and
+// keeps running until Close drains it. It is the execution layer under
+// cmd/beffd — every HTTP sweep request becomes pool tasks — and under
+// Sweep, which submits one fixed batch of cells and closes the pool.
+// Anything that wants submit/poll/cancel semantics over simulation
+// cells can use it.
 //
 // Two properties distinguish it from a plain worker pool:
 //
@@ -185,26 +185,29 @@ func (e *execution) detach(h *Handle) {
 	}
 }
 
-// PoolMetrics is the pool's optional observability hook-up — the
-// service-level instrument set behind beffd's queue-depth, in-flight
-// and dedupe gauges. All fields may be nil.
-type PoolMetrics struct {
+// Metrics is the pool's optional observability hook-up: the
+// instrument set behind beffd's queue-depth, in-flight and dedupe
+// gauges, and behind a CLI sweep's runner_* instruments. All fields
+// may be nil.
+type Metrics struct {
 	// QueueDepth tracks tasks admitted but not yet taken by a worker.
 	QueueDepth *obs.Gauge
-	// InFlight tracks tasks currently executing on a worker.
+	// InFlight tracks tasks currently executing on a worker. It
+	// returns to zero when the pool drains, so final snapshots stay
+	// identical at any worker count.
 	InFlight *obs.Gauge
 	// DedupeHits counts submissions that attached to an in-flight
 	// execution instead of enqueueing their own.
 	DedupeHits *obs.Counter
-	// TasksDone counts finished executions (failures included);
-	// TasksFailed counts the failures among them; CacheHits counts
-	// executions satisfied from the on-disk result cache.
-	TasksDone   *obs.Counter
-	TasksFailed *obs.Counter
-	CacheHits   *obs.Counter
+	// Done counts finished executions (failures included); Failed
+	// counts the failures among them; CacheHits counts executions
+	// satisfied from the on-disk result cache.
+	Done      *obs.Counter
+	Failed    *obs.Counter
+	CacheHits *obs.Counter
 }
 
-func (m *PoolMetrics) queueDepth(d int64) {
+func (m *Metrics) queueDepth(d int64) {
 	if m != nil {
 		m.QueueDepth.Add(d)
 	}
@@ -219,12 +222,12 @@ type Pool struct {
 	inflight map[string]*execution // dedupe hash → queued-or-running execution
 	closed   bool
 	wg       sync.WaitGroup
-	m        *PoolMetrics
+	m        *Metrics
 }
 
 // NewPool starts a pool with the given worker count (<= 0 means
 // GOMAXPROCS). A nil metrics set disables instrumentation.
-func NewPool(workers int, m *PoolMetrics) *Pool {
+func NewPool(workers int, m *Metrics) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -336,9 +339,9 @@ func (p *Pool) worker() {
 		e.handles = nil
 		if p.m != nil {
 			p.m.InFlight.Add(-1)
-			p.m.TasksDone.Inc()
+			p.m.Done.Inc()
 			if err != nil {
-				p.m.TasksFailed.Inc()
+				p.m.Failed.Inc()
 			}
 			if cached {
 				p.m.CacheHits.Inc()

@@ -46,10 +46,10 @@ func waitDone(t *testing.T, h *Handle) {
 // both handles observe the same result, and only one execution runs.
 func TestPoolDedupe(t *testing.T) {
 	reg := obs.New()
-	m := &PoolMetrics{
+	m := &Metrics{
 		QueueDepth: reg.Gauge("q"), InFlight: reg.Gauge("f"),
-		DedupeHits: reg.Counter("d"), TasksDone: reg.Counter("t"),
-		TasksFailed: reg.Counter("e"), CacheHits: reg.Counter("c"),
+		DedupeHits: reg.Counter("d"), Done: reg.Counter("t"),
+		Failed: reg.Counter("e"), CacheHits: reg.Counter("c"),
 	}
 	p := NewPool(1, m)
 	defer p.Close()

@@ -18,14 +18,13 @@
 package runner
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
 	"strings"
 	"sync"
 	"time"
-
-	"github.com/hpcbench/beff/internal/obs"
 )
 
 // Cell is one independent unit of a sweep: a deterministic simulation
@@ -80,27 +79,13 @@ type Options struct {
 	Metrics *Metrics
 }
 
-// Metrics is the sweep's optional observability hook-up. All fields
-// may be nil.
-type Metrics struct {
-	// CellsDone counts completed cells (failed ones included);
-	// CellsFailed counts the failures among them.
-	CellsDone   *obs.Counter
-	CellsFailed *obs.Counter
-
-	// CacheHits counts cells satisfied from the on-disk result cache.
-	CacheHits *obs.Counter
-
-	// WorkersBusy tracks how many workers are currently resolving a
-	// cell. It returns to zero when the sweep drains, so final
-	// snapshots stay identical at any -j; watch it live (HTTP endpoint
-	// or stream) for occupancy.
-	WorkersBusy *obs.Gauge
-}
-
 // Sweep runs every cell and returns one Result per cell, in cell
 // order. It never returns early: a failing cell records its error and
 // the sweep continues. Use Err to turn failures into an exit status.
+//
+// The cells run as tasks on a Pool sized for the sweep. Their tasks
+// carry no Hash, so nothing is deduped: every cell resolves once, in
+// its own slot.
 func Sweep[T any](cells []Cell[T], opt Options) []Result[T] {
 	workers := opt.Workers
 	if workers <= 0 {
@@ -115,36 +100,23 @@ func Sweep[T any](cells []Cell[T], opt Options) []Result[T] {
 	}
 
 	pg := &progress{w: opt.Progress, label: opt.Label, total: len(cells), workers: workers}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if m := opt.Metrics; m != nil {
-					m.WorkersBusy.Add(1)
-				}
-				out[i] = RunCell(cells[i], opt.Cache)
-				if m := opt.Metrics; m != nil {
-					m.WorkersBusy.Add(-1)
-					m.CellsDone.Inc()
-					if out[i].Err != nil {
-						m.CellsFailed.Inc()
-					}
-					if out[i].Cached {
-						m.CacheHits.Inc()
-					}
-				}
-				pg.report(out[i].Key, out[i].Cached, out[i].Elapsed, out[i].Err)
-			}
-		}()
+	pool := NewPool(workers, opt.Metrics)
+	handles := make([]*Handle, len(cells))
+	for i, c := range cells {
+		handles[i], _ = pool.Submit(Task{Key: c.Key, Run: func() (json.RawMessage, bool, error) {
+			out[i] = RunCell(c, opt.Cache)
+			pg.report(out[i].Key, out[i].Cached, out[i].Elapsed, out[i].Err)
+			return nil, out[i].Cached, out[i].Err
+		}})
 	}
-	for i := range cells {
-		idx <- i
+	pool.Close()
+	for i, h := range handles {
+		// A panic outside the cell body (RunCell's own cache plumbing)
+		// never wrote its slot; the pool recovered it as the task error.
+		if _, _, _, err := h.Result(); err != nil && out[i].Err == nil {
+			out[i] = Result[T]{Key: cells[i].Key, Err: err}
+		}
 	}
-	close(idx)
-	wg.Wait()
 	return out
 }
 

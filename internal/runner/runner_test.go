@@ -65,6 +65,31 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// panicFingerprint panics when the cache hashes it: a panic in
+// RunCell's cache plumbing, outside the cell body's own recover.
+type panicFingerprint struct{}
+
+func (panicFingerprint) MarshalJSON() ([]byte, error) { panic("fingerprint exploded") }
+
+func TestPanicOutsideCellBodyFailsCell(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	cells := []Cell[int]{
+		{Key: "ok", Fingerprint: "ok", Run: func() (int, error) { return 1, nil }},
+		{Key: "boom", Fingerprint: panicFingerprint{}, Run: func() (int, error) { return 2, nil }},
+	}
+	res := Sweep(cells, Options{Workers: 2, Cache: cache})
+	if res[0].Err != nil || res[0].Value != 1 {
+		t.Fatalf("healthy cell disturbed: %+v", res[0])
+	}
+	if res[1].Key != "boom" || res[1].Err == nil || !strings.Contains(res[1].Err.Error(), "fingerprint exploded") {
+		t.Fatalf("panic outside the cell body was not reported as the cell's failure: %+v", res[1])
+	}
+}
+
 func TestErrNilOnSuccess(t *testing.T) {
 	if err := Err(Sweep(squareCells(3), Options{})); err != nil {
 		t.Fatal(err)

@@ -127,13 +127,13 @@ func New(cfg Config) (*Server, error) {
 		jobsDone:      reg.Counter("beffd_jobs_done_total"),
 		jobsCanceled:  reg.Counter("beffd_jobs_canceled_total"),
 	}
-	s.pool = runner.NewPool(cfg.Workers, &runner.PoolMetrics{
-		QueueDepth:  reg.Gauge("beffd_queue_depth"),
-		InFlight:    reg.Gauge("beffd_cells_inflight"),
-		DedupeHits:  reg.Counter("beffd_dedupe_hits_total"),
-		TasksDone:   reg.Counter("beffd_cells_done_total"),
-		TasksFailed: reg.Counter("beffd_cells_failed_total"),
-		CacheHits:   reg.Counter("beffd_cache_hits_total"),
+	s.pool = runner.NewPool(cfg.Workers, &runner.Metrics{
+		QueueDepth: reg.Gauge("beffd_queue_depth"),
+		InFlight:   reg.Gauge("beffd_cells_inflight"),
+		DedupeHits: reg.Counter("beffd_dedupe_hits_total"),
+		Done:       reg.Counter("beffd_cells_done_total"),
+		Failed:     reg.Counter("beffd_cells_failed_total"),
+		CacheHits:  reg.Counter("beffd_cache_hits_total"),
 	})
 	return s, nil
 }

@@ -48,7 +48,6 @@ type Config struct {
 	// bytes/second, used for buffer packing/unpacking costs charged by
 	// the layers above. Zero means copies are free.
 	MemCopyBandwidth float64
-
 }
 
 // maxPathCacheProcs bounds the processor count up to which per-pair

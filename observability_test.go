@@ -178,8 +178,9 @@ func TestObservabilityIsByteInvisible(t *testing.T) {
 //	go test -bench ObsOverheadT3E64 -benchtime 3x
 //
 // The disabled variant must track the plain cell within noise (the
-// ≤ 2% acceptance bound is enforced by comparing BENCH_core.json
-// across PRs, not here — benchmarks report, they do not fail).
+// ≤ 2% acceptance bound is enforced by comparing BENCH_history.json
+// entries across commits, not here — benchmarks report, they do not
+// fail).
 func BenchmarkObsOverheadT3E64(b *testing.B) {
 	p, err := beff.LookupMachine("t3e")
 	if err != nil {
