@@ -67,9 +67,13 @@ func TestMeasureIOFacade(t *testing.T) {
 }
 
 func TestMeasureIONoFSMachine(t *testing.T) {
-	// sr2201 has no I/O model.
-	if _, err := beff.MeasureIO("sr2201", 4, beff.IOOptions{T: des.Second}); err == nil {
+	// sr2201 has no I/O model; the error names the machine once.
+	_, err := beff.MeasureIO("sr2201", 4, beff.IOOptions{T: des.Second})
+	if err == nil {
 		t.Fatal("machine without fs should error")
+	}
+	if got, want := err.Error(), "machine sr2201 has no I/O model"; got != want {
+		t.Errorf("error = %q, want %q", got, want)
 	}
 }
 

@@ -69,6 +69,17 @@ func main() {
 		c.UsageErr("-load must be in [0,1), got %v", *bgLoad)
 	case *maxReps < 1:
 		c.UsageErr("-maxreps must be >= 1, got %d", *maxReps)
+	case *wlPath != "" && *sweep != "":
+		c.UsageErr("-workload and -sweep are mutually exclusive")
+	case *wlPath != "" && (*detail || *csvPath != "" || *randomExt):
+		c.UsageErr("-detail, -csv and -random describe the Table-2 benchmark, not -workload runs")
+	}
+	var sizes []int
+	if *sweep != "" {
+		var err error
+		if sizes, err = parseSizes(*sweep); err != nil {
+			c.UsageErr("-sweep: %v", err)
+		}
 	}
 
 	stopProf := c.StartProfiling()
@@ -151,12 +162,6 @@ func main() {
 	o.StartTicker()
 
 	if *wlPath != "" {
-		switch {
-		case *sweep != "":
-			c.UsageErr("-workload and -sweep are mutually exclusive")
-		case *detail || *csvPath != "" || *randomExt:
-			c.UsageErr("-detail, -csv and -random describe the Table-2 benchmark, not -workload runs")
-		}
 		spec, err := workload.ParseFile(*wlPath)
 		c.Fatal(err)
 		c.Fatal(spec.Runnable())
@@ -220,22 +225,22 @@ func main() {
 		return
 	}
 
-	if *sweep != "" {
-		sizes, err := parseSizes(*sweep)
-		c.Fatal(err)
-		results, err := beffio.Sweep(setupWith(c.Seed), sizes, opt)
-		o.Close()
-		c.Fatal(err)
-		if c.Check {
-			// The sweep builds its worlds internally, so the runtime
-			// watches cannot chain in; the result-level invariants still
-			// hold for every partition.
-			chk := check.New()
-			for _, r := range results {
-				chk.VerifyBeffIO(r)
+	if sizes != nil {
+		// Each partition runs against a fresh world and filesystem, like
+		// benchmarking on different days.
+		results := make([]*beffio.Result, len(sizes))
+		for i, n := range sizes {
+			w, fs, err := setupWith(c.Seed)(n)
+			if err == nil {
+				results[i], err = runOne(w, fs)
 			}
-			c.Fatal(chk.Finish())
-			fmt.Println("check: all result invariants held")
+			if err != nil {
+				c.Fatal(fmt.Errorf("partition %d: %w", n, err))
+			}
+		}
+		o.Close()
+		if c.Check {
+			fmt.Println("check: all invariants held")
 		}
 		series := report.Series{Name: p.Name, Points: map[int]float64{}}
 		for _, r := range results {
@@ -316,8 +321,8 @@ func parseSizes(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad partition size %q", part)
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad partition size %q, want an integer >= 1", part)
 		}
 		out = append(out, n)
 	}

@@ -113,12 +113,30 @@ func TestMachineWithoutIOModelFails(t *testing.T) {
 }
 
 func TestBadSweepListFails(t *testing.T) {
-	out, code := run(t, "-config", tinyConfig(t), "-sweep", "2,x,4")
-	if code == 0 {
-		t.Fatal("malformed -sweep accepted")
+	for _, list := range []string{"2,x,4", "0,2"} {
+		out, code := run(t, "-config", tinyConfig(t), "-sweep", list)
+		if code != 2 {
+			t.Errorf("-sweep %s: exit %d, want 2 (usage error):\n%s", list, code, out)
+		}
+		if !strings.Contains(out, "partition size") || !strings.Contains(out, "Usage") {
+			t.Errorf("-sweep %s: unhelpful error:\n%s", list, out)
+		}
 	}
-	if !strings.Contains(out, "partition size") {
-		t.Fatalf("unhelpful error:\n%s", out)
+}
+
+// TestCheckedSweepRunsRuntimeWatches: under -check every partition of
+// a sweep runs with the full invariant watch set, not only the
+// result-level audits.
+func TestCheckedSweepRunsRuntimeWatches(t *testing.T) {
+	out, code := run(t, "-config", tinyConfig(t), "-sweep", "2,4", "-T", "0.05", "-check")
+	if code != 0 {
+		t.Fatalf("checked sweep failed (%d):\n%s", code, out)
+	}
+	if !strings.Contains(out, "check: all invariants held") {
+		t.Fatalf("no runtime-watch confirmation:\n%s", out)
+	}
+	if !strings.Contains(out, "system b_eff_io") {
+		t.Fatalf("no system value:\n%s", out)
 	}
 }
 

@@ -64,3 +64,20 @@ func TestSampleConfigPrintsBaseline(t *testing.T) {
 		t.Fatalf("no baseline line:\n%s", stdout)
 	}
 }
+
+// TestProcsAboveMaxProcsFails: a partition larger than the config's
+// maxProcs fails the run and names the bound, rather than measuring a
+// smaller partition under the requested size's label.
+func TestProcsAboveMaxProcsFails(t *testing.T) {
+	stdout, stderr, code := run(t, "-config", filepath.Join("testdata", "mycluster.json"),
+		"-procs", "64", "-no-cache")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1:\n%s%s", code, stdout, stderr)
+	}
+	if !strings.Contains(stderr, "64 processors outside [1,32]") {
+		t.Fatalf("error does not name the bound:\n%s", stderr)
+	}
+	if strings.Contains(stdout, "baseline b_eff") {
+		t.Fatalf("reported a result for a partition it never ran:\n%s", stdout)
+	}
+}

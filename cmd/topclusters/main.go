@@ -22,6 +22,7 @@ import (
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/des"
 	"github.com/hpcbench/beff/internal/report"
+	"github.com/hpcbench/beff/internal/runner"
 )
 
 func main() {
@@ -47,29 +48,22 @@ func main() {
 	}
 
 	// Communication benchmark: must run on the whole requested
-	// partition (b_eff computes an aggregate).
-	w, err := p.BuildWorld(c.Procs)
-	c.Fatal(err)
-	bres, err := core.Run(w, core.Options{
-		MemoryPerProc: p.MemoryPerProc,
+	// partition (b_eff computes an aggregate). The cells default the
+	// memory size and M_PART from the profile.
+	bres, err := runner.BeffCell(p.Key, c.Procs, core.Options{
 		MaxLooplength: *maxLoop,
 		Reps:          1,
-	})
+	}).Run()
 	c.Fatal(err)
 	fmt.Fprintf(os.Stderr, "b_eff done: %.1f MB/s\n", bres.Beff/1e6)
 	c.Fatal(report.SKaMPIBeff(out, p.Key, bres))
 
 	// I/O benchmark, when the machine has an I/O model.
 	if p.FS != nil {
-		iw, err := p.BuildIOWorld(c.Procs)
-		c.Fatal(err)
-		fs, err := p.BuildFS()
-		c.Fatal(err)
-		iores, err := beffio.Run(iw, fs, beffio.Options{
+		iores, err := runner.BeffIOCell(p.Key, c.Procs, beffio.Options{
 			T:                 des.DurationOf(*ioMinutes * 60),
-			MPart:             p.MPart(),
 			MaxRepsPerPattern: 1 << 14,
-		})
+		}).Run()
 		c.Fatal(err)
 		fmt.Fprintf(os.Stderr, "b_eff_io done: %.1f MB/s\n", iores.BeffIO/1e6)
 		c.Fatal(report.SKaMPIBeffIO(out, p.Key, iores))

@@ -1,36 +1,5 @@
 package beffio
 
-import (
-	"fmt"
-
-	"github.com/hpcbench/beff/internal/mpi"
-	"github.com/hpcbench/beff/internal/simfs"
-)
-
-// PartitionSetup builds the world and a fresh filesystem for one
-// partition size. A fresh filesystem per partition keeps runs
-// independent, like benchmarking on different days (the paper measured
-// non-dedicated but verified day-to-day stability).
-type PartitionSetup func(procs int) (mpi.WorldConfig, *simfs.FS, error)
-
-// Sweep runs b_eff_io over several partition sizes — the Fig. 3/5
-// experiment — and returns one Result per size.
-func Sweep(setup PartitionSetup, sizes []int, opt Options) ([]*Result, error) {
-	var out []*Result
-	for _, n := range sizes {
-		w, fs, err := setup(n)
-		if err != nil {
-			return out, fmt.Errorf("beffio: partition %d: %w", n, err)
-		}
-		res, err := Run(w, fs, opt)
-		if err != nil {
-			return out, fmt.Errorf("beffio: partition %d: %w", n, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // SystemValue applies the paper's rule: "the b_eff_io of a system is
 // defined as the maximum over any b_eff_io of a single partition".
 func SystemValue(results []*Result) *Result {

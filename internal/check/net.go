@@ -55,13 +55,6 @@ func (w *NetWatch) ObserveTransfer(src, dst int, size int64, start, end des.Time
 	w.mu.Unlock()
 }
 
-// Observed reports the ledger totals so far.
-func (w *NetWatch) Observed() (bytes, msgs int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.bytes, w.msgs
-}
-
 func (w *NetWatch) verify() {
 	w.mu.Lock()
 	bytes, msgs := w.bytes, w.msgs

@@ -42,9 +42,9 @@ func (c *Checker) WatchWorld(cfg *mpi.WorldConfig) *WorldWatch {
 		recvMsgs:  map[[2]int]int64{},
 	}
 	cfg.Observe(mpi.Observer{
-		OnSend:         w.ObserveSend,
-		OnMatch:        w.ObserveMatch,
-		OnClockAdvance: w.ObserveClock,
+		OnSend:   w.ObserveSend,
+		OnMatch:  w.ObserveMatch,
+		OnEngine: func(e *des.Engine) { e.OnAdvance(w.ObserveClock) },
 	})
 	c.onFinish(w.verify)
 	return w

@@ -114,8 +114,8 @@ func (p *Proc) yield() {
 }
 
 // Cond is a waitable condition in virtual time. A process parks on a
-// Cond with Wait; any running process may release waiters with Wake or
-// WakeAt. Unlike sync.Cond there is no separate mutex: the engine's
+// Cond with Wait; any running process may release waiters with WakeAt.
+// Unlike sync.Cond there is no separate mutex: the engine's
 // one-runner-at-a-time discipline already serialises all state.
 type Cond struct {
 	name    string
@@ -152,9 +152,6 @@ func (p *Proc) WaitFor(c *Cond, pred func() bool) {
 	}
 }
 
-// Wake releases all current waiters at the caller's current time.
-func (c *Cond) Wake(now Time) { c.WakeAt(now) }
-
 // WakeAt releases all current waiters; each resumes at max(its own
 // time, at, the engine clock). at may be in the future relative to the
 // engine clock (e.g. a message that is still in flight). An at in the
@@ -171,6 +168,3 @@ func (c *Cond) WakeAt(at Time) {
 		c.eng.push(w, maxTime(w.now, at))
 	}
 }
-
-// WaiterCount reports how many processes are parked on the Cond.
-func (c *Cond) WaiterCount() int { return len(c.waiters) }

@@ -49,9 +49,6 @@ func NewCart(c *Comm, dims []int, periods []bool) *Cart {
 	}
 }
 
-// Dims returns the grid dimensions.
-func (t *Cart) Dims() []int { return append([]int(nil), t.dims...) }
-
 // Coords converts a rank to grid coordinates (row-major, last dimension
 // fastest, as in MPI).
 func (t *Cart) Coords(rank int) []int {

@@ -12,9 +12,7 @@ const (
 	tagBcast     = internalTagBase + 0x200
 	tagReduce    = internalTagBase + 0x300
 	tagGather    = internalTagBase + 0x400
-	tagAllgather = internalTagBase + 0x500
 	tagAlltoallv = internalTagBase + 0x600
-	tagScatter   = internalTagBase + 0x700
 	tagScan      = internalTagBase + 0x800
 )
 
@@ -86,11 +84,6 @@ func (c *Comm) Barrier() {
 // into it.
 func (c *Comm) Bcast(root int, data []byte) {
 	c.bcast(root, int64(len(data)), data)
-}
-
-// BcastBytes is a timing-only broadcast of n bytes.
-func (c *Comm) BcastBytes(root int, n int64) {
-	c.bcast(root, n, nil)
 }
 
 func (c *Comm) bcast(root int, size int64, data []byte) {
@@ -272,53 +265,6 @@ func (c *Comm) GatherInt64(root int, mine []int64) []int64 {
 		}
 		c.Recv(r, tagGather, buf)
 		decodeInt64s(out[r*len(mine):(r+1)*len(mine)], buf)
-	}
-	return out
-}
-
-// GatherFloat64 gathers equal-length float64 slices to root.
-func (c *Comm) GatherFloat64(root int, mine []float64) []float64 {
-	n := c.Size()
-	if c.rank != root {
-		buf := make([]byte, 8*len(mine))
-		encodeFloat64s(buf, mine)
-		c.Send(root, tagGather, buf)
-		return nil
-	}
-	out := make([]float64, n*len(mine))
-	copy(out[root*len(mine):], mine)
-	buf := make([]byte, 8*len(mine))
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		c.Recv(r, tagGather, buf)
-		decodeFloat64s(out[r*len(mine):(r+1)*len(mine)], buf)
-	}
-	return out
-}
-
-// AllgatherInt64 gathers equal-length slices to every rank using the
-// ring algorithm: n-1 steps, each forwarding the most recently received
-// block to the right.
-func (c *Comm) AllgatherInt64(mine []int64) []int64 {
-	n := c.Size()
-	blk := len(mine)
-	out := make([]int64, n*blk)
-	copy(out[c.rank*blk:], mine)
-	if n == 1 {
-		return out
-	}
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	sbuf := make([]byte, 8*blk)
-	rbuf := make([]byte, 8*blk)
-	cur := c.rank // block index I forward next
-	for step := 0; step < n-1; step++ {
-		encodeInt64s(sbuf, out[cur*blk:(cur+1)*blk])
-		c.Sendrecv(right, tagAllgather+step, sbuf, left, tagAllgather+step, rbuf)
-		cur = (cur - 1 + n) % n
-		decodeInt64s(out[cur*blk:(cur+1)*blk], rbuf)
 	}
 	return out
 }

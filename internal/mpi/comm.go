@@ -22,9 +22,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size reports the number of ranks in this communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// WorldRank reports the caller's rank in the world communicator.
-func (c *Comm) WorldRank() int { return c.group[c.rank] }
-
 // Proc returns the caller's event-engine process handle, for charging
 // local compute time (Sleep) or diagnostics.
 func (c *Comm) Proc() *des.Proc { return c.world.ranks[c.group[c.rank]].proc }
@@ -34,9 +31,6 @@ func (c *Comm) Wtime() float64 { return c.Proc().Now().Seconds() }
 
 // Time reports virtual time as a des.Time.
 func (c *Comm) Time() des.Time { return c.Proc().Now() }
-
-// World exposes the world the communicator belongs to.
-func (c *Comm) World() *World { return c.world }
 
 // groupRankOf translates a world rank to a rank in this communicator,
 // or -1 if the world rank is not a member.
@@ -52,14 +46,6 @@ func (c *Comm) groupRankOf(worldRank int) int {
 // PhysProc reports the physical processor a communicator rank is placed
 // on. Useful for locality-aware analysis patterns.
 func (c *Comm) PhysProc(rank int) int { return c.world.phys(c.group[rank]) }
-
-// Dup returns a communicator with the same group but a fresh matching
-// context, so traffic on the two communicators can never interfere.
-// Collective: every rank of c must call it.
-func (c *Comm) Dup() *Comm {
-	ctx := c.allocCtx(1)
-	return &Comm{world: c.world, ctx: ctx, rank: c.rank, group: c.group}
-}
 
 // Split partitions the communicator by color, ordering ranks within
 // each new communicator by (key, old rank), exactly like MPI_Comm_split.

@@ -330,18 +330,6 @@ func TestGatherInt64(t *testing.T) {
 	})
 }
 
-func TestAllgatherInt64(t *testing.T) {
-	const n = 6
-	run(t, n, func(c *Comm) {
-		out := c.AllgatherInt64([]int64{int64(c.Rank() * c.Rank())})
-		for r := 0; r < n; r++ {
-			if out[r] != int64(r*r) {
-				t.Errorf("rank %d: out[%d] = %d", c.Rank(), r, out[r])
-			}
-		}
-	})
-}
-
 func TestAlltoallvSparseRing(t *testing.T) {
 	const n = 8
 	run(t, n, func(c *Comm) {
@@ -412,26 +400,6 @@ func TestSplitKeyReversesOrder(t *testing.T) {
 		sub := c.Split(0, -c.Rank())
 		if want := n - 1 - c.Rank(); sub.Rank() != want {
 			t.Errorf("rank %d: sub rank = %d, want %d", c.Rank(), sub.Rank(), want)
-		}
-	})
-}
-
-func TestDupIsolatesTraffic(t *testing.T) {
-	run(t, 2, func(c *Comm) {
-		d := c.Dup()
-		if c.Rank() == 0 {
-			c.Send(1, 0, []byte{1})
-			d.Send(1, 0, []byte{2})
-		} else {
-			buf := make([]byte, 1)
-			d.Recv(0, 0, buf) // must match the Dup message, not the world one
-			if buf[0] != 2 {
-				t.Errorf("dup recv got %d, want 2", buf[0])
-			}
-			c.Recv(0, 0, buf)
-			if buf[0] != 1 {
-				t.Errorf("world recv got %d, want 1", buf[0])
-			}
 		}
 	})
 }
@@ -749,93 +717,9 @@ func TestMismatchedBcastRootDeadlocks(t *testing.T) {
 		if c.Rank() == 3 {
 			root = 1 // wrong root on one rank
 		}
-		c.BcastBytes(root, 1024)
+		c.Bcast(root, make([]byte, 1024))
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want deadlock, got %v", err)
 	}
-}
-
-func TestScatterInt64(t *testing.T) {
-	const n, blk = 5, 2
-	run(t, n, func(c *Comm) {
-		var data []int64
-		if c.Rank() == 1 {
-			for i := 0; i < n*blk; i++ {
-				data = append(data, int64(i*i))
-			}
-		}
-		got := c.ScatterInt64(1, data, blk)
-		for j := 0; j < blk; j++ {
-			want := int64((c.Rank()*blk + j) * (c.Rank()*blk + j))
-			if got[j] != want {
-				t.Errorf("rank %d block[%d] = %d, want %d", c.Rank(), j, got[j], want)
-			}
-		}
-	})
-}
-
-func TestScatterRootSizeChecked(t *testing.T) {
-	err := Run(WorldConfig{Net: testNet(3)}, func(c *Comm) {
-		var data []int64
-		if c.Rank() == 0 {
-			data = []int64{1, 2} // too short for 3 ranks x 1
-		}
-		c.ScatterInt64(0, data, 1)
-	})
-	if err == nil {
-		t.Fatal("short scatter data should fail")
-	}
-}
-
-func TestGathervInt64(t *testing.T) {
-	const n = 4
-	run(t, n, func(c *Comm) {
-		mine := make([]int64, c.Rank()) // rank r contributes r elements
-		for i := range mine {
-			mine[i] = int64(c.Rank()*100 + i)
-		}
-		out, offs := c.GathervInt64(2, mine)
-		if c.Rank() != 2 {
-			if out != nil || offs != nil {
-				t.Error("non-root should get nil")
-			}
-			return
-		}
-		if len(out) != 0+1+2+3 {
-			t.Fatalf("gathered %d elements", len(out))
-		}
-		for r := 0; r < n; r++ {
-			for i := 0; i < r; i++ {
-				if out[offs[r]+i] != int64(r*100+i) {
-					t.Errorf("rank %d elem %d wrong: %d", r, i, out[offs[r]+i])
-				}
-			}
-		}
-	})
-}
-
-func TestReduceScatterInt64(t *testing.T) {
-	const n, blk = 4, 3
-	run(t, n, func(c *Comm) {
-		xs := make([]int64, n*blk)
-		for i := range xs {
-			xs[i] = int64(i + c.Rank()) // sum over ranks: n*i + 0+1+..+n-1
-		}
-		got := c.ReduceScatterInt64(OpSum, xs, blk)
-		for j := 0; j < blk; j++ {
-			i := c.Rank()*blk + j
-			want := int64(n*i + n*(n-1)/2)
-			if got[j] != want {
-				t.Errorf("rank %d elem %d = %d, want %d", c.Rank(), j, got[j], want)
-			}
-		}
-	})
-}
-
-func TestAlltoallBytesCompletes(t *testing.T) {
-	run(t, 6, func(c *Comm) {
-		c.AlltoallBytes(10_000)
-		c.Barrier()
-	})
 }

@@ -328,16 +328,6 @@ func (c *Comm) Waitall(rs []*Request) {
 	}
 }
 
-// Sendrecv performs a simultaneous send and receive, the way
-// MPI_Sendrecv does: both directions may overlap.
-func (c *Comm) Sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte) Status {
-	rr := c.Irecv(src, rtag, rbuf)
-	sr := c.Isend(dst, stag, sdata)
-	st := c.Wait(rr)
-	c.Wait(sr)
-	return st
-}
-
 // SendrecvBytes is the timing-only variant of Sendrecv.
 func (c *Comm) SendrecvBytes(dst, stag int, sn int64, src, rtag int) Status {
 	rr := c.IrecvBytes(src, rtag)

@@ -3,9 +3,9 @@
 // against the network model of internal/simnet. It provides what the
 // b_eff and b_eff_io benchmarks need from a real MPI: point-to-point
 // communication with eager and rendezvous protocols, nonblocking
-// operations, the collectives used by the benchmarks (Barrier, Bcast,
-// Reduce, Allreduce, Gather, Allgather, Alltoallv), communicator
-// duplication and splitting, Cartesian topologies, and a virtual Wtime.
+// operations, the collectives the benchmarks and the runtime itself use
+// (Barrier, Bcast, Reduce, Allreduce, Gather, Scan, Exscan, Alltoallv),
+// communicator splitting, Cartesian topologies, and a virtual Wtime.
 //
 // Ranks are processes (coroutines) of a des.Engine; exactly one runs at
 // a time, so simulations are deterministic and race-free by
@@ -24,9 +24,8 @@
 // Any number of observers attach independently — trace, perturb,
 // check, and obs can all watch one run without knowing about each
 // other. Hooks of every observer fire in registration order.
-// (The pre-Observer single-subscriber callback fields are gone;
 // Observer.OnEngine hands subscribers the run's engine for
-// engine-level attachments such as des.Engine.OnAdvance.)
+// engine-level attachments such as des.Engine.OnAdvance.
 package mpi
 
 import (
@@ -102,26 +101,16 @@ type Observer struct {
 	// imbalance.
 	OnMatch func(src, dst int, size int64, at des.Time)
 
-	// OnClockAdvance observes every advancement of the run's virtual
-	// clock (see des.Engine.OnAdvance).
-	OnClockAdvance func(from, to des.Time)
-
 	// OnEngine runs once, after Run has created the event engine and
 	// before any rank starts. It is the handle for engine-level
-	// attachments — des.Engine.SetMetrics, extra des.Engine.OnAdvance
+	// attachments — des.Engine.SetMetrics, des.Engine.OnAdvance
 	// subscriptions — that callers cannot reach otherwise, because the
 	// engine does not outlive Run.
 	OnEngine func(e *des.Engine)
-
-	// OnWorld runs once, after Run has built the World and before any
-	// rank starts — the hook for subscribers that need World state
-	// (rank count, the Net, placement).
-	OnWorld func(w *World)
 }
 
 // Observe registers a composable observer; it may be called any
-// number of times before Run. See the package documentation for the
-// migration from the legacy callback fields.
+// number of times before Run.
 func (cfg *WorldConfig) Observe(o Observer) {
 	cfg.Observers = append(cfg.Observers, o)
 }
@@ -164,7 +153,6 @@ type World struct {
 	cfg     WorldConfig
 	eng     *des.Engine
 	net     *simnet.Net
-	size    int
 	ranks   []*rankState
 	nextCtx int
 
@@ -313,16 +301,13 @@ func Run(cfg WorldConfig, body func(c *Comm)) error {
 		cfg.EagerLimit = DefaultEagerLimit
 	}
 	eng := des.NewEngine()
-	w := &World{cfg: cfg, eng: eng, net: cfg.Net, size: n, nextCtx: 1, metrics: cfg.Metrics}
+	w := &World{cfg: cfg, eng: eng, net: cfg.Net, nextCtx: 1, metrics: cfg.Metrics}
 	for _, o := range cfg.Observers {
 		if o.OnSend != nil {
 			w.onSend = append(w.onSend, o.OnSend)
 		}
 		if o.OnMatch != nil {
 			w.onMatch = append(w.onMatch, o.OnMatch)
-		}
-		if o.OnClockAdvance != nil {
-			eng.OnAdvance(o.OnClockAdvance)
 		}
 		if o.OnEngine != nil {
 			o.OnEngine(eng)
@@ -335,11 +320,6 @@ func Run(cfg WorldConfig, body func(c *Comm)) error {
 	group := make([]int, n)
 	for i := range group {
 		group[i] = i
-	}
-	for _, o := range cfg.Observers {
-		if o.OnWorld != nil {
-			o.OnWorld(w)
-		}
 	}
 	return eng.Run(n, func(p *des.Proc) {
 		p.SetLabel(fmt.Sprintf("rank %d", p.ID()))
@@ -356,9 +336,3 @@ func (w *World) phys(worldRank int) int {
 	}
 	return w.cfg.Placement[worldRank]
 }
-
-// Size reports the number of ranks.
-func (w *World) Size() int { return w.size }
-
-// Net exposes the network for diagnostics.
-func (w *World) Net() *simnet.Net { return w.net }

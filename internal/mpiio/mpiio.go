@@ -251,9 +251,6 @@ func (f *File) SeekShared(off int64) {
 	f.comm.Barrier()
 }
 
-// TellShared reports the shared file pointer.
-func (f *File) TellShared() int64 { return f.sh.sharedPtr }
-
 // Tell reports the individual file pointer.
 func (f *File) Tell() int64 { return f.ptr }
 
@@ -341,32 +338,4 @@ func (f *File) Read(size int64) []byte {
 	out := f.ReadAt(f.ptr, size)
 	f.ptr += size
 	return out
-}
-
-// WriteShared writes at the shared file pointer (noncollective): the
-// pointer advances atomically for the whole communicator, at the cost
-// of a round trip to the shared-pointer service on rank 0's node.
-func (f *File) WriteShared(size int64, data []byte) {
-	f.checkWrite()
-	off := f.fetchAddShared(size)
-	f.WriteAt(off, size, data)
-}
-
-// ReadShared reads at the shared file pointer (noncollective).
-func (f *File) ReadShared(size int64) []byte {
-	f.checkRead()
-	off := f.fetchAddShared(size)
-	return f.ReadAt(off, size)
-}
-
-// fetchAddShared atomically advances the shared pointer, charging the
-// control round trip.
-func (f *File) fetchAddShared(size int64) int64 {
-	p := f.comm.Proc()
-	me := f.comm.PhysProc(f.comm.Rank())
-	owner := f.comm.PhysProc(0)
-	p.Sleep(2 * f.comm.World().Net().Latency(me, owner)) // request + response
-	off := f.sh.sharedPtr
-	f.sh.sharedPtr += size
-	return off
 }

@@ -217,16 +217,25 @@ func TestWriteOnReadOnlyFails(t *testing.T) {
 func TestSharedPointerDisjointOffsets(t *testing.T) {
 	const n = 4
 	runIO(t, n, testFSCfg(), func(c *mpi.Comm, fs *simfs.FS) {
-		f, _ := Open(c, fs, "sh", ModeCreate|ModeWrOnly, Info{})
-		// Each rank writes 100 bytes via the shared pointer; offsets
-		// must be disjoint and the pointer must end at n*100.
-		f.WriteShared(100, nil)
-		f.Close()
-		if c.Rank() == 0 {
-			if got := f.sh.sharedPtr; got != n*100 {
-				t.Errorf("shared pointer = %d, want %d", got, n*100)
-			}
+		f, _ := Open(c, fs, "sh", ModeCreate|ModeRdWr, Info{})
+		// Rank r writes r+1 bytes through the shared pointer, twice:
+		// the uneven pieces must tile the file without overlap, and the
+		// pointer must end at the sum of every request.
+		size := int64(c.Rank() + 1)
+		payload := make([]byte, size)
+		for i := range payload {
+			payload[i] = byte('a' + c.Rank())
 		}
+		f.WriteOrdered(size, payload)
+		f.WriteOrdered(size, payload)
+		f.Sync()
+		if got, want := f.sh.sharedPtr, int64(2*n*(n+1)/2); got != want {
+			t.Errorf("rank %d: shared pointer = %d, want %d", c.Rank(), got, want)
+		}
+		if got := string(f.ReadAt(0, 20)); got != "abbcccddddabbcccdddd" {
+			t.Errorf("rank %d: layout = %q", c.Rank(), got)
+		}
+		f.Close()
 	})
 }
 

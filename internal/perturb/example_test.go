@@ -28,11 +28,11 @@ func Example() {
 
 		var elapsed des.Duration
 		err := mpi.Run(mpi.WorldConfig{Net: net}, func(c *mpi.Comm) {
-			buf := make([]byte, 64<<10)
+			const msg = 64 << 10
 			right := (c.Rank() + 1) % c.Size()
 			left := (c.Rank() + c.Size() - 1) % c.Size()
 			for i := 0; i < 10; i++ {
-				c.Sendrecv(right, 0, buf, left, 0, make([]byte, len(buf)))
+				c.SendrecvBytes(right, 0, msg, left, 0)
 			}
 			c.Barrier()
 			if c.Rank() == 0 {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"github.com/hpcbench/beff/internal/obs"
 )
 
 type fp struct {
@@ -111,6 +113,43 @@ func TestCorruptedEntryFallsBackToRecompute(t *testing.T) {
 			t.Fatalf("entry not repaired after tearing %d bytes: %+v", cut, res[0])
 		}
 		c.Close()
+	}
+}
+
+// TestInstrumentCountsRecoveryTruncation: recovery runs inside
+// OpenCache, before Instrument can attach the registry, and the torn
+// tail it dropped must still show on store_recovery_truncations_total.
+func TestInstrumentCountsRecoveryTruncation(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	var runs atomic.Int32
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Sweep([]Cell[int]{countingCell(&runs, fp{Machine: "t3e", Procs: 2}, 7)}, Options{Cache: c})
+	c.Close()
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if len(segs) != 1 {
+		t.Fatalf("segments = %v", segs)
+	}
+	info, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(segs[0], info.Size()-7); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err = OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	reg := obs.New()
+	c.Instrument(reg)
+	got, ok := reg.Snapshot().Get("store_recovery_truncations_total")
+	if !ok || got.Value != 1 {
+		t.Fatalf("store_recovery_truncations_total = %+v (found %v), want 1", got, ok)
 	}
 }
 

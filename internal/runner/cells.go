@@ -51,7 +51,7 @@ type beffioFingerprint struct {
 }
 
 // BeffCell measures b_eff on a registered machine profile. The
-// MemoryPerProc default resolves from the profile, like beff.MeasureBandwidth.
+// MemoryPerProc default resolves from the profile.
 // It is RobustBeffCell without a perturbation profile.
 func BeffCell(machineKey string, procs int, opt core.Options) Cell[*core.Result] {
 	return RobustBeffCell(machineKey, procs, opt, nil, 0, 0)
@@ -69,9 +69,6 @@ func BeffConfigCell(key string, cf machine.ConfigFile, procs int, opt core.Optio
 			p, err := cf.Build()
 			if err != nil {
 				return nil, err
-			}
-			if procs > p.MaxProcs {
-				procs = p.MaxProcs
 			}
 			if opt.MemoryPerProc == 0 && opt.LmaxOverride == 0 {
 				opt.MemoryPerProc = p.MemoryPerProc

@@ -116,9 +116,6 @@ func (c *SMPCluster) Path(src, dst int) ([]Segment, des.Duration) {
 	return e.segs, e.lat
 }
 
-// Bus exposes a node's memory-bus resource for diagnostics.
-func (c *SMPCluster) Bus(node int) *Resource { return c.bus[node] }
-
 // Config returns the cluster configuration.
 func (c *SMPCluster) Config() SMPClusterConfig { return c.cfg }
 

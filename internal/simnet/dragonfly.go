@@ -93,11 +93,8 @@ func NewDragonfly(cfg DragonflyConfig) *Dragonfly {
 // NumProcs reports the processor count.
 func (d *Dragonfly) NumProcs() int { return d.n }
 
-// RouterOf reports the router a processor hangs off; GroupOf its group.
+// RouterOf reports the router a processor hangs off.
 func (d *Dragonfly) RouterOf(proc int) int { return proc / d.routerSize }
-
-// GroupOf reports a processor's group.
-func (d *Dragonfly) GroupOf(proc int) int { return d.RouterOf(proc) / d.perGroup }
 
 // localLink returns the all-to-all link between two routers of one
 // group, nil when they are the same router.

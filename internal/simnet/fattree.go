@@ -101,11 +101,6 @@ func (ft *FatTree) Path(src, dst int) ([]Segment, des.Duration) {
 	return e.segs, e.lat
 }
 
-// Oversubscription reports LeafSize / Uplinks.
-func (ft *FatTree) Oversubscription() float64 {
-	return float64(ft.leafSize) / float64(ft.uplinks)
-}
-
 // Resources lists every switch link for utilisation diagnostics.
 func (ft *FatTree) Resources() []*Resource {
 	var rs []*Resource

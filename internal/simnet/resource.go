@@ -68,15 +68,6 @@ func NewResource(name string, bytesPerSec float64) *Resource {
 // Name returns the diagnostic name of the resource.
 func (r *Resource) Name() string { return r.name }
 
-// Bandwidth returns the resource bandwidth in bytes per second (0 for
-// infinite).
-func (r *Resource) Bandwidth() float64 {
-	if r.bw <= 0 {
-		return 0
-	}
-	return r.bw
-}
-
 // occupancy returns how long the resource is held by a transfer of the
 // given size.
 func (r *Resource) occupancy(bytes float64) des.Duration {

@@ -313,14 +313,6 @@ func TestLatencyHelper(t *testing.T) {
 	}
 }
 
-func TestBisectionLinks(t *testing.T) {
-	tor := NewTorus3D(8, 8, 8, 100*MB, 0, 0)
-	// Cut perpendicular to one dim: 64 node-columns × 2 wrap crossings × 2 dirs.
-	if got := tor.BisectionLinks(); got != 256 {
-		t.Errorf("BisectionLinks = %d, want 256", got)
-	}
-}
-
 func TestStepShortestDirection(t *testing.T) {
 	if step(0, 3, 8) != 1 {
 		t.Error("0→3 in ring of 8 should go +1")
@@ -454,9 +446,6 @@ func TestFatTreeLeafOf(t *testing.T) {
 		if ft.LeafOf(p) != p/4 {
 			t.Errorf("LeafOf(%d) = %d", p, ft.LeafOf(p))
 		}
-	}
-	if ft.Oversubscription() != 2 {
-		t.Errorf("oversubscription = %v", ft.Oversubscription())
 	}
 }
 

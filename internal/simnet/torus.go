@@ -53,9 +53,6 @@ func NewTorus3D(dx, dy, dz int, linkBW float64, baseLat, hopLat des.Duration) *T
 // NumProcs reports the processor count dx*dy*dz.
 func (t *Torus3D) NumProcs() int { return t.nprocs }
 
-// Dims returns the torus dimensions.
-func (t *Torus3D) Dims() (dx, dy, dz int) { return t.dims[0], t.dims[1], t.dims[2] }
-
 func (t *Torus3D) coords(node int) (c [3]int) {
 	c[0] = node % t.dims[0]
 	c[1] = (node / t.dims[0]) % t.dims[1]
@@ -142,24 +139,6 @@ func (t *Torus3D) route(segs []Segment, src, dst int) ([]Segment, des.Duration) 
 		}
 	}
 	return segs, t.baseLat + des.Duration(hops)*t.hopLat
-}
-
-// BisectionLinks reports the number of unidirectional links crossing the
-// torus's worst-case bisection plane (perpendicular to the longest
-// dimension), a quantity the b_eff bisection analysis patterns stress.
-func (t *Torus3D) BisectionLinks() int {
-	longest := 0
-	for dim := 1; dim < 3; dim++ {
-		if t.dims[dim] > t.dims[longest] {
-			longest = dim
-		}
-	}
-	cross := t.nprocs / t.dims[longest]
-	wrap := 2 // each ring crosses the cut twice (once per direction pair)
-	if t.dims[longest] < 3 {
-		wrap = 1
-	}
-	return cross * wrap * 2 // both directions
 }
 
 // Resources lists every torus link for utilisation diagnostics.

@@ -1,6 +1,6 @@
 // Package stats provides the averaging machinery the b_eff and
 // b_eff_io definitions prescribe: logarithmic averages, weighted
-// averages, and small helpers for formatting bandwidths.
+// averages, and the summaries the robustness and fleet reports use.
 //
 // Degenerate-input contract: every summary in this package returns a
 // finite, JSON-marshalable value for every input. Non-finite samples
@@ -184,13 +184,3 @@ func Describe(xs ...float64) Robust {
 	}
 	return r
 }
-
-// MBps formats a bytes-per-second bandwidth as MByte/s, the unit every
-// table in the paper uses (decimal megabytes, as the original b_eff
-// reports).
-func MBps(bytesPerSec float64) string {
-	return fmt.Sprintf("%.0f MB/s", bytesPerSec/1e6)
-}
-
-// ToMB converts bytes/second to MByte/s as a number.
-func ToMB(bytesPerSec float64) float64 { return bytesPerSec / 1e6 }

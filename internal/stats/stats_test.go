@@ -201,15 +201,3 @@ func TestFiniteDoesNotMutate(t *testing.T) {
 		t.Errorf("filter mutated its input: %v", xs)
 	}
 }
-
-func TestMBpsFormat(t *testing.T) {
-	if got := MBps(19919e6); got != "19919 MB/s" {
-		t.Errorf("MBps = %q", got)
-	}
-}
-
-func TestToMB(t *testing.T) {
-	if ToMB(330e6) != 330 {
-		t.Error("ToMB wrong")
-	}
-}

@@ -75,7 +75,8 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 
 			reg := obs.New()
 			m := &Metrics{RecoveryTruncations: reg.Counter("store_recovery_truncations_total")}
-			r := mustOpen(t, dir, Options{Metrics: m})
+			r := mustOpen(t, dir, Options{})
+			r.SetMetrics(m)
 			verify(t, r, want) // the mangled tail must not shadow key-0003
 			if m.RecoveryTruncations.Value() != 1 {
 				t.Fatalf("recovery truncations = %d", m.RecoveryTruncations.Value())

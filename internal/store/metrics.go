@@ -8,7 +8,8 @@ import "github.com/hpcbench/beff/internal/obs"
 // disables the whole set at the cost of one branch per operation.
 //
 // Gauges are refreshed after every mutating operation and on open;
-// counters count from the moment the Metrics struct is attached.
+// counters count from the moment the Metrics struct is attached, and
+// RecoveryTruncations also includes the torn tails dropped at open.
 type Metrics struct {
 	// Operation counts.
 	Puts      *obs.Counter
@@ -45,13 +46,16 @@ func (s *Store) met() *Metrics {
 }
 
 // SetMetrics attaches (or replaces) the instrument set and seeds the
-// gauges from the current store shape. Counters accumulate from this
-// call on.
+// gauges from the current store shape. Recovery runs inside Open,
+// before any set can be attached, so the torn tails it dropped are
+// added to RecoveryTruncations here; the other counters accumulate
+// from this call on.
 func (s *Store) SetMetrics(m *Metrics) {
 	if m == nil {
 		m = noMetrics
 	}
 	s.m.Store(m)
+	m.RecoveryTruncations.Add(s.truncations)
 	s.updateGauges()
 }
 

@@ -72,10 +72,6 @@ type Options struct {
 	// temp-file cleanup, and Put/Delete/Compact fail with ErrReadOnly.
 	// The view is a consistent snapshot of the log at open time.
 	ReadOnly bool
-
-	// Metrics, when non-nil, receives operation counts and store-shape
-	// gauges (see SetMetrics for attaching one later).
-	Metrics *Metrics
 }
 
 // recLoc locates one live record.
@@ -106,6 +102,10 @@ type Store struct {
 	opts Options
 	lock *lockFile // nil when read-only
 	m    atomic.Pointer[Metrics]
+
+	// truncations counts the torn tails recovery dropped at open;
+	// SetMetrics reports them to the RecoveryTruncations counter.
+	truncations int64
 
 	// mu guards the index, the segment table and the byte accounting.
 	mu     sync.RWMutex
@@ -148,9 +148,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts:  opts,
 		index: map[string]recLoc{},
 		segs:  map[uint64]*segment{},
-	}
-	if opts.Metrics != nil {
-		s.m.Store(opts.Metrics)
 	}
 	if !opts.ReadOnly {
 		lf, err := acquireLock(filepath.Join(dir, lockName))
@@ -265,7 +262,7 @@ func (s *Store) recover() error {
 			// A crashed writer's partial final record (or bitrot).
 			// Everything before it is intact; drop the tail so the next
 			// append starts on a clean frame.
-			s.met().RecoveryTruncations.Inc()
+			s.truncations++
 			if !s.opts.ReadOnly {
 				if err := os.Truncate(path, good); err != nil {
 					return fmt.Errorf("store: recover: truncate torn tail: %w", err)
@@ -452,14 +449,6 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 		}
 		return v, true, nil
 	}
-}
-
-// Has reports whether key is present, without reading its value.
-func (s *Store) Has(key string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.index[key]
-	return ok
 }
 
 // Keys returns every live key in ascending order.

@@ -348,7 +348,8 @@ func TestMetricsCountAndGauge(t *testing.T) {
 	}
 	// Tiny segments: every record seals its segment, so Compact below
 	// has sealed input to merge.
-	s := mustOpen(t, t.TempDir(), Options{Metrics: m, NoAutoCompact: true, TargetSegmentSize: 1})
+	s := mustOpen(t, t.TempDir(), Options{NoAutoCompact: true, TargetSegmentSize: 1})
+	s.SetMetrics(m)
 	put(t, s, "a", "1")
 	put(t, s, "a", "2")
 	get(t, s, "a")

@@ -1,18 +1,14 @@
-// Package trace collects message and I/O events from a simulation run
-// and renders them as summaries or as Chrome trace-event JSON
-// (chrome://tracing, Perfetto). The network and filesystem models
-// expose plain function hooks so this package stays optional and
-// dependency-free; register with simnet.Net.Observe and
-// simfs.FS.ObserveServerOps.
+// Package trace collects message events from a simulation's network
+// and renders them as a summary or as Chrome trace-event JSON
+// (chrome://tracing, Perfetto). The network model exposes a plain
+// function hook so this package stays optional and dependency-free;
+// register with simnet.Net.Observe.
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"github.com/hpcbench/beff/internal/des"
 )
@@ -24,29 +20,11 @@ type MessageEvent struct {
 	Start, End des.Time
 }
 
-// IOEvent is one disk operation on an I/O server.
-type IOEvent struct {
-	Server     int
-	Write      bool
-	Bytes      int64
-	Start, End des.Time
-}
-
-// MarkEvent is a user-named span of virtual time: a benchmark phase, a
-// pattern boundary, anything worth seeing against the hardware events.
-// Names are caller-controlled free text.
-type MarkEvent struct {
-	Name       string
-	Start, End des.Time
-}
-
 // Collector accumulates events. It is safe for use from a single
 // des.Engine run (which serialises); wrap externally if several engines
 // share one collector.
 type Collector struct {
 	Messages []MessageEvent
-	IOs      []IOEvent
-	Marks    []MarkEvent
 }
 
 // New returns an empty collector.
@@ -57,28 +35,13 @@ func (c *Collector) OnTransfer(src, dst int, size int64, start, end des.Time) {
 	c.Messages = append(c.Messages, MessageEvent{Src: src, Dst: dst, Size: size, Start: start, End: end})
 }
 
-// OnServerOp is the hook for simfs.FS.ObserveServerOps.
-func (c *Collector) OnServerOp(server int, write bool, bytes int64, start, end des.Time) {
-	c.IOs = append(c.IOs, IOEvent{Server: server, Write: write, Bytes: bytes, Start: start, End: end})
-}
-
-// Mark records a named annotation span. It renders as its own row
-// (pid 2) in the Chrome trace, above the processor and server rows.
-func (c *Collector) Mark(name string, start, end des.Time) {
-	c.Marks = append(c.Marks, MarkEvent{Name: name, Start: start, End: end})
-}
-
 // Summary aggregates the collected events.
 type Summary struct {
-	Messages      int
-	MessageBytes  int64
-	BusiestPair   [2]int
-	BusiestBytes  int64
-	IOOps         int
-	IOBytes       int64
-	BusiestServer int
-	ServerBytes   int64
-	Horizon       des.Time
+	Messages     int
+	MessageBytes int64
+	BusiestPair  [2]int
+	BusiestBytes int64
+	Horizon      des.Time
 }
 
 // Summarize computes totals and hot spots.
@@ -100,22 +63,6 @@ func (c *Collector) Summarize() Summary {
 			s.BusiestPair = k
 		}
 	}
-	server := map[int]int64{}
-	for _, e := range c.IOs {
-		s.IOOps++
-		s.IOBytes += e.Bytes
-		server[e.Server] += e.Bytes
-		if e.End > s.Horizon {
-			s.Horizon = e.End
-		}
-	}
-	s.BusiestServer = -1
-	for k, b := range server {
-		if b > s.ServerBytes || (b == s.ServerBytes && k < s.BusiestServer) {
-			s.ServerBytes = b
-			s.BusiestServer = k
-		}
-	}
 	return s
 }
 
@@ -126,72 +73,28 @@ func less(a, b [2]int) bool {
 	return a[1] < b[1]
 }
 
-// jsonString encodes a name as a JSON string literal. Go's %q is the
-// wrong tool here: it produces Go escapes like \a and \x07 that JSON
-// parsers reject, so a mark named after a string with control bytes
-// would corrupt the whole trace file.
-func jsonString(s string) string {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false) // keep "msg 0->1" readable
-	if err := enc.Encode(s); err != nil {
-		return `"?"` // unreachable: strings always encode
-	}
-	return strings.TrimSuffix(buf.String(), "\n")
-}
-
 // WriteChromeTrace emits the events in the Chrome trace-event format:
-// one complete ("X") event per message, server operation, and mark.
-// Timestamps are microseconds of virtual time; processors appear as
-// pid 0 rows, I/O servers as pid 1, marks as pid 2.
+// one complete ("X") event per message on its sender's row (pid 0,
+// tid = source rank). Timestamps are microseconds of virtual time.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	if _, err := io.WriteString(w, "[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(name string, pid, tid int, start, end des.Time, args string) error {
-		if !first {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		dur := end.Sub(start)
-		if dur < 1 {
-			dur = 1
-		}
-		_, err := fmt.Fprintf(w,
-			`  {"name":%s,"ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d,"args":{%s}}`,
-			jsonString(name), float64(start)/1e3, float64(dur)/1e3, pid, tid, args)
 		return err
 	}
 	// Stable ordering for reproducible output.
 	msgs := append([]MessageEvent(nil), c.Messages...)
 	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].Start < msgs[j].Start })
-	for _, m := range msgs {
-		name := fmt.Sprintf("msg %d->%d", m.Src, m.Dst)
-		args := fmt.Sprintf(`"bytes":%d,"dst":%d`, m.Size, m.Dst)
-		if err := emit(name, 0, m.Src, m.Start, m.End, args); err != nil {
-			return err
+	for i, m := range msgs {
+		sep := ",\n"
+		if i == 0 {
+			sep = ""
 		}
-	}
-	ios := append([]IOEvent(nil), c.IOs...)
-	sort.SliceStable(ios, func(i, j int) bool { return ios[i].Start < ios[j].Start })
-	for _, e := range ios {
-		op := "read"
-		if e.Write {
-			op = "write"
+		dur := m.End.Sub(m.Start)
+		if dur < 1 {
+			dur = 1
 		}
-		name := fmt.Sprintf("disk %s", op)
-		args := fmt.Sprintf(`"bytes":%d`, e.Bytes)
-		if err := emit(name, 1, e.Server, e.Start, e.End, args); err != nil {
-			return err
-		}
-	}
-	marks := append([]MarkEvent(nil), c.Marks...)
-	sort.SliceStable(marks, func(i, j int) bool { return marks[i].Start < marks[j].Start })
-	for _, m := range marks {
-		if err := emit(m.Name, 2, 0, m.Start, m.End, ""); err != nil {
+		if _, err := fmt.Fprintf(w,
+			`%s  {"name":"msg %d->%d","ph":"X","ts":%.3f,"dur":%.3f,"pid":0,"tid":%d,"args":{"bytes":%d,"dst":%d}}`,
+			sep, m.Src, m.Dst, float64(m.Start)/1e3, float64(dur)/1e3, m.Src, m.Size, m.Dst); err != nil {
 			return err
 		}
 	}
@@ -201,7 +104,6 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 
 func (s Summary) String() string {
 	return fmt.Sprintf(
-		"trace: %d messages (%d bytes), busiest pair %d->%d (%d bytes); %d disk ops (%d bytes), busiest server %d (%d bytes); horizon %v",
-		s.Messages, s.MessageBytes, s.BusiestPair[0], s.BusiestPair[1], s.BusiestBytes,
-		s.IOOps, s.IOBytes, s.BusiestServer, s.ServerBytes, s.Horizon)
+		"trace: %d messages (%d bytes), busiest pair %d->%d (%d bytes); horizon %v",
+		s.Messages, s.MessageBytes, s.BusiestPair[0], s.BusiestPair[1], s.BusiestBytes, s.Horizon)
 }

@@ -65,17 +65,21 @@ func TestObserversAttachSimultaneously(t *testing.T) {
 	// Subscriber 5: an ad-hoc observer through the new API.
 	var obsSends, obsAdvances atomic.Int64
 	w.Observe(mpi.Observer{
-		OnSend:         func(src, dst int, size int64, at des.Time) { obsSends.Add(1) },
-		OnClockAdvance: func(from, to des.Time) { obsAdvances.Add(1) },
+		OnSend: func(src, dst int, size int64, at des.Time) { obsSends.Add(1) },
+		OnEngine: func(e *des.Engine) {
+			e.OnAdvance(func(from, to des.Time) { obsAdvances.Add(1) })
+		},
 	})
 
 	// Subscriber 6: a second independent ad-hoc observer — composition
 	// must keep feeding every subscriber alongside all of the above.
 	var extraSends, extraMatches, extraAdvances, extraTransfers atomic.Int64
 	w.Observe(mpi.Observer{
-		OnSend:         func(src, dst int, size int64, at des.Time) { extraSends.Add(1) },
-		OnMatch:        func(src, dst int, size int64, at des.Time) { extraMatches.Add(1) },
-		OnClockAdvance: func(from, to des.Time) { extraAdvances.Add(1) },
+		OnSend:  func(src, dst int, size int64, at des.Time) { extraSends.Add(1) },
+		OnMatch: func(src, dst int, size int64, at des.Time) { extraMatches.Add(1) },
+		OnEngine: func(e *des.Engine) {
+			e.OnAdvance(func(from, to des.Time) { extraAdvances.Add(1) })
+		},
 	})
 	w.Net.Observe(func(src, dst int, size int64, start, end des.Time) { extraTransfers.Add(1) })
 
