@@ -56,7 +56,7 @@ func main() {
 	}
 
 	if *list {
-		for _, p := range machine.All() {
+		for _, p := range machine.Profiles() {
 			fmt.Printf("%-12s %s\n", p.Key, p)
 		}
 		return

@@ -61,6 +61,18 @@ func main() {
 	)
 	flag.Parse()
 
+	// The Table-2 flags have no meaning for a workload spec; setting one
+	// with -workload is a usage error, not a silently ignored ablation.
+	var tableOnly []string
+	if *wlPath != "" {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "T", "geometric", "no-collective-buffering", "skip-type3", "maxreps", "detail", "csv", "random":
+				tableOnly = append(tableOnly, "-"+f.Name)
+			}
+		})
+	}
+
 	c.Validate()
 	switch {
 	case *tSecs <= 0:
@@ -71,8 +83,8 @@ func main() {
 		c.UsageErr("-maxreps must be >= 1, got %d", *maxReps)
 	case *wlPath != "" && *sweep != "":
 		c.UsageErr("-workload and -sweep are mutually exclusive")
-	case *wlPath != "" && (*detail || *csvPath != "" || *randomExt):
-		c.UsageErr("-detail, -csv and -random describe the Table-2 benchmark, not -workload runs")
+	case len(tableOnly) > 0:
+		c.UsageErr("%s describe the Table-2 benchmark, not -workload runs", strings.Join(tableOnly, ", "))
 	}
 	var sizes []int
 	if *sweep != "" {

@@ -180,19 +180,30 @@ func TestWorkloadJSONOutputIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestWorkloadFlagConflictsRejected: -sweep and each Table-2 option
+// set explicitly next to -workload is a usage error naming the flag,
+// never an ignored ablation.
 func TestWorkloadFlagConflictsRejected(t *testing.T) {
 	spec := workloadSpec(t)
-	for _, args := range [][]string{
-		{"-config", "", "-workload", spec, "-sweep", "2,4"},
-		{"-config", "", "-workload", spec, "-detail"},
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-sweep", "2,4"}, "-workload and -sweep"},
+		{[]string{"-detail"}, "-detail describe"},
+		{[]string{"-T", "1"}, "-T describe"},
+		{[]string{"-geometric"}, "-geometric describe"},
+		{[]string{"-no-collective-buffering"}, "-no-collective-buffering describe"},
+		{[]string{"-skip-type3"}, "-skip-type3 describe"},
+		{[]string{"-maxreps", "1"}, "-maxreps describe"},
 	} {
-		args[1] = tinyConfig(t)
+		args := append([]string{"-config", tinyConfig(t), "-procs", "2", "-workload", spec}, tc.flags...)
 		out, code := run(t, args...)
-		if code == 0 {
-			t.Errorf("%v accepted", args)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.flags, code)
 		}
-		if !strings.Contains(out, "Usage") {
-			t.Errorf("%v: no usage text:\n%s", args, out)
+		if !strings.Contains(out, tc.want) || !strings.Contains(out, "Usage") {
+			t.Errorf("%v: usage error without %q:\n%s", tc.flags, tc.want, out)
 		}
 	}
 }

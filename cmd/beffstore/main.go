@@ -11,13 +11,12 @@
 //	beffstore [-cache DIR] get <key>              one raw entry document
 //	beffstore [-cache DIR] verify                 replay + checksum + decode every entry
 //	beffstore [-cache DIR] compact                merge sealed segments, drop dead records
-//	beffstore [-cache DIR] migrate                import legacy flat *.json entries
-//	beffstore [-cache DIR] bench [flags]          store-vs-flat latency benchmark
+//	beffstore [-cache DIR] bench [flags]          store latency benchmark
 //
-// The bench subcommand builds throwaway store and flat caches of
-// -entries entries and measures random point lookups and whole-cache
-// scans on both, reporting avg/median/p95 latencies as JSON (the
-// committed BENCH_store.json is its output).
+// The bench subcommand builds a throwaway store of -entries entries and
+// measures random point lookups and whole-store scans, reporting
+// avg/median/p95 latencies as JSON (the committed BENCH_store.json is
+// its output).
 package main
 
 import (
@@ -42,8 +41,7 @@ func main() {
 }
 
 // entryDoc mirrors the cache's stored entry document (runner's
-// unexported entry type): what the store keeps per key, and what each
-// legacy flat file held.
+// unexported entry type): what the store keeps per key.
 type entryDoc struct {
 	Key         string          `json:"key"`
 	Fingerprint json.RawMessage `json:"fingerprint"`
@@ -55,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	dir := fs.String("cache", runner.DefaultCacheDir, "cache directory holding the store")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: beffstore [-cache DIR] <stats|ls|get|verify|compact|migrate|bench> [args]")
+		fmt.Fprintln(stderr, "usage: beffstore [-cache DIR] <stats|ls|get|verify|compact|bench> [args]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -87,8 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Dir      string              `json:"dir"`
 			Stats    store.Stats         `json:"stats"`
 			Segments []store.SegmentStat `json:"segments"`
-			FlatLeft int                 `json:"flat_entries_not_migrated"`
-		}{Dir: *dir, Stats: st.Stats(), Segments: st.Segments(), FlatLeft: len(runner.FlatEntries(*dir))}
+		}{Dir: *dir, Stats: st.Stats(), Segments: st.Segments()}
 		writeJSON(stdout, out)
 		return 0
 
@@ -190,22 +187,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			before.TotalBytes-after.TotalBytes, after.LiveEntries)
 		return 0
 
-	case "migrate":
-		st, err := store.Open(*dir, store.Options{NoAutoCompact: true})
-		if err != nil {
-			return fail(err)
-		}
-		defer st.Close()
-		moved, skipped, err := runner.MigrateFlat(st, *dir)
-		for _, name := range skipped {
-			fmt.Fprintf(stderr, "beffstore: skipping unreadable or damaged flat entry %s\n", name)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "migrated %d flat entries, skipped %d; store now holds %d\n", moved, len(skipped), st.Len())
-		return 0
-
 	case "bench":
 		return runBench(rest, stdout, stderr)
 
@@ -246,55 +227,62 @@ func summarize(samples []time.Duration) latencyStats {
 	}
 }
 
-// benchReport is the BENCH_store.json document.
+// benchReport is the BENCH_store.json document. Backends holds one
+// "store" element; it stays a list so the committed record keeps its
+// shape.
 type benchReport struct {
-	Generated  string `json:"generated"`
-	GoVersion  string `json:"go_version"`
-	Entries    int    `json:"entries"`
-	ValueBytes int    `json:"value_bytes"`
-	Lookups    int    `json:"lookups"`
-	Scans      int    `json:"scans"`
-	Backends   []struct {
-		Backend     string       `json:"backend"`
-		PointLookup latencyStats `json:"point_lookup"`
-		FullScan    latencyStats `json:"full_scan"`
-		DiskBytes   int64        `json:"disk_bytes"`
-		Files       int          `json:"files"`
-	} `json:"backends"`
+	Generated  string          `json:"generated"`
+	GoVersion  string          `json:"go_version"`
+	Entries    int             `json:"entries"`
+	ValueBytes int             `json:"value_bytes"`
+	Lookups    int             `json:"lookups"`
+	Scans      int             `json:"scans"`
+	Backends   []backendReport `json:"backends"`
+}
+
+type backendReport struct {
+	Backend     string       `json:"backend"`
+	PointLookup latencyStats `json:"point_lookup"`
+	FullScan    latencyStats `json:"full_scan"`
+	DiskBytes   int64        `json:"disk_bytes"`
+	Files       int          `json:"files"`
 }
 
 func runBench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	entries := fs.Int("entries", 12000, "cache entries to build each backend with")
+	entries := fs.Int("entries", 12000, "entries to build the store with")
 	valueBytes := fs.Int("value-bytes", 2048, "payload bytes per entry (before the JSON envelope)")
 	lookups := fs.Int("lookups", 20000, "random point lookups to time (OLTP pattern)")
-	scans := fs.Int("scans", 5, "whole-cache scans to time (OLAP pattern)")
+	scans := fs.Int("scans", 5, "whole-store scans to time (OLAP pattern)")
 	out := fs.String("out", "", "also write the JSON report to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	work, err := os.MkdirTemp("", "beffstore-bench-*")
-	if err != nil {
+	if *entries < 1 || *lookups < 1 || *scans < 1 || *valueBytes < 0 {
+		fmt.Fprintln(stderr, "beffstore: bench needs -entries, -lookups and -scans >= 1 and -value-bytes >= 0")
+		return 2
+	}
+	fail := func(err error) int {
 		fmt.Fprintf(stderr, "beffstore: %v\n", err)
 		return 1
 	}
+	work, err := os.MkdirTemp("", "beffstore-bench-*")
+	if err != nil {
+		return fail(err)
+	}
 	defer os.RemoveAll(work)
 
-	rep := benchReport{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		Entries:    *entries,
-		ValueBytes: *valueBytes,
-		Lookups:    *lookups,
-		Scans:      *scans,
+	// Each entry document is the envelope the runner cache writes,
+	// around an opaque payload.
+	fmt.Fprintf(stderr, "beffstore: building a %d-entry store (%d payload bytes each)...\n", *entries, *valueBytes)
+	dir := filepath.Join(work, "store")
+	st, err := store.Open(dir, store.Options{NoAutoCompact: true})
+	if err != nil {
+		return fail(err)
 	}
-
-	// The entry documents are identical across layouts: the envelope
-	// the runner cache writes, around an opaque payload.
-	fmt.Fprintf(stderr, "beffstore: building %d-entry corpora (%d payload bytes each)...\n", *entries, *valueBytes)
+	defer st.Close()
 	keys := make([]string, *entries)
-	docs := make([][]byte, *entries)
 	rng := rand.New(rand.NewSource(1))
 	payload := make([]byte, *valueBytes)
 	for i := range keys {
@@ -306,135 +294,65 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 			Fingerprint: json.RawMessage(fmt.Sprintf(`{"cell":%d}`, i)),
 			Value:       val,
 		}, "", " ")
-		docs[i] = doc
+		if err := st.Put(keys[i], doc); err != nil {
+			return fail(err)
+		}
 	}
 
-	// The two layouts compared: the segment-log store the cache uses, and
-	// a flat directory of one file per entry, the layout it replaced.
-	const backendStore, backendFlat = "store", "flat"
-	for _, backend := range []string{backendStore, backendFlat} {
-		dir := filepath.Join(work, backend)
-		var get func(key string, i int) ([]byte, error)
-		var scan func() (int, error)
+	fmt.Fprintln(stderr, "beffstore: timing the store...")
+	lookupRng := rand.New(rand.NewSource(2))
+	samples := make([]time.Duration, *lookups)
+	for i := range samples {
+		k := keys[lookupRng.Intn(len(keys))]
+		t0 := time.Now()
+		_, ok, err := st.Get(k)
+		if err == nil && !ok {
+			err = fmt.Errorf("missing key %s", k)
+		}
+		if err != nil {
+			return fail(fmt.Errorf("lookup: %w", err))
+		}
+		samples[i] = time.Since(t0)
+	}
+	scanSamples := make([]time.Duration, *scans)
+	for i := range scanSamples {
+		t0 := time.Now()
+		if err := st.Scan(func(string, []byte) error { return nil }); err != nil {
+			return fail(fmt.Errorf("scan: %w", err))
+		}
+		scanSamples[i] = time.Since(t0)
+	}
 
-		switch backend {
-		case backendStore:
-			st, err := store.Open(dir, store.Options{NoAutoCompact: true})
-			if err != nil {
-				fmt.Fprintf(stderr, "beffstore: %v\n", err)
-				return 1
-			}
-			defer st.Close()
-			for i, k := range keys {
-				if err := st.Put(k, docs[i]); err != nil {
-					fmt.Fprintf(stderr, "beffstore: %v\n", err)
-					return 1
-				}
-			}
-			get = func(key string, _ int) ([]byte, error) {
-				v, ok, err := st.Get(key)
-				if err == nil && !ok {
-					err = fmt.Errorf("missing key %s", key)
-				}
-				return v, err
-			}
-			scan = func() (int, error) {
-				n := 0
-				err := st.Scan(func(_ string, v []byte) error { n += len(v); return nil })
-				return n, err
-			}
-		case backendFlat:
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fmt.Fprintf(stderr, "beffstore: %v\n", err)
-				return 1
-			}
-			for i, k := range keys {
-				if err := os.WriteFile(filepath.Join(dir, k+".json"), docs[i], 0o644); err != nil {
-					fmt.Fprintf(stderr, "beffstore: %v\n", err)
-					return 1
-				}
-			}
-			get = func(key string, _ int) ([]byte, error) {
-				return os.ReadFile(filepath.Join(dir, key+".json"))
-			}
-			scan = func() (int, error) {
-				ents, err := os.ReadDir(dir)
-				if err != nil {
-					return 0, err
-				}
-				n := 0
-				for _, ent := range ents {
-					v, err := os.ReadFile(filepath.Join(dir, ent.Name()))
-					if err != nil {
-						return 0, err
-					}
-					n += len(v)
-				}
-				return n, nil
-			}
+	b := backendReport{Backend: "store", PointLookup: summarize(samples), FullScan: summarize(scanSamples)}
+	filepath.WalkDir(dir, func(_ string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-
-		fmt.Fprintf(stderr, "beffstore: timing %s backend...\n", backend)
-		lookupRng := rand.New(rand.NewSource(2))
-		samples := make([]time.Duration, *lookups)
-		for i := range samples {
-			k := keys[lookupRng.Intn(len(keys))]
-			t0 := time.Now()
-			if _, err := get(k, i); err != nil {
-				fmt.Fprintf(stderr, "beffstore: %s lookup: %v\n", backend, err)
-				return 1
-			}
-			samples[i] = time.Since(t0)
+		if info, err := d.Info(); err == nil {
+			b.DiskBytes += info.Size()
+			b.Files++
 		}
-		scanSamples := make([]time.Duration, *scans)
-		for i := range scanSamples {
-			t0 := time.Now()
-			if _, err := scan(); err != nil {
-				fmt.Fprintf(stderr, "beffstore: %s scan: %v\n", backend, err)
-				return 1
-			}
-			scanSamples[i] = time.Since(t0)
-		}
-
-		var diskBytes int64
-		files := 0
-		filepath.WalkDir(dir, func(_ string, d os.DirEntry, err error) error {
-			if err != nil || d.IsDir() {
-				return err
-			}
-			if info, err := d.Info(); err == nil {
-				diskBytes += info.Size()
-				files++
-			}
-			return nil
-		})
-		b := struct {
-			Backend     string       `json:"backend"`
-			PointLookup latencyStats `json:"point_lookup"`
-			FullScan    latencyStats `json:"full_scan"`
-			DiskBytes   int64        `json:"disk_bytes"`
-			Files       int          `json:"files"`
-		}{
-			Backend:     backend,
-			PointLookup: summarize(samples),
-			FullScan:    summarize(scanSamples),
-			DiskBytes:   diskBytes,
-			Files:       files,
-		}
-		rep.Backends = append(rep.Backends, b)
+		return nil
+	})
+	rep := benchReport{
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		Entries:    *entries,
+		ValueBytes: *valueBytes,
+		Lookups:    *lookups,
+		Scans:      *scans,
+		Backends:   []backendReport{b},
 	}
 
 	writeJSON(stdout, rep)
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintf(stderr, "beffstore: %v\n", err)
-			return 1
+			return fail(err)
 		}
 		writeJSON(f, rep)
 		if err := f.Close(); err != nil {
-			fmt.Fprintf(stderr, "beffstore: %v\n", err)
-			return 1
+			return fail(err)
 		}
 	}
 	return 0

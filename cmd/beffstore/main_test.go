@@ -12,11 +12,12 @@ import (
 	"github.com/hpcbench/beff/internal/store"
 )
 
-// seedFlat writes n legacy flat entries into dir and returns their
-// hex keys.
-func seedFlat(t *testing.T, dir string, n int) []string {
+// seedStore puts n entry documents into a store at dir and returns
+// their hex keys.
+func seedStore(t *testing.T, dir string, n int) []string {
 	t.Helper()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	keys := make([]string, n)
@@ -27,9 +28,12 @@ func seedFlat(t *testing.T, dir string, n int) []string {
  "fingerprint": {"i": %d},
  "value": {"n": %d}
 }`, i, i, i*10)
-		if err := os.WriteFile(filepath.Join(dir, keys[i]+".json"), []byte(doc), 0o644); err != nil {
+		if err := st.Put(keys[i], []byte(doc)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 	return keys
 }
@@ -41,24 +45,13 @@ func beffstore(args ...string) (int, string, string) {
 	return code, out.String(), errb.String()
 }
 
-func TestMigrateThenRead(t *testing.T) {
+func TestGetLsVerifyRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
-	keys := seedFlat(t, dir, 5)
+	keys := seedStore(t, dir, 5)
 
-	code, out, errb := beffstore("-cache", dir, "migrate")
-	if code != 0 {
-		t.Fatalf("migrate: exit %d\n%s", code, errb)
-	}
-	if !strings.Contains(out, "migrated 5 flat entries") {
-		t.Fatalf("migrate output: %s", out)
-	}
-	if flats, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(flats) != 0 {
-		t.Fatalf("flat files left: %v", flats)
-	}
-
-	// Every migrated entry reads back byte-identical via get.
+	// get returns each entry document with its cell key.
 	for i, key := range keys {
-		code, out, errb = beffstore("-cache", dir, "get", key)
+		code, out, errb := beffstore("-cache", dir, "get", key)
 		if code != 0 {
 			t.Fatalf("get %s: exit %d\n%s", key, code, errb)
 		}
@@ -71,33 +64,48 @@ func TestMigrateThenRead(t *testing.T) {
 		}
 	}
 
-	// ls lists them sorted; verify finds no damage.
-	code, out, _ = beffstore("-cache", dir, "ls")
+	// ls lists them; verify finds no damage.
+	code, out, _ := beffstore("-cache", dir, "ls")
 	if code != 0 || len(strings.Fields(out)) != 5 {
 		t.Fatalf("ls: exit %d, out %q", code, out)
 	}
-	code, out, errb = beffstore("-cache", dir, "verify")
+	code, out, errb := beffstore("-cache", dir, "verify")
 	if code != 0 || !strings.Contains(out, "verified 5 entries, ") || !strings.Contains(out, " 0 damaged") {
 		t.Fatalf("verify: exit %d, out %q, err %q", code, out, errb)
 	}
 }
 
-func TestMigrateSkipsDamagedEntries(t *testing.T) {
+func TestVerifyNamesDamagedEntry(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
-	seedFlat(t, dir, 2)
-	bad := filepath.Join(dir, strings.Repeat("f", 64)+".json")
-	if err := os.WriteFile(bad, []byte("{torn"), 0o644); err != nil {
+	seedStore(t, dir, 2)
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	code, out, errb := beffstore("-cache", dir, "migrate")
-	if code != 0 {
-		t.Fatalf("migrate: exit %d\n%s", code, errb)
+	bad := strings.Repeat("f", 64)
+	if err := st.Put(bad, []byte("{torn")); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, "migrated 2 flat entries, skipped 1") {
-		t.Fatalf("migrate output: %s", out)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(bad); err != nil {
-		t.Fatalf("damaged entry removed instead of skipped: %v", err)
+	code, out, errb := beffstore("-cache", dir, "verify")
+	if code != 1 || !strings.Contains(out, "verified 3 entries, ") || !strings.Contains(out, " 1 damaged") {
+		t.Fatalf("verify: exit %d, out %q", code, out)
+	}
+	if !strings.Contains(errb, bad) {
+		t.Fatalf("verify stderr does not name %s: %q", bad, errb)
+	}
+}
+
+func TestMissingCacheDirFails(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "nodir")
+	code, _, errb := beffstore("-cache", dir, "stats")
+	if code != 1 || !strings.Contains(errb, dir) {
+		t.Fatalf("stats on a missing dir: exit %d, stderr %q", code, errb)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("stats created %s: %v", dir, err)
 	}
 }
 
@@ -151,10 +159,7 @@ func TestStatsAndCompact(t *testing.T) {
 
 func TestReadCommandsWorkWhileLocked(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
-	seedFlat(t, dir, 1)
-	if code, _, errb := beffstore("-cache", dir, "migrate"); code != 0 {
-		t.Fatalf("migrate: %s", errb)
-	}
+	seedStore(t, dir, 1)
 	holder, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +181,7 @@ func TestReadCommandsWorkWhileLocked(t *testing.T) {
 
 func TestGetMissingAndUsageErrors(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
-	seedFlat(t, dir, 0)
+	seedStore(t, dir, 0)
 	if code, _, _ := beffstore("-cache", dir, "get", strings.Repeat("a", 64)); code != 1 {
 		t.Fatalf("get missing: exit %d", code)
 	}
@@ -188,6 +193,11 @@ func TestGetMissingAndUsageErrors(t *testing.T) {
 	}
 	if code, _, _ := beffstore(); code != 2 {
 		t.Fatalf("no command: exit %d", code)
+	}
+	for _, flag := range []string{"-entries", "-lookups", "-scans"} {
+		if code, _, _ := beffstore("bench", flag, "0"); code != 2 {
+			t.Fatalf("bench %s 0: exit %d", flag, code)
+		}
 	}
 }
 
@@ -201,17 +211,16 @@ func TestBenchSmoke(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("bench output not JSON: %v\n%s", err, out)
 	}
-	if len(rep.Backends) != 2 || rep.Entries != 64 {
+	if len(rep.Backends) != 1 || rep.Backends[0].Backend != "store" || rep.Entries != 64 {
 		t.Fatalf("bench report: %+v", rep)
 	}
-	for _, b := range rep.Backends {
-		if b.PointLookup.AvgNs <= 0 || b.FullScan.MedianNs <= 0 {
-			t.Fatalf("backend %s has empty latencies: %+v", b.Backend, b)
-		}
+	b := rep.Backends[0]
+	if b.PointLookup.AvgNs <= 0 || b.FullScan.MedianNs <= 0 {
+		t.Fatalf("store has empty latencies: %+v", b)
 	}
-	// The store packs everything into a handful of segment files.
-	if rep.Backends[0].Backend != "store" || rep.Backends[0].Files >= rep.Backends[1].Files {
-		t.Fatalf("file counts: %+v", rep.Backends)
+	// The store packs all 64 entries into a handful of segment files.
+	if b.Files == 0 || b.Files > 4 {
+		t.Fatalf("store files = %d for 64 entries", b.Files)
 	}
 	if data, err := os.ReadFile(outPath); err != nil || !json.Valid(data) {
 		t.Fatalf("-out file: %v", err)

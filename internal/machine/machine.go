@@ -157,16 +157,7 @@ func (p *Profile) BuildWorld(procs int) (mpi.WorldConfig, error) {
 	if procs < 1 || procs > p.MaxProcs {
 		return mpi.WorldConfig{}, fmt.Errorf("machine %s: %d processors outside [1,%d]", p.Key, procs, p.MaxProcs)
 	}
-	sc := p.buildFabric(procs)
-	cfg := sc.cfg
-	cfg.Fabric = sc.fabric
-	net := simnet.New(cfg)
-	return mpi.WorldConfig{
-		Net:        net,
-		Procs:      procs,
-		Placement:  p.Placement(procs),
-		EagerLimit: p.EagerLimit,
-	}, nil
+	return p.world(procs, procs, p.Placement(procs)), nil
 }
 
 // BuildIOWorld constructs a world for b_eff_io runs, honouring the
@@ -183,10 +174,6 @@ func (p *Profile) BuildIOWorld(procs int) (mpi.WorldConfig, error) {
 		return mpi.WorldConfig{}, fmt.Errorf("machine %s: %d I/O processes need %d processors, have %d",
 			p.Key, procs, physNeeded, p.MaxProcs)
 	}
-	sc := p.buildFabric(physNeeded)
-	cfg := sc.cfg
-	cfg.Fabric = sc.fabric
-	net := simnet.New(cfg)
 	place := make([]int, procs)
 	perNode := p.IOProcsPerNode
 	for r := 0; r < procs; r++ {
@@ -194,12 +181,21 @@ func (p *Profile) BuildIOWorld(procs int) (mpi.WorldConfig, error) {
 		slot := r % perNode
 		place[r] = node*p.SMPNodeSize + slot
 	}
+	return p.world(physNeeded, procs, place), nil
+}
+
+// world builds a fresh network over phys processors and the world of
+// ranks placed on it (a nil placement is the identity).
+func (p *Profile) world(phys, ranks int, place []int) mpi.WorldConfig {
+	sc := p.buildFabric(phys)
+	cfg := sc.cfg
+	cfg.Fabric = sc.fabric
 	return mpi.WorldConfig{
-		Net:        net,
-		Procs:      procs,
+		Net:        simnet.New(cfg),
+		Procs:      ranks,
 		Placement:  place,
 		EagerLimit: p.EagerLimit,
-	}, nil
+	}
 }
 
 // BuildFS constructs a fresh simulated filesystem for the profile, or
@@ -259,9 +255,6 @@ func Profiles() []*Profile {
 	sort.SliceStable(ps, func(i, j int) bool { return ps[i].Class < ps[j].Class })
 	return ps
 }
-
-// All is the historical name of Profiles.
-func All() []*Profile { return Profiles() }
 
 // FabricFamily names the interconnect family of the profile — the
 // survey-taxonomy axis (torus, fat tree, crossbar, SMP cluster, bus)

@@ -6,9 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 
 	"github.com/hpcbench/beff/internal/obs"
 	"github.com/hpcbench/beff/internal/store"
@@ -190,47 +187,4 @@ func (c *Cache) store(key, cellKey string, fingerprint, value any) {
 	if err := c.st.Put(key, data); err != nil {
 		c.errs.Inc()
 	}
-}
-
-// FlatEntries lists the legacy flat cache files in dir — one
-// <64 hex chars>.json document per entry, the layout caches had before
-// the segment store — in name order (os.ReadDir sorts).
-func FlatEntries(dir string) []string {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, ent := range ents {
-		name := ent.Name()
-		stem, ok := strings.CutSuffix(name, ".json")
-		if ent.IsDir() || !ok || len(stem) != 64 || strings.Trim(stem, "0123456789abcdef") != "" {
-			continue
-		}
-		out = append(out, name)
-	}
-	return out
-}
-
-// MigrateFlat moves dir's legacy flat entries into st, which must be
-// open for writing: each file's bytes become the store record under
-// its file name's key, verbatim, and the file is removed once the
-// store holds it. Unreadable or damaged files are left in place and
-// listed in skipped.
-func MigrateFlat(st *store.Store, dir string) (moved int, skipped []string, err error) {
-	for _, name := range FlatEntries(dir) {
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		var raw json.RawMessage
-		if err != nil || !decodeEntry(data, &raw) {
-			skipped = append(skipped, name)
-			continue
-		}
-		if err := st.Put(strings.TrimSuffix(name, ".json"), data); err != nil {
-			return moved, skipped, err
-		}
-		os.Remove(path)
-		moved++
-	}
-	return moved, skipped, nil
 }

@@ -1,12 +1,10 @@
 package runner
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,7 +15,7 @@ import (
 
 // Tests for the store-backed cache: a second opener while another
 // process holds the writer lock, the store's own temp-file reaping,
-// poisoned entries, write races, and flat-entry migration.
+// poisoned entries and write races.
 
 func TestSecondOpenerServesHitsReadOnly(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
@@ -205,60 +203,5 @@ func TestStoreErrorsCounterOnClosedBackend(t *testing.T) {
 	}
 	if got := reg.Counter("runner_cache_store_errors_total").Value(); got == 0 {
 		t.Fatal("swallowed store failure not counted")
-	}
-}
-
-func TestMigrationPreservesExactValueBytes(t *testing.T) {
-	// The golden-corpus guarantee: a value served after MigrateFlat is
-	// byte-identical to the flat original. Write a legacy flat file
-	// holding an entry document, migrate it, and compare the decoded
-	// value.
-	type result struct {
-		Protocol string    `json:"protocol"`
-		Points   []float64 `json:"points"`
-	}
-	fingerprint := fp{Machine: "golden", Procs: 16}
-	want := result{Protocol: "rendezvous", Points: []float64{1.5, 2.25, 1e-9}}
-	key, err := FingerprintKey(fingerprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	val, _ := json.Marshal(want)
-	fpJSON, _ := json.Marshal(fingerprint)
-	doc, _ := json.MarshalIndent(entry{Key: "golden-cell", Fingerprint: fpJSON, Value: val}, "", " ")
-	dir := filepath.Join(t.TempDir(), "cache")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), doc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	damaged := strings.Repeat("f", 64) + ".json"
-	if err := os.WriteFile(filepath.Join(dir, damaged), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	moved, skipped, err := MigrateFlat(c.st, dir)
-	if err != nil || moved != 1 || !reflect.DeepEqual(skipped, []string{damaged}) {
-		t.Fatalf("MigrateFlat = %d moved, skipped %v, %v", moved, skipped, err)
-	}
-	if left := FlatEntries(dir); !reflect.DeepEqual(left, []string{damaged}) {
-		t.Fatalf("flat entries left = %v, want only the damaged one", left)
-	}
-	if got, _, _ := c.st.Get(key); string(got) != string(doc) {
-		t.Fatalf("document changed across migration:\nflat:  %s\nstore: %s", doc, got)
-	}
-	var via result
-	if !c.load(key, &via) {
-		t.Fatal("migrated entry missed")
-	}
-	b, _ := json.Marshal(via)
-	if string(val) != string(b) {
-		t.Fatalf("value changed across migration:\nflat:  %s\nstore: %s", val, b)
 	}
 }

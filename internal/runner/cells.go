@@ -4,7 +4,6 @@ import (
 	"github.com/hpcbench/beff/internal/beffio"
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/machine"
-	"github.com/hpcbench/beff/internal/perturb"
 	"github.com/hpcbench/beff/internal/workload"
 )
 
@@ -24,12 +23,7 @@ type beffFingerprint struct {
 	Procs   int
 	Options core.Options
 
-	// Perturb and PerturbSeed identify the fault-injection schedule of
-	// a perturbed cell. They are omitted when empty, so unperturbed
-	// fingerprints — and their cached entries — are unchanged from
-	// before perturbation existed.
-	Perturb     *perturb.Profile `json:",omitempty"`
-	PerturbSeed int64            `json:",omitempty"`
+	perturbation
 }
 
 // beffioFingerprint identifies a b_eff_io cell likewise. It doubles as
@@ -46,8 +40,7 @@ type beffioFingerprint struct {
 
 	Workload *workload.Spec `json:",omitempty"`
 
-	Perturb     *perturb.Profile `json:",omitempty"`
-	PerturbSeed int64            `json:",omitempty"`
+	perturbation
 }
 
 // BeffCell measures b_eff on a registered machine profile. The
@@ -70,16 +63,24 @@ func BeffConfigCell(key string, cf machine.ConfigFile, procs int, opt core.Optio
 			if err != nil {
 				return nil, err
 			}
-			if opt.MemoryPerProc == 0 && opt.LmaxOverride == 0 {
-				opt.MemoryPerProc = p.MemoryPerProc
-			}
-			w, err := p.BuildWorld(procs)
-			if err != nil {
-				return nil, err
-			}
-			return core.Run(w, opt)
+			return runBeff(p, procs, opt, perturbation{})
 		},
 	}
+}
+
+// runBeff is the b_eff body of every b_eff cell: MemoryPerProc
+// defaults from the profile, the world is built fresh, and pt perturbs
+// its network.
+func runBeff(p *machine.Profile, procs int, opt core.Options, pt perturbation) (*core.Result, error) {
+	if opt.MemoryPerProc == 0 && opt.LmaxOverride == 0 {
+		opt.MemoryPerProc = p.MemoryPerProc
+	}
+	w, err := p.BuildWorld(procs)
+	if err != nil {
+		return nil, err
+	}
+	pt.Perturb.ApplyNet(w.Net, pt.PerturbSeed)
+	return core.Run(w, opt)
 }
 
 // BeffIOCell measures b_eff_io on a registered machine profile at one

@@ -6,7 +6,9 @@ import (
 	"github.com/hpcbench/beff/internal/beffio"
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/machine"
+	"github.com/hpcbench/beff/internal/mpi"
 	"github.com/hpcbench/beff/internal/perturb"
+	"github.com/hpcbench/beff/internal/simfs"
 	"github.com/hpcbench/beff/internal/stats"
 )
 
@@ -23,34 +25,16 @@ import (
 // profile degenerates to an unperturbed BeffCell with an unperturbed
 // fingerprint, so baseline cells share the cache with plain sweeps.
 func RobustBeffCell(machineKey string, procs int, opt core.Options, prof *perturb.Profile, seed int64, rep int) Cell[*core.Result] {
-	if prof != nil && !prof.Enabled() {
-		prof = nil
-	}
-	repSeed := perturb.RepSeed(seed, rep)
-	fp := beffFingerprint{Bench: "beff", Machine: machineKey, Procs: procs, Options: opt}
-	key := fmt.Sprintf("beff:%s@%d", machineKey, procs)
-	if prof != nil {
-		fp.Perturb = prof
-		fp.PerturbSeed = repSeed
-		key = fmt.Sprintf("%s/rep%d", key, rep)
-	}
+	key, pt := perturbCell(fmt.Sprintf("beff:%s@%d", machineKey, procs), prof, seed, rep)
 	return Cell[*core.Result]{
 		Key:         key,
-		Fingerprint: fp,
+		Fingerprint: beffFingerprint{Bench: "beff", Machine: machineKey, Procs: procs, Options: opt, perturbation: pt},
 		Run: func() (*core.Result, error) {
 			p, err := machine.Lookup(machineKey)
 			if err != nil {
 				return nil, err
 			}
-			if opt.MemoryPerProc == 0 && opt.LmaxOverride == 0 {
-				opt.MemoryPerProc = p.MemoryPerProc
-			}
-			w, err := p.BuildWorld(procs)
-			if err != nil {
-				return nil, err
-			}
-			prof.ApplyNet(w.Net, repSeed)
-			return core.Run(w, opt)
+			return runBeff(p, procs, opt, pt)
 		},
 	}
 }
@@ -58,42 +42,61 @@ func RobustBeffCell(machineKey string, procs int, opt core.Options, prof *pertur
 // RobustBeffIOCell is the b_eff_io counterpart: the profile applies to
 // both the network and the filesystem of the repetition's fresh world.
 func RobustBeffIOCell(machineKey string, procs int, opt beffio.Options, prof *perturb.Profile, seed int64, rep int) Cell[*beffio.Result] {
-	if prof != nil && !prof.Enabled() {
-		prof = nil
-	}
-	repSeed := perturb.RepSeed(seed, rep)
 	if opt.MPart == 0 {
 		if p, err := machine.Lookup(machineKey); err == nil {
 			opt.MPart = p.MPart()
 		}
 	}
-	fp := beffioFingerprint{Bench: "beffio", Machine: machineKey, Procs: procs, Options: opt}
-	key := fmt.Sprintf("beffio:%s@%d", machineKey, procs)
-	if prof != nil {
-		fp.Perturb = prof
-		fp.PerturbSeed = repSeed
-		key = fmt.Sprintf("%s/rep%d", key, rep)
-	}
+	key, pt := perturbCell(fmt.Sprintf("beffio:%s@%d", machineKey, procs), prof, seed, rep)
 	return Cell[*beffio.Result]{
 		Key:         key,
-		Fingerprint: fp,
+		Fingerprint: beffioFingerprint{Bench: "beffio", Machine: machineKey, Procs: procs, Options: opt, perturbation: pt},
 		Run: func() (*beffio.Result, error) {
-			p, err := machine.Lookup(machineKey)
+			w, fs, err := ioWorld(machineKey, procs, pt)
 			if err != nil {
 				return nil, err
 			}
-			w, err := p.BuildIOWorld(procs)
-			if err != nil {
-				return nil, err
-			}
-			fs, err := p.BuildFS()
-			if err != nil {
-				return nil, err
-			}
-			prof.Apply(w.Net, fs, repSeed)
 			return beffio.Run(w, fs, opt)
 		},
 	}
+}
+
+// perturbation identifies a perturbed cell's fault-injection schedule
+// in its fingerprint. Both fields are omitted when empty, so
+// unperturbed fingerprints — and their cached entries — are unchanged
+// from before perturbation existed. A nil Perturb applies nothing.
+type perturbation struct {
+	Perturb     *perturb.Profile `json:",omitempty"`
+	PerturbSeed int64            `json:",omitempty"`
+}
+
+// perturbCell is the prologue of every perturbable cell: a disabled
+// profile counts as none, and a perturbed cell's key gets a /rep
+// suffix and its fingerprint the profile and RepSeed(seed, rep).
+func perturbCell(key string, prof *perturb.Profile, seed int64, rep int) (string, perturbation) {
+	if prof == nil || !prof.Enabled() {
+		return key, perturbation{}
+	}
+	return fmt.Sprintf("%s/rep%d", key, rep), perturbation{Perturb: prof, PerturbSeed: perturb.RepSeed(seed, rep)}
+}
+
+// ioWorld builds the fresh world and filesystem of an I/O cell on a
+// registered profile, with pt applied to both.
+func ioWorld(machineKey string, procs int, pt perturbation) (mpi.WorldConfig, *simfs.FS, error) {
+	p, err := machine.Lookup(machineKey)
+	if err != nil {
+		return mpi.WorldConfig{}, nil, err
+	}
+	w, err := p.BuildIOWorld(procs)
+	if err != nil {
+		return mpi.WorldConfig{}, nil, err
+	}
+	fs, err := p.BuildFS()
+	if err != nil {
+		return mpi.WorldConfig{}, nil, err
+	}
+	pt.Perturb.Apply(w.Net, fs, pt.PerturbSeed)
+	return w, fs, nil
 }
 
 // Robustness is the distribution of a benchmark value over a

@@ -3,7 +3,6 @@ package runner
 import (
 	"fmt"
 
-	"github.com/hpcbench/beff/internal/machine"
 	"github.com/hpcbench/beff/internal/perturb"
 	"github.com/hpcbench/beff/internal/workload"
 )
@@ -23,34 +22,15 @@ func WorkloadCell(spec *workload.Spec, machineKey string, procs int) Cell[*workl
 // A nil (or disabled) profile degenerates to an unperturbed cell with
 // an unperturbed fingerprint.
 func RobustWorkloadCell(spec *workload.Spec, machineKey string, procs int, prof *perturb.Profile, seed int64, rep int) Cell[*workload.Result] {
-	if prof != nil && !prof.Enabled() {
-		prof = nil
-	}
-	repSeed := perturb.RepSeed(seed, rep)
-	fp := beffioFingerprint{Bench: "workload", Machine: machineKey, Procs: procs, Workload: spec}
-	key := fmt.Sprintf("workload:%s:%s@%d", spec.Name, machineKey, procs)
-	if prof != nil {
-		fp.Perturb = prof
-		fp.PerturbSeed = repSeed
-		key = fmt.Sprintf("%s/rep%d", key, rep)
-	}
+	key, pt := perturbCell(fmt.Sprintf("workload:%s:%s@%d", spec.Name, machineKey, procs), prof, seed, rep)
 	return Cell[*workload.Result]{
 		Key:         key,
-		Fingerprint: fp,
+		Fingerprint: beffioFingerprint{Bench: "workload", Machine: machineKey, Procs: procs, Workload: spec, perturbation: pt},
 		Run: func() (*workload.Result, error) {
-			p, err := machine.Lookup(machineKey)
+			w, fs, err := ioWorld(machineKey, procs, pt)
 			if err != nil {
 				return nil, err
 			}
-			w, err := p.BuildIOWorld(procs)
-			if err != nil {
-				return nil, err
-			}
-			fs, err := p.BuildFS()
-			if err != nil {
-				return nil, err
-			}
-			prof.Apply(w.Net, fs, repSeed)
 			return workload.Run(w, fs, spec)
 		},
 	}

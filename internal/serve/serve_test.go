@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"github.com/hpcbench/beff/internal/runner"
-	"github.com/hpcbench/beff/internal/store"
 )
 
 // newTestServer builds a Server with a per-test cache directory and
@@ -620,13 +619,12 @@ func TestStoreMetricsExported(t *testing.T) {
 	}
 }
 
-// TestGoldenAcrossCacheBackends is the migration acceptance pin: the
-// golden cell as the retired flat backend left it on disk
-// (testdata/legacy_flat, one <key>.json document) is migrated into a
-// store with runner.MigrateFlat and then served over HTTP from the
-// cache, byte-identical to the corpus entry without being recomputed.
-// A fresh store computes the same bytes.
-func TestGoldenAcrossCacheBackends(t *testing.T) {
+// TestGoldenFromWarmStore pins that a cache hit over HTTP is golden:
+// the golden cell computed into a store by one server is served from
+// that store by the next server on the same directory, byte-identical
+// to the corpus entry without being recomputed. A fresh store computes
+// the same bytes.
+func TestGoldenFromWarmStore(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("..", "check", "testdata", "golden", "beff_t3e.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -646,39 +644,21 @@ func TestGoldenAcrossCacheBackends(t *testing.T) {
 		return st, cell
 	}
 
-	t.Run("migrated-store", func(t *testing.T) {
+	t.Run("warm-store", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "cache")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		legacy := filepath.Join("testdata", "legacy_flat")
-		for _, name := range runner.FlatEntries(legacy) {
-			data, err := os.ReadFile(filepath.Join(legacy, name))
-			if err != nil {
-				t.Fatal(err)
+		// The first server computes the cell into the store; its
+		// subtest's cleanup drains it and releases the writer lock.
+		t.Run("cold", func(t *testing.T) {
+			if job, _ := fetch(t, Config{Workers: 2, CacheDir: dir}); job.CellsCached != 0 {
+				t.Fatalf("empty store served a hit: %+v", job)
 			}
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st, err := store.Open(dir, store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		moved, skipped, err := runner.MigrateFlat(st, dir)
-		if err != nil || moved != 1 || len(skipped) != 0 {
-			t.Fatalf("MigrateFlat = %d moved, skipped %v, %v", moved, skipped, err)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-
+		})
 		job, cell := fetch(t, Config{Workers: 2, CacheDir: dir})
 		if job.CellsCached != 1 {
-			t.Fatalf("migrated cell was recomputed: %+v", job)
+			t.Fatalf("stored cell was recomputed: %+v", job)
 		}
 		if !bytes.Equal(cell, want) {
-			t.Fatalf("migrated store differs from golden (%d vs %d bytes)", len(cell), len(want))
+			t.Fatalf("warm store differs from golden (%d vs %d bytes)", len(cell), len(want))
 		}
 	})
 	t.Run("fresh-store", func(t *testing.T) {

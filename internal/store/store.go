@@ -31,7 +31,7 @@
 //
 // The runner's result cache (internal/runner) fronts this store,
 // opening it read-only when another process holds the lock;
-// cmd/beffstore is the inspection/compaction/migration CLI.
+// cmd/beffstore is the inspection/compaction CLI.
 package store
 
 import (
@@ -129,7 +129,7 @@ type Store struct {
 	crashAfterCommit  bool
 }
 
-// Open opens (creating if needed) the store rooted at dir.
+// Open opens the store rooted at dir, creating dir in writer mode.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.TargetSegmentSize <= 0 {
 		opts.TargetSegmentSize = 64 << 20
@@ -140,16 +140,18 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.CompactMinBytes <= 0 {
 		opts.CompactMinBytes = 1 << 20
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: open: %w", err)
-	}
 	s := &Store{
 		dir:   dir,
 		opts:  opts,
 		index: map[string]recLoc{},
 		segs:  map[uint64]*segment{},
 	}
+	// Only a writer creates dir: a read-only open of a missing
+	// directory fails in recover instead of reporting an empty store.
 	if !opts.ReadOnly {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("store: open: %w", err)
+		}
 		lf, err := acquireLock(filepath.Join(dir, lockName))
 		if err != nil {
 			return nil, err

@@ -243,6 +243,17 @@ func TestReadOnlyOpen(t *testing.T) {
 	}
 }
 
+func TestReadOnlyOpenOfMissingDirFails(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "missing")
+	if s, err := Open(dir, Options{ReadOnly: true}); err == nil {
+		s.Close()
+		t.Fatal("read-only open of a missing directory succeeded")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("read-only open created %s: %v", dir, err)
+	}
+}
+
 func TestSecondWriterRejectedReadersProceed(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, Options{})
@@ -398,8 +409,8 @@ func TestSegmentStatsInspection(t *testing.T) {
 
 func TestStrayFilesIgnored(t *testing.T) {
 	dir := t.TempDir()
-	// Flat cache entries and other files share the directory with the
-	// segment files during migration; the store must not touch them.
+	// Files the store did not write may share its directory (an old
+	// cache's <key>.json entries, say); the store must not touch them.
 	stray := filepath.Join(dir, "0123abcd.json")
 	if err := os.WriteFile(stray, []byte(`{"key":"x"}`), 0o644); err != nil {
 		t.Fatal(err)
