@@ -172,6 +172,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 
 	case "compact":
+		// A writer open creates a missing directory; compacting a
+		// mistyped path must not leave an empty store behind.
+		if _, err := os.Stat(*dir); err != nil {
+			return fail(fmt.Errorf("store: open: %w", err))
+		}
 		st, err := store.Open(*dir, store.Options{NoAutoCompact: true})
 		if err != nil {
 			return fail(err)

@@ -100,12 +100,14 @@ func TestVerifyNamesDamagedEntry(t *testing.T) {
 
 func TestMissingCacheDirFails(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "nodir")
-	code, _, errb := beffstore("-cache", dir, "stats")
-	if code != 1 || !strings.Contains(errb, dir) {
-		t.Fatalf("stats on a missing dir: exit %d, stderr %q", code, errb)
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatalf("stats created %s: %v", dir, err)
+	for _, cmd := range []string{"stats", "compact"} {
+		code, _, errb := beffstore("-cache", dir, cmd)
+		if code != 1 || !strings.Contains(errb, dir) {
+			t.Fatalf("%s on a missing dir: exit %d, stderr %q", cmd, code, errb)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("%s created %s: %v", cmd, dir, err)
+		}
 	}
 }
 

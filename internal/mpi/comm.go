@@ -33,8 +33,13 @@ func (c *Comm) Wtime() float64 { return c.Proc().Now().Seconds() }
 func (c *Comm) Time() des.Time { return c.Proc().Now() }
 
 // groupRankOf translates a world rank to a rank in this communicator,
-// or -1 if the world rank is not a member.
+// or -1 if the world rank is not a member. Members are unique, so a
+// group that keeps worldRank at its own index (always so on the world
+// communicator) answers without a scan.
 func (c *Comm) groupRankOf(worldRank int) int {
+	if worldRank < len(c.group) && c.group[worldRank] == worldRank {
+		return worldRank
+	}
 	for i, wr := range c.group {
 		if wr == worldRank {
 			return i

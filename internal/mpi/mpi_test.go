@@ -404,6 +404,34 @@ func TestSplitKeyReversesOrder(t *testing.T) {
 	})
 }
 
+func TestGroupRankOfPermutedSplit(t *testing.T) {
+	// Split communicators whose order differs from the world's: some
+	// world ranks keep their index, some move, some are not members.
+	// groupRankOf must agree with a scan of the group, and a receive
+	// from AnySource must report the sender's rank in the split.
+	const n = 6
+	keys := []int{0, 2, 1, 3, 5, 4} // world ranks 0 and 3 keep their index
+	run(t, n, func(c *Comm) {
+		for _, sub := range []*Comm{c.Split(0, keys[c.Rank()]), c.Split(c.Rank()%2, -c.Rank())} {
+			for w := 0; w <= n; w++ {
+				want := -1
+				for i, m := range sub.group {
+					if m == w {
+						want = i
+					}
+				}
+				if got := sub.groupRankOf(w); got != want {
+					t.Errorf("group %v: groupRankOf(%d) = %d, want %d", sub.group, w, got, want)
+				}
+			}
+			right, left := (sub.Rank()+1)%sub.Size(), (sub.Rank()-1+sub.Size())%sub.Size()
+			if st := sub.SendrecvBytes(right, 5, 8, AnySource, 5); st.Source != left {
+				t.Errorf("group %v, rank %d: source %d, want %d", sub.group, sub.Rank(), st.Source, left)
+			}
+		}
+	})
+}
+
 func TestCartCoordsRankRoundTrip(t *testing.T) {
 	run(t, 12, func(c *Comm) {
 		cart := NewCart(c, []int{3, 4}, []bool{true, true})

@@ -1,10 +1,6 @@
 package mpiio
 
-import (
-	"sort"
-
-	"github.com/hpcbench/beff/internal/mpi"
-)
+import "github.com/hpcbench/beff/internal/mpi"
 
 // coordination is the shared state behind a file's collective calls.
 // MPI requires all ranks to issue collective operations in the same
@@ -73,18 +69,23 @@ func aggregatorRanks(a, size int) []int {
 }
 
 // makePlan partitions [lo,hi) into file domains aligned to the stripe
-// unit and assigns each rank's extents to the owning aggregators.
-func (f *File) makePlan(cs *callState) *tpPlan {
-	size := f.comm.Size()
+// unit, spread over the given number of aggregators, and assigns each
+// rank's deposited extents to the owning aggregators. Every deposit is
+// sorted by offset and disjoint (see View.appendExtents), so the bounds
+// come from its ends and the aggregator runs from one k-way merge of
+// all deposits.
+func makePlan(deposits [][]extent, aggregators int, stripe int64) *tpPlan {
+	size := len(deposits)
 	var lo, hi int64 = -1, 0
-	for _, exts := range cs.deposits {
-		for _, e := range exts {
-			if lo < 0 || e.off < lo {
-				lo = e.off
-			}
-			if e.off+e.size > hi {
-				hi = e.off + e.size
-			}
+	for _, exts := range deposits {
+		if len(exts) == 0 {
+			continue
+		}
+		if lo < 0 || exts[0].off < lo {
+			lo = exts[0].off
+		}
+		if last := exts[len(exts)-1]; last.off+last.size > hi {
+			hi = last.off + last.size
 		}
 	}
 	plan := &tpPlan{
@@ -95,89 +96,101 @@ func (f *File) makePlan(cs *callState) *tpPlan {
 	if lo < 0 || hi <= lo {
 		return plan // nothing to move
 	}
-	aggs := aggregatorRanks(f.info.Aggregators, size)
-	stripe := f.fs.Config().StripeUnit
+	aggs := aggregatorRanks(aggregators, size)
 	span := hi - lo
 	chunk := (span + int64(len(aggs)) - 1) / int64(len(aggs))
 	if rem := chunk % stripe; rem != 0 {
 		chunk += stripe - rem
 	}
-	domainOf := func(i int) (dlo, dhi int64) {
-		dlo = lo + int64(i)*chunk
-		dhi = dlo + chunk
-		if dhi > hi {
-			dhi = hi
+	// Domain i is [lo+i*chunk, lo+(i+1)*chunk) clipped to hi; the
+	// domains cover [lo,hi), so every byte has exactly one owner.
+	//
+	// Sends: an extent starts in domain (off-lo)/chunk and reaches
+	// forward only as far as it still overlaps.
+	for r, exts := range deposits {
+		send := plan.send[r]
+		for _, e := range exts {
+			end := e.off + e.size
+			for i := (e.off - lo) / chunk; lo+i*chunk < end; i++ {
+				dlo := lo + i*chunk
+				send[aggs[i]] += minI64(end, dlo+chunk) - maxI64(e.off, dlo)
+			}
 		}
-		return
-	}
-	// Sends: each rank's extents overlapped with each domain.
-	for r, exts := range cs.deposits {
-		for i, agg := range aggs {
-			dlo, dhi := domainOf(i)
-			if dlo >= dhi {
-				continue
-			}
-			var bytes int64
-			for _, e := range exts {
-				bytes += overlap(e.off, e.off+e.size, dlo, dhi)
-			}
-			if bytes > 0 {
-				plan.send[r][agg] += bytes
-				plan.recv[agg][r] += bytes
-			}
+		for _, agg := range aggs {
+			plan.recv[agg][r] = send[agg]
 		}
 	}
-	// Aggregator runs: merge all extents within each domain.
-	for i, agg := range aggs {
-		dlo, dhi := domainOf(i)
-		if dlo >= dhi {
-			continue
-		}
-		var clipped []extent
-		for _, exts := range cs.deposits {
-			for _, e := range exts {
-				s, t := maxI64(e.off, dlo), minI64(e.off+e.size, dhi)
-				if t > s {
-					clipped = append(clipped, extent{s, t - s})
-				}
+	// Aggregator runs: the union of all deposits, cut at domain
+	// boundaries into one backing slice.
+	union := unionSorted(deposits)
+	cut := make([]extent, 0, len(union)+len(aggs)-1)
+	cur, first := 0, 0
+	for _, u := range union {
+		for s, end := u.off, u.off+u.size; s < end; {
+			i := int((s - lo) / chunk)
+			if i != cur {
+				plan.runs[aggs[cur]] = cut[first:len(cut):len(cut)]
+				cur, first = i, len(cut)
 			}
+			t := minI64(end, lo+int64(i+1)*chunk)
+			cut = append(cut, extent{s, t - s})
+			s = t
 		}
-		plan.runs[agg] = mergeExtents(clipped)
 	}
+	plan.runs[aggs[cur]] = cut[first:]
 	return plan
 }
 
-func overlap(alo, ahi, blo, bhi int64) int64 {
-	lo, hi := maxI64(alo, blo), minI64(ahi, bhi)
-	if hi > lo {
-		return hi - lo
-	}
-	return 0
-}
-
-// mergeExtents sorts and coalesces overlapping or adjacent extents.
-func mergeExtents(exts []extent) []extent {
-	if len(exts) == 0 {
-		return nil
-	}
-	sort.Slice(exts, func(i, j int) bool {
-		if exts[i].off != exts[j].off {
-			return exts[i].off < exts[j].off
+// unionSorted returns the union of lists, each sorted by offset, as
+// coalesced extents in ascending order: extents that overlap or touch
+// become one. It is a k-way merge over a min-heap of the lists' unread
+// tails, keyed by each tail's first offset.
+func unionSorted(lists [][]extent) []extent {
+	h := make([][]extent, 0, len(lists))
+	for _, l := range lists {
+		if len(l) > 0 {
+			h = append(h, l)
 		}
-		return exts[i].size < exts[j].size
-	})
-	out := exts[:1]
-	for _, e := range exts[1:] {
-		last := &out[len(out)-1]
-		if e.off <= last.off+last.size {
-			if end := e.off + e.size; end > last.off+last.size {
-				last.size = end - last.off
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	var out []extent
+	for len(h) > 0 {
+		e := h[0][0]
+		if last := len(out) - 1; last >= 0 && e.off <= out[last].off+out[last].size {
+			if end := e.off + e.size; end > out[last].off+out[last].size {
+				out[last].size = end - out[last].off
 			}
 		} else {
 			out = append(out, e)
 		}
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
 	}
 	return out
+}
+
+// siftDown restores the min-heap order of h, by first offset, below
+// index i.
+func siftDown(h [][]extent, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l][0].off < h[m][0].off {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r][0].off < h[m][0].off {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // twoPhase executes one collective transfer: synchronise, build the
@@ -192,18 +205,14 @@ func (f *File) twoPhase(seq int64, exts []extent, write bool) {
 	// Synchronisation doubling as the offset/shape exchange of real
 	// two-phase implementations: after this, every deposit is visible.
 	var myLo, myHi int64 = 1 << 62, 0
-	for _, e := range exts {
-		if e.off < myLo {
-			myLo = e.off
-		}
-		if e.off+e.size > myHi {
-			myHi = e.off + e.size
-		}
+	if len(exts) > 0 {
+		last := exts[len(exts)-1]
+		myLo, myHi = exts[0].off, last.off+last.size
 	}
 	c.AllreduceInt64(mpi.OpMax, []int64{myHi - myLo})
 
 	if cs.plan == nil {
-		cs.plan = f.makePlan(cs)
+		cs.plan = makePlan(cs.deposits, f.info.Aggregators, f.fs.Config().StripeUnit)
 	}
 	plan := cs.plan
 
@@ -302,7 +311,8 @@ func (f *File) ReadAll(size int64) {
 }
 
 func (f *File) collectiveAccess(off, size int64, data []byte, write bool) {
-	exts := f.view.extents(off, size)
+	exts := f.view.appendExtents(f.extBuf[:0], off, size)
+	f.extBuf = exts
 	if write && data != nil {
 		var cursor int64
 		for _, e := range exts {
@@ -357,7 +367,8 @@ func (f *File) orderedAccess(size int64, data []byte, write bool) {
 	}
 	myOff := cs.orderedBase + prefix
 
-	exts := f.view.extents(myOff, size)
+	exts := f.view.appendExtents(f.extBuf[:0], myOff, size)
+	f.extBuf = exts
 	if write && data != nil {
 		var cursor int64
 		for _, e := range exts {

@@ -115,15 +115,23 @@ func (v View) fileOffset(off int64) int64 {
 type extent struct{ off, size int64 }
 
 // extents expands [off, off+size) of the view into file extents,
-// merging adjacent blocks when the view is contiguous.
+// merging adjacent blocks when the view is contiguous. The result is
+// sorted by offset and its extents are disjoint and non-adjacent; the
+// two-phase plan's merge relies on that.
 func (v View) extents(off, size int64) []extent {
+	return v.appendExtents(nil, off, size)
+}
+
+// appendExtents is extents appending to dst, so a caller can reuse one
+// buffer across accesses.
+func (v View) appendExtents(dst []extent, off, size int64) []extent {
 	if size <= 0 {
-		return nil
+		return dst
 	}
 	if v.BlockLen == v.Stride {
-		return []extent{{v.Disp + off, size}}
+		return append(dst, extent{v.Disp + off, size})
 	}
-	var out []extent
+	first := len(dst)
 	for size > 0 {
 		inBlock := v.BlockLen - off%v.BlockLen
 		n := size
@@ -131,15 +139,15 @@ func (v View) extents(off, size int64) []extent {
 			n = inBlock
 		}
 		fo := v.fileOffset(off)
-		if len(out) > 0 && out[len(out)-1].off+out[len(out)-1].size == fo {
-			out[len(out)-1].size += n
+		if last := len(dst) - 1; last >= first && dst[last].off+dst[last].size == fo {
+			dst[last].size += n
 		} else {
-			out = append(out, extent{fo, n})
+			dst = append(dst, extent{fo, n})
 		}
 		off += n
 		size -= n
 	}
-	return out
+	return dst
 }
 
 // File is an open MPI-I/O file handle. Every rank of the opening
@@ -157,6 +165,12 @@ type File struct {
 	// collSeq numbers this rank's collective calls; MPI's ordering rule
 	// makes the numbers agree across ranks.
 	collSeq int64
+
+	// extBuf backs the extents of this rank's collective calls. The
+	// deposit it holds is read by makePlan, which runs only after every
+	// rank has entered the call's size exchange, and twoPhase ends in a
+	// Barrier, so no rank still reads it when the next call refills it.
+	extBuf []extent
 
 	sh *sharedState
 }

@@ -2,7 +2,9 @@ package mpiio
 
 import (
 	"bytes"
+	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -80,22 +82,33 @@ func TestViewExtentsStrided(t *testing.T) {
 }
 
 func TestViewExtentsQuick(t *testing.T) {
-	f := func(dispRaw, blockRaw, extraRaw uint16, offRaw, sizeRaw uint16) bool {
+	// Besides covering the request, a view's extents ascend strictly and
+	// neither overlap nor touch — the invariant makePlan's merge relies
+	// on — and appendExtents keeps what dst already held.
+	f := func(dispRaw, blockRaw, extraRaw uint16, offRaw, sizeRaw uint16, prefix uint8) bool {
 		disp := int64(dispRaw) % 1000
 		block := int64(blockRaw)%500 + 1
 		stride := block + int64(extraRaw)%500
 		v := View{Disp: disp, BlockLen: block, Stride: stride}
 		off := int64(offRaw) % 5000
 		size := int64(sizeRaw)%5000 + 1
-		exts := v.extents(off, size)
+		dst := make([]extent, int(prefix)%3)
+		for i := range dst {
+			dst[i] = extent{-1, 1}
+		}
+		got := v.appendExtents(dst, off, size)
+		if len(dst) > 0 && got[len(dst)-1] != (extent{-1, 1}) {
+			return false
+		}
+		exts := got[len(dst):]
 		var sum int64
 		for i, e := range exts {
 			sum += e.size
 			if e.size < 1 || e.off < disp {
 				return false
 			}
-			if i > 0 && e.off <= exts[i-1].off {
-				return false // must be strictly increasing
+			if i > 0 && e.off <= exts[i-1].off+exts[i-1].size {
+				return false // must be strictly increasing, disjoint and non-adjacent
 			}
 		}
 		// Total bytes covered equals the request, and first byte maps
@@ -369,7 +382,12 @@ func TestDeleteOnClose(t *testing.T) {
 }
 
 func TestMergeExtents(t *testing.T) {
-	got := mergeExtents([]extent{{10, 5}, {0, 5}, {5, 5}, {30, 2}, {15, 1}})
+	got := unionSorted([][]extent{
+		{{0, 5}, {10, 5}},
+		{{5, 5}, {30, 2}},
+		nil,
+		{{15, 1}},
+	})
 	want := []extent{{0, 16}, {30, 2}}
 	if len(got) != len(want) {
 		t.Fatalf("merged = %+v", got)
@@ -382,31 +400,159 @@ func TestMergeExtents(t *testing.T) {
 }
 
 func TestMergeExtentsQuick(t *testing.T) {
-	f := func(raw []uint16) bool {
-		var exts []extent
-		for i := 0; i+1 < len(raw); i += 2 {
-			exts = append(exts, extent{int64(raw[i]), int64(raw[i+1])%100 + 1})
-		}
-		var total int64
+	// Property: the union of several offset-sorted lists covers exactly
+	// the bytes its inputs cover, as ascending, disjoint, non-adjacent
+	// extents.
+	f := func(raw []uint16, listsRaw uint8) bool {
+		lists := make([][]extent, int(listsRaw)%6+1)
 		covered := map[int64]bool{}
-		for _, e := range exts {
+		for i := 0; i+1 < len(raw); i += 2 {
+			e := extent{int64(raw[i]), int64(raw[i+1])%100 + 1}
+			l := i / 2 % len(lists)
+			lists[l] = append(lists[l], e)
 			for b := e.off; b < e.off+e.size; b++ {
 				covered[b] = true
 			}
 		}
-		total = int64(len(covered))
-		merged := mergeExtents(exts)
+		for _, l := range lists {
+			sort.Slice(l, func(i, j int) bool { return l[i].off < l[j].off })
+		}
+		merged := unionSorted(lists)
 		var sum int64
 		for i, e := range merged {
 			sum += e.size
 			if i > 0 && e.off <= merged[i-1].off+merged[i-1].size {
-				return false // must be disjoint, non-adjacent not required but non-overlapping
+				return false // must be ascending, disjoint and non-adjacent
 			}
 		}
-		return sum == total
+		return sum == int64(len(covered))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refPlan is the two-phase plan built the direct way: every deposit
+// clipped to every domain, then each domain's clips sorted and merged.
+// makePlan must match it exactly.
+func refPlan(deposits [][]extent, aggregators int, stripe int64) *tpPlan {
+	size := len(deposits)
+	var lo, hi int64 = -1, 0
+	for _, exts := range deposits {
+		for _, e := range exts {
+			if lo < 0 || e.off < lo {
+				lo = e.off
+			}
+			if e.off+e.size > hi {
+				hi = e.off + e.size
+			}
+		}
+	}
+	plan := &tpPlan{send: countMatrix(size), recv: countMatrix(size), runs: make([][]extent, size)}
+	if lo < 0 || hi <= lo {
+		return plan
+	}
+	aggs := aggregatorRanks(aggregators, size)
+	chunk := (hi - lo + int64(len(aggs)) - 1) / int64(len(aggs))
+	if rem := chunk % stripe; rem != 0 {
+		chunk += stripe - rem
+	}
+	for i, agg := range aggs {
+		dlo := lo + int64(i)*chunk
+		dhi := minI64(dlo+chunk, hi)
+		if dlo >= dhi {
+			continue
+		}
+		var clipped []extent
+		for r, exts := range deposits {
+			var bytes int64
+			for _, e := range exts {
+				s, t := maxI64(e.off, dlo), minI64(e.off+e.size, dhi)
+				if t > s {
+					bytes += t - s
+					clipped = append(clipped, extent{s, t - s})
+				}
+			}
+			plan.send[r][agg] += bytes
+			plan.recv[agg][r] += bytes
+		}
+		if len(clipped) == 0 {
+			continue
+		}
+		sort.Slice(clipped, func(i, j int) bool { return clipped[i].off < clipped[j].off })
+		runs := clipped[:1]
+		for _, e := range clipped[1:] {
+			last := &runs[len(runs)-1]
+			if e.off > last.off+last.size {
+				runs = append(runs, e)
+			} else if end := e.off + e.size; end > last.off+last.size {
+				last.size = end - last.off
+			}
+		}
+		plan.runs[agg] = runs
+	}
+	return plan
+}
+
+func TestTwoPhasePlanMatchesReference(t *testing.T) {
+	// Differential property: on random strided deposits — views that
+	// overlap across ranks, empty deposits, domains no byte falls in —
+	// the merged plan equals the clip-sort-merge reference.
+	rng := rand.New(rand.NewSource(1))
+	var sawEmptyDeposit, sawIdleDomain, sawOverlap bool
+	for iter := 0; iter < 3000; iter++ {
+		n := rng.Intn(8) + 1
+		deposits := make([][]extent, n)
+		for r := range deposits {
+			if rng.Intn(5) == 0 {
+				sawEmptyDeposit = true
+				continue // this rank moves nothing
+			}
+			block := rng.Int63n(4*kB) + 1
+			v := View{Disp: rng.Int63n(256 * kB), BlockLen: block, Stride: block * (rng.Int63n(int64(n)) + 1)}
+			if rng.Intn(4) == 0 {
+				v.Stride += rng.Int63n(kB)
+			}
+			deposits[r] = v.appendExtents(nil, rng.Int63n(64*kB), rng.Int63n(128*kB))
+		}
+		aggregators := rng.Intn(n+2) + 1
+		stripe := rng.Int63n(8*kB) + 1
+		got := makePlan(deposits, aggregators, stripe)
+		want := refPlan(deposits, aggregators, stripe)
+		for r := 0; r < n; r++ {
+			for d := 0; d < n; d++ {
+				if got.send[r][d] != want.send[r][d] || got.recv[r][d] != want.recv[r][d] {
+					t.Fatalf("iter %d: send/recv[%d][%d] = %d/%d, want %d/%d", iter, r, d,
+						got.send[r][d], got.recv[r][d], want.send[r][d], want.recv[r][d])
+				}
+			}
+			if len(got.runs[r]) != len(want.runs[r]) {
+				t.Fatalf("iter %d: rank %d runs %v, want %v", iter, r, got.runs[r], want.runs[r])
+			}
+			for i := range want.runs[r] {
+				if got.runs[r][i] != want.runs[r][i] {
+					t.Fatalf("iter %d: rank %d run %d = %v, want %v", iter, r, i, got.runs[r][i], want.runs[r][i])
+				}
+			}
+		}
+		var moved, covered int64
+		for r := 0; r < n; r++ {
+			for _, e := range deposits[r] {
+				moved += e.size
+			}
+			for _, e := range want.runs[r] {
+				covered += e.size
+			}
+		}
+		sawOverlap = sawOverlap || covered < moved
+		for _, agg := range aggregatorRanks(aggregators, n) {
+			if len(want.runs[agg]) == 0 {
+				sawIdleDomain = true
+			}
+		}
+	}
+	if !sawEmptyDeposit || !sawIdleDomain || !sawOverlap {
+		t.Fatalf("cases lack coverage: empty deposit %v, idle domain %v, overlap %v", sawEmptyDeposit, sawIdleDomain, sawOverlap)
 	}
 }
 
@@ -499,7 +645,7 @@ func TestTwoPhasePlanConservesBytes(t *testing.T) {
 			cs.deposits[c.Rank()] = exts
 			c.Barrier() // everyone deposited
 			if c.Rank() == 0 {
-				plan := file.makePlan(cs)
+				plan := makePlan(cs.deposits, file.info.Aggregators, fs.Config().StripeUnit)
 				var sent, recvd, covered int64
 				for r := 0; r < n; r++ {
 					for _, b := range plan.send[r] {
