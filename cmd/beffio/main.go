@@ -85,6 +85,10 @@ func main() {
 		c.UsageErr("-workload and -sweep are mutually exclusive")
 	case len(tableOnly) > 0:
 		c.UsageErr("%s describe the Table-2 benchmark, not -workload runs", strings.Join(tableOnly, ", "))
+	case *wlJSON && *wlPath == "":
+		c.UsageErr("-json needs -workload")
+	case *wlJSON && c.Reps > 1:
+		c.UsageErr("-json prints one run, not -reps %d", c.Reps)
 	}
 	var sizes []int
 	if *sweep != "" {
@@ -176,7 +180,6 @@ func main() {
 	if *wlPath != "" {
 		spec, err := workload.ParseFile(*wlPath)
 		c.Fatal(err)
-		c.Fatal(spec.Runnable())
 
 		runWL := func(perturbSeed int64) *workload.Result {
 			w, fs, err := setupWith(perturbSeed)(c.Procs)

@@ -182,22 +182,26 @@ func TestWorkloadJSONOutputIsDeterministic(t *testing.T) {
 
 // TestWorkloadFlagConflictsRejected: -sweep and each Table-2 option
 // set explicitly next to -workload is a usage error naming the flag,
-// never an ignored ablation.
+// never an ignored ablation; so is -json, which encodes one workload
+// run, without -workload or with -reps > 1.
 func TestWorkloadFlagConflictsRejected(t *testing.T) {
 	spec := workloadSpec(t)
+	wl := func(flags ...string) []string { return append([]string{"-workload", spec}, flags...) }
 	for _, tc := range []struct {
 		flags []string
 		want  string
 	}{
-		{[]string{"-sweep", "2,4"}, "-workload and -sweep"},
-		{[]string{"-detail"}, "-detail describe"},
-		{[]string{"-T", "1"}, "-T describe"},
-		{[]string{"-geometric"}, "-geometric describe"},
-		{[]string{"-no-collective-buffering"}, "-no-collective-buffering describe"},
-		{[]string{"-skip-type3"}, "-skip-type3 describe"},
-		{[]string{"-maxreps", "1"}, "-maxreps describe"},
+		{wl("-sweep", "2,4"), "-workload and -sweep"},
+		{wl("-detail"), "-detail describe"},
+		{wl("-T", "1"), "-T describe"},
+		{wl("-geometric"), "-geometric describe"},
+		{wl("-no-collective-buffering"), "-no-collective-buffering describe"},
+		{wl("-skip-type3"), "-skip-type3 describe"},
+		{wl("-maxreps", "1"), "-maxreps describe"},
+		{wl("-reps", "2", "-json"), "-json prints one run"},
+		{[]string{"-T", "0.05", "-json"}, "-json needs -workload"},
 	} {
-		args := append([]string{"-config", tinyConfig(t), "-procs", "2", "-workload", spec}, tc.flags...)
+		args := append([]string{"-config", tinyConfig(t), "-procs", "2"}, tc.flags...)
 		out, code := run(t, args...)
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2", tc.flags, code)

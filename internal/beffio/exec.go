@@ -109,7 +109,7 @@ func (st *runState) runPattern(f *mpiio.File, t PatternType, m AccessMethod, p P
 	reps := 1
 	if t == Segmented || t == SegmentedColl {
 		base, segment, wrap = st.segPatOffset(idx), st.segmentSize, 0
-		if l == workload.FillUp {
+		if l == FillUp {
 			l = segment - base // positive: computeSegmentSize rounds up past the rows
 		} else {
 			reps = st.segReps(idx)

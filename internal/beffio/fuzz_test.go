@@ -2,8 +2,6 @@ package beffio
 
 import (
 	"testing"
-
-	"github.com/hpcbench/beff/internal/workload"
 )
 
 // FuzzTable2 checks that the resolved pattern table keeps the paper's
@@ -36,8 +34,8 @@ func FuzzTable2(f *testing.F) {
 			if p.U > 0 {
 				timed++
 			}
-			if p.DiskChunk == workload.FillUp {
-				if p.MemChunk != workload.FillUp || p.U != 0 {
+			if p.DiskChunk == FillUp {
+				if p.MemChunk != FillUp || p.U != 0 {
 					t.Fatalf("pattern %d: malformed fill-up row %+v", i, p)
 				}
 				if p.Type != Segmented && p.Type != SegmentedColl {
@@ -101,7 +99,7 @@ func FuzzSegmentLayout(f *testing.F) {
 			writtenReps: map[int]int{},
 		}
 		for _, p := range defs {
-			if p.DiskChunk == workload.FillUp {
+			if p.DiskChunk == FillUp {
 				continue
 			}
 			st.writtenReps[p.Num-16] = next() // type-1 sibling

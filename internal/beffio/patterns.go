@@ -74,8 +74,8 @@ type Pattern struct {
 	Num int
 	// Type is the pattern's family.
 	Type PatternType
-	// DiskChunk is l, the contiguous chunk on disk (workload.FillUp for
-	// the fill-up-segment pattern).
+	// DiskChunk is l, the contiguous chunk on disk (FillUp for the
+	// fill-up-segment pattern).
 	DiskChunk int64
 	// MemChunk is L, the contiguous chunk in memory handled per call;
 	// equal to DiskChunk except in the scatter type.
@@ -84,8 +84,9 @@ type Pattern struct {
 	// all patterns). U = 0 patterns run exactly once: they establish
 	// state (first pattern of each type, and the segment fill-up).
 	U int
-	// Wellformed reports whether the chunk size is a power of two
-	// (false for the +8-byte variants).
+	// Wellformed reports whether the chunk size is one of the paper's
+	// aligned sizes: a power of two or M_PART (false for the +8-byte
+	// variants).
 	Wellformed bool
 }
 
@@ -102,7 +103,7 @@ func (p Pattern) String() string {
 }
 
 // typeLeaves is the Table-2 correspondence between pattern types and
-// the workload leaf shapes that generate and execute them.
+// the workload leaf shapes that execute them.
 var typeLeaves = [NumTypes]struct {
 	op         string
 	collective bool
@@ -114,41 +115,61 @@ var typeLeaves = [NumTypes]struct {
 	SegmentedColl: {workload.OpSegmented, true},
 }
 
-// patternTypeOf maps a workload table row to the pattern family.
-func patternTypeOf(r workload.TableRow) (PatternType, error) {
-	for t, leaf := range typeLeaves {
-		if leaf.op == r.Op && leaf.collective == r.Collective {
-			return PatternType(t), nil
-		}
-	}
-	return 0, fmt.Errorf("beffio: no pattern type for workload op %q", r.Op)
-}
+// FillUp is the DiskChunk and MemChunk of the segment fill-up pattern:
+// "fill the rest of the segment".
+const FillUp = int64(-1)
 
 // Table2 builds the full pattern list of the paper's Table 2 for a
-// given M_PART = max(2 MB, node memory / 128). The table is generated
-// from the workload grammar (workload.Table2Spec) — Table 2 is just
-// one canned spec. The returned slice has 43 entries numbered 0..42;
+// given M_PART = max(2 MB, node memory / 128): nine scatter rows, then
+// one chunk ladder shared by types 1-4, with a fill-up row after each
+// segmented type. The returned slice has 43 entries numbered 0..42;
 // exactly 36 have U > 0 (the "36 different patterns" of §3.2) and the
 // Us sum to 64.
 func Table2(mpart int64) []Pattern {
-	rows, err := workload.Table2Spec(mpart).TableRows()
-	if err != nil {
-		panic(err) // the canned spec is table-style by construction
+	type row struct {
+		l, L int64
+		u    int
+		wf   bool
 	}
-	out := make([]Pattern, 0, len(rows))
-	for _, r := range rows {
-		t, err := patternTypeOf(r)
-		if err != nil {
-			panic(err)
+	out := make([]Pattern, 0, 43)
+	add := func(t PatternType, r row) {
+		out = append(out, Pattern{Num: len(out), Type: t, DiskChunk: r.l, MemChunk: r.L, U: r.u, Wellformed: r.wf})
+	}
+	for _, r := range []row{
+		{1 * mB, 1 * mB, 0, true},
+		{mpart, mpart, 4, true},
+		{1 * mB, 2 * mB, 4, true},
+		{1 * mB, 1 * mB, 4, true},
+		{32 * kB, 1 * mB, 2, true},
+		{1 * kB, 1 * mB, 2, true},
+		{32*kB + 8, 1*mB + 256, 2, false},
+		{1*kB + 8, 1*mB + 8*kB, 2, false},
+		{1*mB + 8, 1*mB + 8, 2, false},
+	} {
+		add(Scatter, r)
+	}
+	for t := SharedColl; t <= SegmentedColl; t++ {
+		// Only the M_PART row's U differs between the types.
+		mpartU := 2
+		if t == SharedColl {
+			mpartU = 4
 		}
-		out = append(out, Pattern{
-			Num:        len(out),
-			Type:       t,
-			DiskChunk:  r.Chunk,
-			MemChunk:   r.Mem,
-			U:          r.U,
-			Wellformed: r.Wellformed,
-		})
+		for _, r := range []row{
+			{l: 1 * mB, u: 0, wf: true},
+			{l: mpart, u: mpartU, wf: true},
+			{l: 1 * mB, u: 2, wf: true},
+			{l: 32 * kB, u: 1, wf: true},
+			{l: 1 * kB, u: 1, wf: true},
+			{l: 32*kB + 8, u: 1},
+			{l: 1*kB + 8, u: 1},
+			{l: 1*mB + 8, u: 2},
+		} {
+			r.L = r.l
+			add(t, r)
+		}
+		if t == Segmented || t == SegmentedColl {
+			add(t, row{FillUp, FillUp, 0, true})
+		}
 	}
 	return out
 }

@@ -3,8 +3,6 @@ package beffio
 import (
 	"testing"
 	"testing/quick"
-
-	"github.com/hpcbench/beff/internal/workload"
 )
 
 func TestTable2Structure(t *testing.T) {
@@ -95,7 +93,7 @@ func TestTable2ScatterChunksPerCallExact(t *testing.T) {
 	// The non-wellformed scatter rows are constructed so L/l is an
 	// integer: 32 chunks of 32kB+8 = 1MB+256B etc.
 	for _, p := range Table2(2 * mB) {
-		if p.Type != Scatter || p.DiskChunk == workload.FillUp {
+		if p.Type != Scatter || p.DiskChunk == FillUp {
 			continue
 		}
 		k := p.ChunksPerCall()
@@ -107,7 +105,7 @@ func TestTable2ScatterChunksPerCallExact(t *testing.T) {
 
 func TestTable2NonScatterLEqualsDisk(t *testing.T) {
 	for _, p := range Table2(2 * mB) {
-		if p.Type == Scatter || p.DiskChunk == workload.FillUp {
+		if p.Type == Scatter || p.DiskChunk == FillUp {
 			continue
 		}
 		if p.MemChunk != p.DiskChunk {
@@ -116,15 +114,20 @@ func TestTable2NonScatterLEqualsDisk(t *testing.T) {
 	}
 }
 
+// TestTable2WellformedFlags: a row is wellformed when its chunk is a
+// power of two or M_PART, so at a non-power-of-two M_PART the M_PART
+// rows stay wellformed.
 func TestTable2WellformedFlags(t *testing.T) {
-	for _, p := range Table2(2 * mB) {
-		if p.DiskChunk == workload.FillUp {
-			continue
-		}
-		isPow2 := p.DiskChunk&(p.DiskChunk-1) == 0
-		if p.Wellformed != isPow2 {
-			t.Errorf("pattern %d: wellformed=%v but chunk %d pow2=%v",
-				p.Num, p.Wellformed, p.DiskChunk, isPow2)
+	for _, mpart := range []int64{2 * mB, 3 * mB} {
+		for _, p := range Table2(mpart) {
+			if p.DiskChunk == FillUp {
+				continue
+			}
+			want := p.DiskChunk&(p.DiskChunk-1) == 0 || p.DiskChunk == mpart
+			if p.Wellformed != want {
+				t.Errorf("M_PART %d, pattern %d: wellformed=%v for chunk %d, want %v",
+					mpart, p.Num, p.Wellformed, p.DiskChunk, want)
+			}
 		}
 	}
 }
@@ -132,7 +135,7 @@ func TestTable2WellformedFlags(t *testing.T) {
 func TestTable2FillUpPatterns(t *testing.T) {
 	pats := Table2(2 * mB)
 	for _, num := range []int{33, 42} {
-		if pats[num].DiskChunk != workload.FillUp || pats[num].U != 0 {
+		if pats[num].DiskChunk != FillUp || pats[num].U != 0 {
 			t.Errorf("pattern %d should be the U=0 fill-up, got %+v", num, pats[num])
 		}
 	}

@@ -174,17 +174,29 @@ func TestGoldenRobustness(t *testing.T) {
 	}
 }
 
-// TestGoldenPatternTable pins the b_eff_io pattern table itself (the
-// resolved Table 2 for the 2 MB M_PART floor): the scheduling quota is
-// part of the benchmark's definition, not an implementation detail.
+// TestGoldenPatternTable pins the b_eff_io pattern table itself: the
+// scheduling quota is part of the benchmark's definition, not an
+// implementation detail. Two M_PARTs are pinned: the 2 MB floor, and
+// the 3 MB of a machine with 384 MB per process on one-process nodes,
+// where the M_PART rows are not a power of two yet stay wellformed.
 func TestGoldenPatternTable(t *testing.T) {
-	pats := beffio.Table2(2 << 20)
-	c := check.New()
-	c.VerifyPatternTable(pats)
-	if err := c.Finish(); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		mpart int64
+	}{
+		{"patterntable_2mb.json", 2 << 20},
+		{"patterntable_3mb.json", (&machine.Profile{MemoryPerProc: 384 << 20, SMPNodeSize: 1}).MPart()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pats := beffio.Table2(c.mpart)
+			chk := check.New()
+			chk.VerifyPatternTable(pats)
+			if err := chk.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			goldenCompare(t, c.name, pats)
+		})
 	}
-	goldenCompare(t, "patterntable_2mb.json", pats)
 }
 
 // goldenBeffIOOptionCells pins the b_eff_io option paths the default

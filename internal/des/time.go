@@ -49,7 +49,9 @@ func DurationOf(seconds float64) Duration {
 	if !(seconds > 0) { // catches negatives and NaN
 		return 0
 	}
-	return Duration(seconds*float64(Second) + 0.5)
+	// The explicit float64() rounds the product before the add, so no
+	// architecture fuses the two into one FMA with a different result.
+	return Duration(float64(seconds*float64(Second)) + 0.5)
 }
 
 func (d Duration) String() string {

@@ -14,7 +14,6 @@ import (
 	"github.com/hpcbench/beff/internal/beffio"
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/simnet"
-	"github.com/hpcbench/beff/internal/workload"
 )
 
 // Table1Row is one line of the paper's Table 1.
@@ -196,7 +195,7 @@ func BeffIOProtocol(res *beffio.Result) string {
 			}
 			for _, pm := range tr.Patterns {
 				l := fmt.Sprint(pm.Pattern.DiskChunk)
-				if pm.Pattern.DiskChunk == workload.FillUp {
+				if pm.Pattern.DiskChunk == beffio.FillUp {
 					l = "fill-up"
 				}
 				fmt.Fprintf(tw, "  %d\t%d\t%s\t%d\t%d\t%d\t%.2f\t%.4f\t%.2f\t\n",

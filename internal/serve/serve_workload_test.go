@@ -96,8 +96,9 @@ func TestWorkloadCanonicalizationSharesCache(t *testing.T) {
 
 // TestWorkloadValidation covers the admission rules of the workload
 // field: required for bench "workload", rejected elsewhere, and specs
-// are validated — including the table-only fill-up, u and wellformed
-// fields — before any cell is admitted.
+// are validated — including Table 2's fill-up, u and wellformed
+// notation, which the grammar does not carry — before any cell is
+// admitted.
 func TestWorkloadValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {

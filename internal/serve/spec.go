@@ -169,11 +169,6 @@ func (r *SweepRequest) validate() error {
 		if err := r.Workload.Validate(); err != nil {
 			return err
 		}
-		// Fill-up chunks are table notation; the executor would reject
-		// them per cell, but admission is the right place to say so.
-		if err := r.Workload.Runnable(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

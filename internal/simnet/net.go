@@ -202,7 +202,7 @@ func (n *Net) scaleOverheadSlow(d des.Duration, proc int) des.Duration {
 		}
 	}
 	if f > 1 {
-		return des.Duration(float64(d)*f + 0.5)
+		return des.Duration(float64(float64(d)*f) + 0.5) // float64(): no FMA
 	}
 	return d
 }

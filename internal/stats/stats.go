@@ -78,7 +78,7 @@ func WeightedMean(xs, ws []float64) float64 {
 	}
 	var sx, sw float64
 	for i := range xs {
-		sx += xs[i] * ws[i]
+		sx += float64(xs[i] * ws[i]) // float64(): no FMA
 		sw += ws[i]
 	}
 	if sw == 0 {
@@ -145,7 +145,7 @@ func StdDev(xs ...float64) float64 {
 	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d) // float64(): no FMA
 	}
 	return math.Sqrt(ss / float64(len(xs)))
 }

@@ -12,16 +12,12 @@ import (
 // the size/depth bounds guarantee no accepted spec can explode the
 // executor.
 func FuzzParseWorkload(f *testing.F) {
-	// Seed corpus: the Table-2 encoding at two M_PART values plus one
-	// spec per grammar construct and a few near-miss invalids.
-	for _, mpart := range []int64{2 << 20, 32 << 20} {
-		j, err := json.Marshal(Table2Spec(mpart))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(j)
-	}
+	// Seed corpus: one spec per grammar construct and a few near-miss
+	// invalids, among them Table 2's notation (u, wellformed, the -1
+	// fill-up chunk), which the grammar does not carry.
 	for _, s := range []string{
+		`{"name":"w","phases":[{"name":"p","pattern":{"op":"seq","nodes":[{"op":"strided","chunk":1024,"mem":1048576,"u":2}]}}]}`,
+		`{"name":"w","phases":[{"name":"p","pattern":{"op":"shared","chunk":1056,"wellformed":false}}]}`,
 		`{"name":"w","phases":[{"name":"p","pattern":{"op":"strided","count":2,"chunk":1024,"mem":4096}}]}`,
 		`{"name":"w","seed":7,"phases":[{"name":"p","pattern":{"op":"bursty","count":2,"burst":3,"gap_ms":5,"body":{"op":"shared","count":2,"chunk":32768}}}]}`,
 		`{"name":"w","phases":[{"name":"p","pattern":{"op":"mix","count":4,"read_fraction":0.5,"body":{"op":"segmented","count":2,"chunk":16384,"collective":true}}}]}`,
@@ -71,7 +67,7 @@ func FuzzParseWorkload(f *testing.F) {
 }
 
 // FuzzRunWorkload holds the executor to the promise Validate makes:
-// any accepted, runnable spec executes without panicking or failing,
+// any accepted spec executes without panicking or failing,
 // and two runs of it produce byte-identical results. Specs are capped
 // at 256 leaf operations so each input simulates quickly.
 func FuzzRunWorkload(f *testing.F) {
@@ -86,7 +82,7 @@ func FuzzRunWorkload(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)
-		if err != nil || s.Runnable() != nil {
+		if err != nil {
 			return
 		}
 		var ops int64

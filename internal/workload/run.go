@@ -63,9 +63,6 @@ func Run(w mpi.WorldConfig, fs *simfs.FS, spec *Spec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if err := spec.Runnable(); err != nil {
-		return nil, err
-	}
 	var res *Result
 	err := mpi.Run(w, func(c *mpi.Comm) {
 		r := runBody(c, fs, spec)
@@ -77,44 +74,6 @@ func Run(w mpi.WorldConfig, fs *simfs.FS, spec *Spec) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// Runnable reports whether the streaming executor can run the spec.
-// A valid spec may still be table-only (fill-up chunks, the u time
-// units, wellformed overrides); callers that admit specs for
-// execution — the HTTP API, the CLI — should reject such specs up
-// front rather than at run time.
-func (s *Spec) Runnable() error {
-	for _, ph := range s.Phases {
-		if err := checkRunnable(ph.Pattern); err != nil {
-			return fmt.Errorf("workload: phase %q: %w", ph.Name, err)
-		}
-	}
-	return nil
-}
-
-// checkRunnable rejects the table-only constructs the streaming
-// executor has no semantics for. Accepting and ignoring them would
-// also split identical traffic across cache entries, since the spec
-// is part of the cell fingerprint.
-func checkRunnable(n *Node) error {
-	if n == nil {
-		return nil
-	}
-	switch {
-	case n.Chunk == FillUp:
-		return fmt.Errorf("fill-up chunks are only meaningful in table-style specs (see TableRows)")
-	case n.U != 0:
-		return fmt.Errorf("u schedules table-style specs only; the streaming executor runs count-driven")
-	case n.Wellformed != nil:
-		return fmt.Errorf("wellformed classifies table-style rows only (see TableRows)")
-	}
-	for _, c := range n.Nodes {
-		if err := checkRunnable(c); err != nil {
-			return err
-		}
-	}
-	return checkRunnable(n.Body)
 }
 
 // execState is the per-rank walk state; every field that influences

@@ -1,9 +1,10 @@
 // Package workload defines a composable I/O workload grammar: a small
-// pattern AST that subsumes the paper's Table 2 (every b_eff_io access
-// pattern is one canned instance, see Table2Spec) and extends past it
-// into the what-if space modern I/O characterization needs — bursty
-// phases, mixed read/write ratios, and Zipf-skewed hot-file access —
-// while staying seeded and byte-deterministic.
+// pattern AST for what-if I/O exploration past the paper's fixed
+// Table 2 — bursty phases, mixed read/write ratios, and Zipf-skewed
+// hot-file access — while staying seeded and byte-deterministic. Its
+// leaves are the access shapes of the b_eff_io pattern types, and
+// internal/beffio runs Table 2 through the same leaf kernel (Place),
+// but the table itself, with its time units, is built in beffio.
 //
 // A Spec is a list of named phases; each phase holds one pattern tree.
 // Leaves are the four access shapes of the paper's Fig. 2 family:
@@ -47,12 +48,6 @@ const (
 	OpSeparate  = "separate"
 	OpSegmented = "segmented"
 )
-
-// FillUp is the special Chunk value of the paper's segment fill-up
-// pattern: "fill the rest of the segment". It is only meaningful in
-// table-style specs (see Spec.TableRows); the streaming executor
-// rejects it.
-const FillUp = int64(-1)
 
 // Validation bounds. They keep parsed specs small enough that
 // compiling and simulating one is always cheap, and they are what the
@@ -145,23 +140,6 @@ type Node struct {
 	// file population it draws from.
 	Theta float64 `json:"theta,omitempty"`
 	Files int     `json:"files,omitempty"`
-
-	// U is the b_eff_io time-unit column of Table 2; only table-style
-	// specs use it (the streaming executor runs count-driven).
-	U int `json:"u,omitempty"`
-
-	// Wellformed overrides the chunk-alignment classification of a
-	// table row; nil derives it (power-of-two chunk ⇒ wellformed).
-	Wellformed *bool `json:"wellformed,omitempty"`
-}
-
-// IsLeaf reports whether the node is an access leaf.
-func (n *Node) IsLeaf() bool {
-	switch n.Op {
-	case OpStrided, OpShared, OpSeparate, OpSegmented:
-		return true
-	}
-	return false
 }
 
 // Normalize applies defaults in place: Seed 1 and Count 1 where zero.
@@ -252,7 +230,7 @@ func validateNode(n *Node, depth int, nodes *int) error {
 		return fmt.Errorf("more than %d nodes", MaxNodes)
 	}
 	leafOnly := func() error {
-		if n.Chunk != 0 || n.Mem != 0 || n.Collective || n.Read || n.U != 0 || n.Wellformed != nil {
+		if n.Chunk != 0 || n.Mem != 0 || n.Collective || n.Read {
 			return fmt.Errorf("%s node carries leaf-only fields", n.Op)
 		}
 		return nil
@@ -355,19 +333,12 @@ func validateNode(n *Node, depth int, nodes *int) error {
 		if n.Count < 1 || n.Count > MaxCount {
 			return fmt.Errorf("%s count %d outside [1,%d]", n.Op, n.Count, MaxCount)
 		}
-		if n.Chunk == FillUp {
-			if n.Op != OpSegmented {
-				return fmt.Errorf("fill-up chunk is only valid on segmented leaves")
-			}
-		} else if n.Chunk < 1 || n.Chunk > MaxChunk {
+		if n.Chunk < 1 || n.Chunk > MaxChunk {
 			return fmt.Errorf("%s chunk %d outside [1,%d]", n.Op, n.Chunk, MaxChunk)
 		}
 		if n.Mem != 0 {
 			if n.Op != OpStrided {
 				return fmt.Errorf("mem is only valid on strided leaves")
-			}
-			if n.Chunk == FillUp {
-				return fmt.Errorf("mem on a fill-up leaf")
 			}
 			if n.Mem < n.Chunk || n.Mem > MaxChunk || n.Mem%n.Chunk != 0 {
 				return fmt.Errorf("mem %d must be a multiple of chunk %d within [chunk,%d]", n.Mem, n.Chunk, MaxChunk)
@@ -378,9 +349,6 @@ func validateNode(n *Node, depth int, nodes *int) error {
 		}
 		if n.Collective && n.Op != OpSegmented {
 			return fmt.Errorf("collective flag is only valid on segmented leaves (strided and shared are always collective)")
-		}
-		if n.U < 0 || n.U > 64 {
-			return fmt.Errorf("u %d outside [0,64]", n.U)
 		}
 		return nil
 	case "":
@@ -424,6 +392,3 @@ func opsEstimate(n *Node) int64 {
 		return int64(n.Count)
 	}
 }
-
-// isPow2 reports whether v is a positive power of two.
-func isPow2(v int64) bool { return v > 0 && v&(v-1) == 0 }

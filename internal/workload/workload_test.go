@@ -3,7 +3,6 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -26,7 +25,6 @@ func TestValidateAcceptsCanonicalForms(t *testing.T) {
 		{Op: OpShared, Chunk: 32 * kB, Read: true},
 		{Op: OpSeparate, Chunk: 1 * mB},
 		{Op: OpSegmented, Chunk: 64 * kB, Collective: true},
-		{Op: OpSegmented, Chunk: FillUp},
 		{Op: OpSeq, Nodes: []*Node{{Op: OpShared, Chunk: 1 * kB}, {Op: OpSeparate, Chunk: 2 * kB}}},
 		{Op: OpRepeat, Count: 3, Body: &Node{Op: OpShared, Chunk: 1 * kB}},
 		{Op: OpBursty, Count: 2, Burst: 4, GapMS: 10, Body: &Node{Op: OpStrided, Chunk: 1 * kB}},
@@ -49,12 +47,11 @@ func TestValidateRejectsMalformedNodes(t *testing.T) {
 		{"chunk missing", &Node{Op: OpShared}},
 		{"chunk negative", &Node{Op: OpShared, Chunk: -2}},
 		{"chunk too big", &Node{Op: OpShared, Chunk: MaxChunk + 1}},
-		{"fillup outside segmented", &Node{Op: OpShared, Chunk: FillUp}},
+		{"fill-up chunk", &Node{Op: OpSegmented, Chunk: -1}},
 		{"mem on shared", &Node{Op: OpShared, Chunk: 1 * kB, Mem: 2 * kB}},
 		{"mem not multiple", &Node{Op: OpStrided, Chunk: 1000, Mem: 2500}},
 		{"mem spans too many chunks", &Node{Op: OpStrided, Chunk: 1, Mem: 2 * MaxChunksPerCall}},
 		{"collective on shared", &Node{Op: OpShared, Chunk: 1 * kB, Collective: true}},
-		{"u out of range", &Node{Op: OpShared, Chunk: 1 * kB, U: 65}},
 		{"seq without children", &Node{Op: OpSeq}},
 		{"seq with nil child", &Node{Op: OpSeq, Nodes: []*Node{nil}}},
 		{"seq with count", &Node{Op: OpSeq, Count: 2, Nodes: []*Node{{Op: OpShared, Chunk: 1}}}},
@@ -159,75 +156,26 @@ func TestParseCanonicalizes(t *testing.T) {
 	}
 }
 
-func TestTable2SpecIsValid(t *testing.T) {
-	s := Table2Spec(2 * mB)
-	if err := s.Validate(); err != nil {
-		t.Fatalf("Table2Spec invalid: %v", err)
-	}
-	rows, err := s.TableRows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 43 {
-		t.Fatalf("Table 2 has %d rows, want 43", len(rows))
-	}
-	sumU, timed := 0, 0
-	for _, r := range rows {
-		sumU += r.U
-		if r.U > 0 {
-			timed++
-		}
-	}
-	if sumU != 64 || timed != 36 {
-		t.Fatalf("ΣU = %d (want 64), %d timed rows (want 36)", sumU, timed)
-	}
-	// The canned spec round-trips through its own JSON encoding.
-	j, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(j)
-	if err != nil {
-		t.Fatalf("Table2Spec JSON does not re-parse: %v", err)
-	}
-	j2, _ := json.Marshal(back)
-	if !bytes.Equal(j, j2) {
-		t.Fatal("Table2Spec JSON round-trip is not a fixed point")
-	}
-}
-
-func TestTableRowsRejectsComposites(t *testing.T) {
-	s := leafSpec(&Node{Op: OpRepeat, Count: 2, Body: &Node{Op: OpShared, Chunk: 1 * kB}})
-	if _, err := s.TableRows(); err == nil || !strings.Contains(err.Error(), "not table-style") {
-		t.Fatalf("composite spec flattened: %v", err)
-	}
-}
-
 func TestRunRejectsFillUpLeaves(t *testing.T) {
-	s := leafSpec(&Node{Op: OpSegmented, Chunk: FillUp})
+	s := leafSpec(&Node{Op: OpSegmented, Chunk: -1})
 	if _, err := Run(testWorld(t, 2), testFS(t), s); err == nil {
 		t.Fatal("fill-up leaf executed, want error")
 	}
 }
 
-// TestRunnableRejectsTableOnlyFields: u and wellformed only mean
-// something to table-style specs, so the streaming executor refuses
-// leaves that carry them instead of silently ignoring them.
-func TestRunnableRejectsTableOnlyFields(t *testing.T) {
+// TestParseRejectsTableOnlyFields: the paper's Table 2 is built in
+// internal/beffio, so its time units (u), wellformed flags and fill-up
+// chunk (-1) are not part of the grammar; a spec carrying one is
+// rejected at Parse instead of silently ignored.
+func TestParseRejectsTableOnlyFields(t *testing.T) {
 	for _, js := range []string{
 		`{"name":"w","phases":[{"name":"p","pattern":{"op":"shared","chunk":1024,"count":2,"u":40}}]}`,
 		`{"name":"w","phases":[{"name":"p","pattern":{"op":"shared","chunk":1024,"count":2,"wellformed":false}}]}`,
 		`{"name":"w","phases":[{"name":"p","pattern":{"op":"repeat","body":{"op":"separate","chunk":1024,"wellformed":true}}}]}`,
+		`{"name":"w","phases":[{"name":"p","pattern":{"op":"segmented","chunk":-1}}]}`,
 	} {
-		s, err := Parse([]byte(js))
-		if err != nil {
-			t.Fatalf("%s: valid spec rejected by Parse: %v", js, err)
-		}
-		if err := s.Runnable(); err == nil {
-			t.Fatalf("%s: Runnable accepted a table-only field", js)
-		}
-		if _, err := Run(testWorld(t, 2), testFS(t), s); err == nil {
-			t.Fatalf("%s: table-only field executed, want error", js)
+		if _, err := Parse([]byte(js)); err == nil {
+			t.Errorf("%s: Parse accepted a table-only field", js)
 		}
 	}
 }
