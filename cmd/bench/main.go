@@ -32,6 +32,8 @@ import (
 	"github.com/hpcbench/beff/internal/core"
 	"github.com/hpcbench/beff/internal/des"
 	"github.com/hpcbench/beff/internal/machine"
+	"github.com/hpcbench/beff/internal/mpi"
+	"github.com/hpcbench/beff/internal/obs"
 )
 
 // CellResult is the measured cost of one benchmark cell.
@@ -43,6 +45,12 @@ type CellResult struct {
 	AllocsPerA float64 `json:"allocs_per_op"`
 	BytesPerOp float64 `json:"bytes_per_op"`  // heap bytes allocated / messages
 	HeadlineMB float64 `json:"headline_mb_s"` // the cell's benchmark value, for result-drift detection
+
+	// Dispatches counts the engine's run-queue pops and Resumes its
+	// coroutine switches (des.Metrics). Both are deterministic; the
+	// dispatch count is the schedule's size, gated exactly.
+	Dispatches int64 `json:"dispatches,omitempty"`
+	Resumes    int64 `json:"resumes,omitempty"`
 }
 
 // Report is one measured run: one entry of a History.
@@ -81,17 +89,23 @@ func loadHistory(path string) ([]Report, error) {
 	return h.Entries, nil
 }
 
-// cell is one fixed-seed workload with a way to count its messages.
+// cell is one fixed-seed workload with a way to count its messages. run
+// attaches m to the world's engine.
 type cell struct {
 	name string
-	run  func() (ops int64, headlineMB float64, err error)
+	run  func(m *des.Metrics) (ops int64, headlineMB float64, err error)
+}
+
+// attach makes w's engine count into m.
+func attach(w *mpi.WorldConfig, m *des.Metrics) {
+	w.Observe(mpi.Observer{OnEngine: func(e *des.Engine) { e.SetMetrics(m) }})
 }
 
 func cells(quick bool) []cell {
 	beffCell := func(key string, procs, maxLoop int, skipAnalysis bool) cell {
 		return cell{
 			name: fmt.Sprintf("beff_%s_%d", key, procs),
-			run: func() (int64, float64, error) {
+			run: func(m *des.Metrics) (int64, float64, error) {
 				p, err := machine.Lookup(key)
 				if err != nil {
 					return 0, 0, err
@@ -100,6 +114,7 @@ func cells(quick bool) []cell {
 				if err != nil {
 					return 0, 0, err
 				}
+				attach(&w, m)
 				res, err := core.Run(w, core.Options{
 					MemoryPerProc: p.MemoryPerProc,
 					Seed:          1,
@@ -117,7 +132,7 @@ func cells(quick bool) []cell {
 	beffioCell := func(key string, procs int, t des.Duration) cell {
 		return cell{
 			name: fmt.Sprintf("beffio_%s_%d", key, procs),
-			run: func() (int64, float64, error) {
+			run: func(m *des.Metrics) (int64, float64, error) {
 				p, err := machine.Lookup(key)
 				if err != nil {
 					return 0, 0, err
@@ -126,6 +141,7 @@ func cells(quick bool) []cell {
 				if err != nil {
 					return 0, 0, err
 				}
+				attach(&w, m)
 				fs, err := p.BuildFS()
 				if err != nil {
 					return 0, 0, err
@@ -162,11 +178,12 @@ func cells(quick bool) []cell {
 func measure(c cell, iters int) (CellResult, error) {
 	out := CellResult{Name: c.name}
 	for it := 0; it < iters; it++ {
+		m := &des.Metrics{Dispatches: new(obs.Counter), Resumes: new(obs.Counter)}
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		t0 := time.Now()
-		ops, headline, err := c.run()
+		ops, headline, err := c.run(m)
 		wall := time.Since(t0).Seconds()
 		runtime.ReadMemStats(&after)
 		if err != nil {
@@ -187,6 +204,7 @@ func measure(c cell, iters int) (CellResult, error) {
 		}
 		out.Ops = ops
 		out.HeadlineMB = headline
+		out.Dispatches, out.Resumes = m.Dispatches.Value(), m.Resumes.Value()
 	}
 	return out, nil
 }
@@ -197,7 +215,7 @@ func main() {
 	var (
 		quick    = flag.Bool("quick", false, "small cells for CI smoke runs")
 		iters    = flag.Int("iters", 3, "repetitions per cell (best wall time counts)")
-		gate     = flag.String("gate", "", "regression gate: compare against this bench history and exit 1 on >10% wall or any allocs/op growth over the best point, >5% bytes/op growth over the latest point, or any headline drift")
+		gate     = flag.String("gate", "", "regression gate: compare against this bench history and exit 1 on >10% wall or any allocs/op growth over the best point, >5% bytes/op growth over the latest point, any headline drift, or any change in dispatches")
 		appendTo = flag.String("append", "", "fold this run into the bench history at this path (created if absent; skipped when the gate fails)")
 		sha      = flag.String("sha", "", "git commit to record in the history entry")
 		date     = flag.String("date", "", "timestamp to record as generated (default: current UTC time; pin it for deterministic history entries)")
@@ -225,8 +243,8 @@ func main() {
 	for _, c := range cells(*quick) {
 		r, err := measure(c, *iters)
 		fatal(err)
-		fmt.Printf("%-20s %10d ops  %8.1f ns/op  %6.2f allocs/op  %8.1f B/op  wall %6.3fs  headline %.2f MB/s\n",
-			r.Name, r.Ops, r.NsPerOp, r.AllocsPerA, r.BytesPerOp, r.WallSec, r.HeadlineMB)
+		fmt.Printf("%-20s %10d ops  %8.1f ns/op  %6.2f allocs/op  %8.1f B/op  wall %6.3fs  headline %.2f MB/s  %d dispatches  %d resumes\n",
+			r.Name, r.Ops, r.NsPerOp, r.AllocsPerA, r.BytesPerOp, r.WallSec, r.HeadlineMB, r.Dispatches, r.Resumes)
 		rep.Cells = append(rep.Cells, r)
 	}
 	stopProf()
@@ -338,7 +356,10 @@ func headlineDrift(cur, recorded float64) bool {
 //   - bytes/op more than gateBytesTolerance over the latest entry that
 //     has the cell;
 //   - any headline drift against the latest entry or the best-wall
-//     entry.
+//     entry;
+//   - any change in dispatches against the latest entry that records
+//     them: the schedule is deterministic, so a moved count means the
+//     engine pushes or pops differently.
 //
 // Cells whose offence is wall time are also returned as suspects, which
 // the caller may re-measure before accepting the verdict. A cell no
@@ -346,14 +367,17 @@ func headlineDrift(cur, recorded float64) bool {
 // called out on stdout so the history gets a new point.
 func runGate(cells []CellResult, hist []Report) (failures, wallSuspects []string) {
 	for _, cur := range cells {
-		var best, latest, bestAllocs CellResult
-		var bestAt, latestAt, bestAllocsAt string
+		var best, latest, bestAllocs, sched CellResult
+		var bestAt, latestAt, bestAllocsAt, schedAt string
 		for _, h := range hist {
 			for _, base := range h.Cells {
 				if base.Name != cur.Name || base.WallSec <= 0 {
 					continue
 				}
 				latest, latestAt = base, entryLabel(h)
+				if base.Dispatches > 0 {
+					sched, schedAt = base, latestAt
+				}
 				if best.WallSec == 0 || base.WallSec < best.WallSec {
 					best, bestAt = base, latestAt
 				}
@@ -389,6 +413,10 @@ func runGate(cells []CellResult, hist []Report) (failures, wallSuspects []string
 		if best.HeadlineMB != latest.HeadlineMB && headlineDrift(cur.HeadlineMB, best.HeadlineMB) {
 			failures = append(failures, fmt.Sprintf("%s: headline %v MB/s, best-wall entry has %v (%s; results changed)",
 				cur.Name, cur.HeadlineMB, best.HeadlineMB, bestAt))
+		}
+		if sched.Dispatches > 0 && cur.Dispatches != sched.Dispatches {
+			failures = append(failures, fmt.Sprintf("%s: %d dispatches, %s recorded %d (the schedule changed)",
+				cur.Name, cur.Dispatches, schedAt, sched.Dispatches))
 		}
 	}
 	return failures, wallSuspects

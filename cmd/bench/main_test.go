@@ -231,3 +231,34 @@ func TestAppendRoundTrip(t *testing.T) {
 		t.Errorf("the appended run should pass its own gate: %v", f)
 	}
 }
+
+func withDispatches(c CellResult, d int64) CellResult {
+	c.Dispatches = d
+	return c
+}
+
+// TestGateCatchesScheduleChange: dispatches are gated exactly against
+// the latest entry that records them. An engine that pushes or pops one
+// process more (or less) fails; an entry without the field is skipped.
+func TestGateCatchesScheduleChange(t *testing.T) {
+	hist := []Report{
+		mkReport("aaaa111", withDispatches(cell4("beff_t3e_16", 1.0, 5), 900)),
+		mkReport("bbbb222", withDispatches(cell4("beff_t3e_16", 1.0, 5), 1000)),
+		mkReport("cccc333", cell4("beff_t3e_16", 1.0, 5)), // predates the field
+	}
+	at := func(d int64) []CellResult { return []CellResult{withDispatches(cell4("beff_t3e_16", 1.0, 5), d)} }
+
+	if f, s := runGate(at(1000), hist); len(f) != 0 || len(s) != 0 {
+		t.Errorf("the recorded dispatch count should pass: %v", f)
+	}
+	for _, d := range []int64{999, 1001, 900} {
+		f, s := runGate(at(d), hist)
+		if len(f) != 1 || !strings.Contains(f[0], "dispatches") || !strings.Contains(f[0], "bbbb222") || len(s) != 0 {
+			t.Errorf("%d dispatches against a recorded 1000 should fail naming bbbb222, without a wall suspect: %v / %v", d, f, s)
+		}
+	}
+	old := []Report{mkReport("aaaa111", cell4("beff_t3e_16", 1.0, 5))}
+	if f, _ := runGate(at(1234), old); len(f) != 0 {
+		t.Errorf("a history without dispatches should not be compared: %v", f)
+	}
+}

@@ -128,12 +128,12 @@ func (st *runState) runPattern(f *mpiio.File, t PatternType, m AccessMethod, p P
 		}
 	case Separate:
 		myReps := st.timeDrivenLocal(p, doRep)
-		reps = int(c.AllreduceInt64(mpi.OpMax, []int64{int64(myReps)})[0])
+		reps = int(mpi.AllreduceValue(c, mpi.OpMax, int64(myReps)))
 		if m == InitialWrite {
 			st.myType2Reps[p.Num] = myReps
 			st.recordRegion(p, base, reps, int64(reps)*l)
 		}
-		bytes = c.AllreduceInt64(mpi.OpSum, []int64{int64(myReps) * l})[0]
+		bytes = mpi.AllreduceValue(c, mpi.OpSum, int64(myReps)*l)
 	default: // size-driven: the segment layout fixed the count
 		for rep := 0; rep < reps; rep++ {
 			doRep(rep)
@@ -144,7 +144,7 @@ func (st *runState) runPattern(f *mpiio.File, t PatternType, m AccessMethod, p P
 		}
 	}
 	el := c.Wtime() - start
-	secs := c.AllreduceFloat64(mpi.OpMax, []float64{el})[0]
+	secs := mpi.AllreduceValue(c, mpi.OpMax, el)
 	pm := PatternMeasurement{Pattern: p, Reps: reps, Bytes: bytes, Seconds: secs}
 	if secs > 0 {
 		pm.BW = float64(bytes) / secs

@@ -64,8 +64,8 @@ func (st *runState) runRandomAccess(seed int64) []RandomAccessMeasurement {
 				}
 			})
 			el := c.Wtime() - start
-			secs := c.AllreduceFloat64(mpi.OpMax, []float64{el})[0]
-			total := c.AllreduceInt64(mpi.OpSum, []int64{int64(reps) * chunk})[0]
+			secs := mpi.AllreduceValue(c, mpi.OpMax, el)
+			total := mpi.AllreduceValue(c, mpi.OpSum, int64(reps)*chunk)
 			bw := 0.0
 			if secs > 0 {
 				bw = float64(total) / secs

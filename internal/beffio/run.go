@@ -373,7 +373,7 @@ func (st *runState) runType(t PatternType, m AccessMethod, defs []Pattern) TypeR
 	}
 	f.Close()
 	el := c.Wtime() - t0
-	tr.Seconds = c.AllreduceFloat64(mpi.OpMax, []float64{el})[0]
+	tr.Seconds = mpi.AllreduceValue(c, mpi.OpMax, el)
 	if tr.Seconds > 0 {
 		tr.BW = float64(tr.Bytes) / tr.Seconds
 	}

@@ -96,6 +96,49 @@ func TestCleanBeffIORun(t *testing.T) {
 	clean(t, c)
 }
 
+// TestBeffAnalysisCompletes runs b_eff with the analysis patterns on,
+// under every watch, at sizes whose half is odd, on one profile of each
+// fabric family. There a bisection pairing that is not an involution
+// leaves a rank waiting for a partner that exchanges with another: a
+// deadlock.
+func TestBeffAnalysisCompletes(t *testing.T) {
+	profiles := []string{
+		"sr2201",    // crossbar
+		"sp",        // SMP cluster
+		"t3e",       // 3-D torus
+		"myrinet",   // fat tree
+		"dragonfly", // dragonfly
+	}
+	for _, key := range profiles {
+		p, err := machine.Lookup(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{6, 7, 10, 11, 14, 15} {
+			w, err := p.BuildWorld(procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := check.New()
+			c.WatchWorld(&w)
+			c.WatchNet(w.Net)
+			res, err := core.Run(w, core.Options{
+				MemoryPerProc: p.MemoryPerProc, LmaxOverride: 1 << 16, MaxLooplength: 1, Reps: 1,
+			})
+			if err != nil {
+				t.Fatalf("%s at %d processes: %v", key, procs, err)
+			}
+			if len(res.Analysis) == 0 {
+				t.Fatalf("%s at %d processes: no analysis entries", key, procs)
+			}
+			c.VerifyBeff(res)
+			if err := c.Finish(); err != nil {
+				t.Fatalf("%s at %d processes: %v", key, procs, err)
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // Deliberate violations: each checker must fire on bad input.
 

@@ -113,6 +113,32 @@ func TestGoldenBeff(t *testing.T) {
 	}
 }
 
+// TestGoldenBeffOddHalf pins b_eff with the analysis patterns on t3e at
+// 6 processes, a size whose half is odd, so the bisection quarter swap
+// leaves a rank idle; the other cells all have an even half.
+func TestGoldenBeffOddHalf(t *testing.T) {
+	p, err := machine.Lookup("t3e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := p.BuildWorld(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := check.New()
+	c.WatchWorld(&w)
+	c.WatchNet(w.Net)
+	res, err := core.Run(w, goldenBeffOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.VerifyBeff(res)
+	if err := c.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, "beff_t3e_6.json", res)
+}
+
 func TestGoldenBeffIO(t *testing.T) {
 	for _, key := range goldenMachines {
 		t.Run(key, func(t *testing.T) {

@@ -95,6 +95,7 @@ func (o *Obs) InstrumentWorld(cfg *mpi.WorldConfig) {
 	}
 	dm := &des.Metrics{
 		Dispatches:   r.Counter("des_dispatches_total"),
+		Resumes:      r.Counter("des_resumes_total"),
 		Advances:     r.Counter("des_clock_advances_total"),
 		FastAdvances: r.Counter("des_fast_advances_total"),
 		HeapDepthMax: r.Gauge("des_heap_depth_max"),

@@ -34,7 +34,7 @@ func measurePingPong(c *mpi.Comm, L int64) float64 {
 		}
 	}
 	el := c.Wtime() - start
-	all := c.AllreduceFloat64(mpi.OpMax, []float64{el})[0]
+	all := mpi.AllreduceValue(c, mpi.OpMax, el)
 	if all <= 0 {
 		return 0
 	}
@@ -44,10 +44,10 @@ func measurePingPong(c *mpi.Comm, L int64) float64 {
 
 // runAnalysis measures the additional patterns at L_max and returns
 // the entries in a fixed order.
-func runAnalysis(c *mpi.Comm, L int64) []AnalysisEntry {
+func runAnalysis(c *mpi.Comm, L int64, s *exchScratch) []AnalysisEntry {
 	var out []AnalysisEntry
-	out = append(out, measureWorstCycle(c, L))
-	out = append(out, measureBisections(c, L)...)
+	out = append(out, measureWorstCycle(c, L, s))
+	out = append(out, measureBisections(c, L, s)...)
 	out = append(out, measureCartesian(c, L, 2)...)
 	out = append(out, measureCartesian(c, L, 3)...)
 	return out
@@ -56,15 +56,14 @@ func runAnalysis(c *mpi.Comm, L int64) []AnalysisEntry {
 // timedExchange runs iters nonblocking neighbour exchanges and returns
 // total bandwidth over the slowest process's time. bytesPerProc is the
 // payload each participating process sends per iteration.
-func timedExchange(c *mpi.Comm, nb Neighbors, bytesPerProc int64, involved int, iters int) float64 {
+func timedExchange(c *mpi.Comm, nb Neighbors, bytesPerProc int64, involved int, iters int, s *exchScratch) float64 {
 	c.Barrier()
 	start := c.Wtime()
-	var s exchScratch
 	for i := 0; i < iters; i++ {
-		exchange(c, nb, bytesPerProc/2, MethodNonblocking, &s)
+		exchange(c, nb, bytesPerProc/2, MethodNonblocking, s)
 	}
 	el := c.Wtime() - start
-	all := c.AllreduceFloat64(mpi.OpMax, []float64{el})[0]
+	all := mpi.AllreduceValue(c, mpi.OpMax, el)
 	if all <= 0 {
 		return 0
 	}
@@ -74,7 +73,7 @@ func timedExchange(c *mpi.Comm, nb Neighbors, bytesPerProc int64, involved int, 
 // measureWorstCycle builds a single all-process ring whose neighbours
 // are maximally distant in rank space (0, n/2, 1, n/2+1, ...): on a
 // locality-preserving machine every edge crosses half the system.
-func measureWorstCycle(c *mpi.Comm, L int64) AnalysisEntry {
+func measureWorstCycle(c *mpi.Comm, L int64, s *exchScratch) AnalysisEntry {
 	n := c.Size()
 	order := make([]int, 0, n)
 	half := (n + 1) / 2
@@ -87,7 +86,7 @@ func measureWorstCycle(c *mpi.Comm, L int64) AnalysisEntry {
 	p := buildPattern("worst cycle", []int{n}, order, false)
 	bw := 0.0
 	if n >= 2 {
-		bw = timedExchange(c, p.NB[c.Rank()], 2*L, n, analysisIters)
+		bw = timedExchange(c, p.NB[c.Rank()], 2*L, n, analysisIters, s)
 	}
 	return AnalysisEntry{
 		Name: "worst-case cycle", Bytes: L, BW: bw,
@@ -95,21 +94,13 @@ func measureWorstCycle(c *mpi.Comm, L int64) AnalysisEntry {
 	}
 }
 
-// measureBisections pairs the two halves of the machine so that every
-// message crosses a bisection, under three candidate pairings whose
-// locality differs (antipodal i↔i+n/2, rank mirror i↔n-1-i, and a
-// block swap that keeps rank distance at n/2 within shifted blocks).
-// Which pairing is fast depends on the topology, so — as a benchmark
-// should — we measure all and report the best and the worst.
-func measureBisections(c *mpi.Comm, L int64) []AnalysisEntry {
-	n := c.Size()
+// bisectionPairings returns the partner maps of measureBisections on
+// n ranks (n >= 2): antipodal i↔i+n/2, rank mirror i↔n-1-i, and, when
+// each half holds at least two ranks, a quarter swap. Every map is an
+// involution, so each rank's partner pairs back with it; a rank with no
+// partner gets mpi.ProcNull.
+func bisectionPairings(n int) []func(r int) int {
 	half := n / 2
-	if half < 1 {
-		return []AnalysisEntry{
-			{Name: "best bisection", Bytes: L},
-			{Name: "worst bisection", Bytes: L},
-		}
-	}
 	pairings := []func(r int) int{
 		// Antipodal: every message travels half the rank line.
 		func(r int) int {
@@ -131,12 +122,14 @@ func measureBisections(c *mpi.Comm, L int64) []AnalysisEntry {
 		},
 	}
 	if q := half / 2; q > 0 {
-		// Quarter swap: exchange the 2nd and 3rd quarters (adjacent
-		// across the cut) and the outermost quarters (adjacent across
-		// the wraparound).
+		// Quarter swap: the q ranks just below the middle cut trade
+		// with the q just above it, and the q lowest with the q
+		// highest (adjacent across the wraparound). Each swapped block
+		// holds exactly q ranks, so rank q idles when half is odd, and
+		// ranks half+q to n-q-1 do when n is odd.
 		pairings = append(pairings, func(r int) int {
 			switch {
-			case r >= q && r < half:
+			case r >= half-q && r < half:
 				return r + q
 			case r >= half && r < half+q:
 				return r - q
@@ -148,26 +141,46 @@ func measureBisections(c *mpi.Comm, L int64) []AnalysisEntry {
 			return mpi.ProcNull
 		})
 	}
-	first := true
-	bestBW, worstBW := 0.0, 0.0
-	for _, pairing := range pairings {
+	return pairings
+}
+
+// measureBisections pairs the two halves of the machine so that every
+// message crosses a bisection, under the candidate pairings of
+// bisectionPairings, whose locality differs. Which pairing is fast
+// depends on the topology, so — as a benchmark should — we measure all
+// and report the best and the worst.
+func measureBisections(c *mpi.Comm, L int64, s *exchScratch) []AnalysisEntry {
+	n := c.Size()
+	half := n / 2
+	if half < 1 {
+		return []AnalysisEntry{
+			{Name: "best bisection", Bytes: L},
+			{Name: "worst bisection", Bytes: L},
+		}
+	}
+	var best, worst AnalysisEntry
+	for k, pairing := range bisectionPairings(n) {
 		partner := pairing(c.Rank())
 		nb := Neighbors{Left: partner, Right: partner, InRing: partner != mpi.ProcNull}
-		bw := timedExchange(c, nb, 2*L, 2*half, analysisIters)
-		if first || bw > bestBW {
-			bestBW = bw
+		// Idle ranks move no bytes: a pairing's bandwidth counts only
+		// the ranks it pairs (fewer than 2*half when half is odd).
+		involved := 0
+		for r := 0; r < n; r++ {
+			if pairing(r) != mpi.ProcNull {
+				involved++
+			}
 		}
-		if first || bw < worstBW {
-			worstBW = bw
+		bw := timedExchange(c, nb, 2*L, involved, analysisIters, s)
+		e := AnalysisEntry{Bytes: L, BW: bw, PerProc: bw / float64(involved), Involved: involved}
+		if k == 0 || bw > best.BW {
+			best = e
 		}
-		first = false
+		if k == 0 || bw < worst.BW {
+			worst = e
+		}
 	}
-	return []AnalysisEntry{
-		{Name: "best bisection", Bytes: L, BW: bestBW,
-			PerProc: bestBW / float64(2*half), Involved: 2 * half},
-		{Name: "worst bisection", Bytes: L, BW: worstBW,
-			PerProc: worstBW / float64(2*half), Involved: 2 * half},
-	}
+	best.Name, worst.Name = "best bisection", "worst bisection"
+	return []AnalysisEntry{best, worst}
 }
 
 // measureCartesian measures the neighbour exchanges of a d-dimensional
@@ -236,10 +249,10 @@ func cartExchange(c *mpi.Comm, cart *mpi.Cart, L int64, dims []int) float64 {
 		}
 	}
 	el := c.Wtime() - start
-	all := c.AllreduceFloat64(mpi.OpMax, []float64{el})[0]
+	all := mpi.AllreduceValue(c, mpi.OpMax, el)
 	if all <= 0 {
 		return 0
 	}
-	totalMsgs := c.AllreduceInt64(mpi.OpSum, []int64{int64(msgs)})[0]
+	totalMsgs := mpi.AllreduceValue(c, mpi.OpSum, int64(msgs))
 	return float64(totalMsgs) * float64(L) / all
 }

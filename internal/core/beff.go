@@ -168,21 +168,22 @@ func runBody(c *mpi.Comm, opt Options) *Result {
 	ring := RingPatterns(n)
 	random := RandomPatterns(n, opt.Seed)
 
-	res.Ring = measurePatterns(c, ring, sizes, opt)
-	res.Random = measurePatterns(c, random, sizes, opt)
+	var s exchScratch
+	res.Ring = measurePatterns(c, ring, sizes, opt, &s)
+	res.Random = measurePatterns(c, random, sizes, opt, &s)
 
 	reduce(res)
 
 	res.PingPong = measurePingPong(c, lmax)
 	if !opt.SkipAnalysis {
-		res.Analysis = runAnalysis(c, lmax)
+		res.Analysis = runAnalysis(c, lmax, &s)
 	}
 	c.Barrier()
 	res.Elapsed = c.Wtime()
 	return res
 }
 
-func measurePatterns(c *mpi.Comm, pats []*Pattern, sizes []int64, opt Options) []PatternResult {
+func measurePatterns(c *mpi.Comm, pats []*Pattern, sizes []int64, opt Options, s *exchScratch) []PatternResult {
 	out := make([]PatternResult, len(pats))
 	for pi, p := range pats {
 		pr := PatternResult{
@@ -201,7 +202,7 @@ func measurePatterns(c *mpi.Comm, pats []*Pattern, sizes []int64, opt Options) [
 				best := 0.0
 				var lastTime float64
 				for rep := 0; rep < opt.Reps; rep++ {
-					t := measureOnce(c, p, L, m, ll)
+					t := measureOnce(c, p, L, m, ll, s)
 					lastTime = t
 					if bw := bandwidth(L, p.TotalMsgs, ll, t); bw > best {
 						best = bw

@@ -44,9 +44,10 @@ const (
 )
 
 // exchScratch is the per-rank scratch the exchange methods reuse across
-// loop iterations: Alltoallv count vectors and the nonblocking request
-// slice. AlltoallvBytes reads the counts synchronously and does not
-// retain them, and Waitall recycles the requests, so reuse is safe.
+// loop iterations and timing loops: Alltoallv count vectors and the
+// nonblocking request slice. runBody makes one per rank. AlltoallvBytes
+// reads the counts synchronously and does not retain them, and Waitall
+// recycles the requests, so reuse is safe.
 type exchScratch struct {
 	send, recv []int64
 	reqs       [4]*mpi.Request
@@ -102,16 +103,15 @@ func exchange(c *mpi.Comm, nb Neighbors, L int64, m Method, s *exchScratch) {
 // measureOnce runs the pattern looplength times with the given message
 // size and method, and returns the maximum per-process time in seconds
 // (the b_eff timing rule).
-func measureOnce(c *mpi.Comm, p *Pattern, L int64, m Method, looplength int) float64 {
+func measureOnce(c *mpi.Comm, p *Pattern, L int64, m Method, looplength int, s *exchScratch) float64 {
 	c.Barrier()
 	t0 := c.Wtime()
 	nb := p.NB[c.Rank()]
-	var s exchScratch
 	for k := 0; k < looplength; k++ {
-		exchange(c, nb, L, m, &s)
+		exchange(c, nb, L, m, s)
 	}
 	el := c.Wtime() - t0
-	return c.AllreduceFloat64(mpi.OpMax, []float64{el})[0]
+	return mpi.AllreduceValue(c, mpi.OpMax, el)
 }
 
 // loopTarget is the midpoint of the paper's 2.5–5 ms window for one

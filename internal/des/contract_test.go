@@ -112,6 +112,23 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 				}
 			}
 		}, "deadlock"},
+		{"deadlock inside Await", func(c *Cond) func(p *Proc) {
+			return func(p *Proc) {
+				if p.ID() == 5 {
+					return
+				}
+				// The first step sleeps, so the park that never ends
+				// happens on Run's goroutine.
+				slept := false
+				p.Await(stepFunc(func() (Time, *Cond, bool) {
+					if !slept {
+						slept = true
+						return p.Now().Add(Duration(p.ID())), nil, false
+					}
+					return 0, c, false
+				}))
+			}
+		}, "deadlock"},
 		{"clean", func(c *Cond) func(p *Proc) {
 			return func(p *Proc) {
 				p.Sleep(Duration(n - p.ID()))
@@ -189,5 +206,200 @@ func TestGoexitInBodyExitsRunsCaller(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run's caller still running 5s after a body called runtime.Goexit")
+	}
+}
+
+// stepFunc adapts a function to Stepper.
+type stepFunc func() (Time, *Cond, bool)
+
+func (f stepFunc) Step() (Time, *Cond, bool) { return f() }
+
+// scriptOp is one instruction of a differential-test script.
+type scriptOp struct {
+	kind byte     // 's' sleep, 'w' wait, 'k' wake
+	d    Duration // sleep length, or wake time relative to now (negative: stale)
+	c    int      // Cond index of a wait or a wake
+	need int      // a wait lasts until wakes[c] >= need
+}
+
+// runScript runs one script per process and records every
+// "proc@clock" point at which a blocking op returned, the clock
+// advances the OnAdvance hook saw, the error, and the metrics. With
+// await set, each process runs its whole script as one Await; without,
+// it makes one blocking call per op (SleepUntil, WaitFor), and its
+// coroutine is resumed after each.
+func runScript(scripts [][]scriptOp, await bool) (marks []string, m *Metrics, err error) {
+	e := NewEngine()
+	m = &Metrics{Dispatches: new(obs.Counter), Resumes: new(obs.Counter),
+		Advances: new(obs.Counter), FastAdvances: new(obs.Counter), HeapDepthMax: new(obs.Gauge)}
+	e.SetMetrics(m)
+	e.OnAdvance(func(from, to Time) { marks = append(marks, fmt.Sprintf("adv %d->%d", from, to)) })
+	conds := []*Cond{e.NewCond("c0"), e.NewCond("c1")}
+	wakes := make([]int, len(conds))
+	mark := func(p *Proc) { marks = append(marks, fmt.Sprintf("%d@%d", p.ID(), e.Now())) }
+	wake := func(p *Proc, o scriptOp) {
+		wakes[o.c]++
+		conds[o.c].WakeAt(p.Now().Add(o.d))
+	}
+	err = e.Run(len(scripts), func(p *Proc) {
+		ops := scripts[p.ID()]
+		if !await {
+			for _, o := range ops {
+				switch o.kind {
+				case 's':
+					p.SleepUntil(p.Now().Add(o.d))
+					mark(p)
+				case 'w':
+					p.WaitFor(conds[o.c], func() bool { return wakes[o.c] >= o.need })
+					mark(p)
+				case 'k':
+					wake(p, o)
+				}
+			}
+			return
+		}
+		i, slept := 0, false
+		p.Await(stepFunc(func() (Time, *Cond, bool) {
+			if slept {
+				slept = false
+				mark(p)
+				i++
+			}
+			for ; i < len(ops); i++ {
+				switch o := ops[i]; o.kind {
+				case 's':
+					slept = true
+					return p.Now().Add(o.d), nil, false
+				case 'w':
+					if wakes[o.c] < o.need {
+						return 0, conds[o.c], false
+					}
+					mark(p)
+				case 'k':
+					wake(p, o)
+				}
+			}
+			return 0, nil, true
+		}))
+	})
+	return marks, m, err
+}
+
+// TestAwaitMatchesCoroutineSchedule is the differential test of Await:
+// scripts of sleeps, Cond waits and wakes run once as blocking calls in
+// the coroutine and once as one Await per process must give the same
+// (proc, clock) sequence, the same clock advances, the same error and
+// the same pop counts, with fewer coroutine resumes. The scripts mix
+// equal-time ties, zero and fast-path sleeps, future and stale WakeAt
+// times, and waits that never end (deadlocks).
+func TestAwaitMatchesCoroutineSchedule(t *testing.T) {
+	hand := [][]scriptOp{
+		{{kind: 's', d: 10}, {kind: 's', d: 0}, {kind: 'w', c: 0, need: 1}, {kind: 's', d: 5}},
+		{{kind: 's', d: 10}, {kind: 'k', c: 0, d: -7}, {kind: 's', d: 0}, {kind: 'k', c: 1, d: 4}},
+		{{kind: 'w', c: 1, need: 1}, {kind: 's', d: 0}, {kind: 's', d: 3}},
+		{{kind: 's', d: 0}, {kind: 's', d: 10}, {kind: 's', d: 4}},
+	}
+	scripts := [][][]scriptOp{hand}
+	rng := uint64(1)
+	next := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int(rng>>33) % n
+	}
+	sleeps := []Duration{0, 0, 1, 2, 5, 10}
+	offsets := []Duration{-5, 0, 0, 3}
+	for k := 0; k < 300; k++ {
+		procs := make([][]scriptOp, 2+next(5))
+		for i := range procs {
+			for j := 3 + next(8); j > 0; j-- {
+				switch next(3) {
+				case 0:
+					procs[i] = append(procs[i], scriptOp{kind: 's', d: sleeps[next(len(sleeps))]})
+				case 1:
+					procs[i] = append(procs[i], scriptOp{kind: 'w', c: next(2), need: 1 + next(3)})
+				default:
+					procs[i] = append(procs[i], scriptOp{kind: 'k', c: next(2), d: offsets[next(len(offsets))]})
+				}
+			}
+		}
+		scripts = append(scripts, procs)
+	}
+	deadlocks, fast := 0, int64(0)
+	for k, sc := range scripts {
+		want, wm, werr := runScript(sc, false)
+		got, gm, gerr := runScript(sc, true)
+		if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+			t.Fatalf("script %d: error %v through Await, %v through the coroutine", k, gerr, werr)
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("script %d: schedule differs\nAwait     %v\ncoroutine %v", k, got, want)
+		}
+		for _, c := range []struct {
+			name     string
+			got, wnt int64
+		}{
+			{"dispatches", gm.Dispatches.Value(), wm.Dispatches.Value()},
+			{"advances", gm.Advances.Value(), wm.Advances.Value()},
+			{"fast advances", gm.FastAdvances.Value(), wm.FastAdvances.Value()},
+		} {
+			if c.got != c.wnt {
+				t.Fatalf("script %d: %s %v through Await, %v through the coroutine", k, c.name, c.got, c.wnt)
+			}
+		}
+		if gm.HeapDepthMax.Value() != wm.HeapDepthMax.Value() {
+			t.Fatalf("script %d: heap depth %d through Await, %d through the coroutine", k, gm.HeapDepthMax.Value(), wm.HeapDepthMax.Value())
+		}
+		if gm.Resumes.Value() > wm.Resumes.Value() {
+			t.Fatalf("script %d: %v resumes through Await, more than the coroutine's %v", k, gm.Resumes.Value(), wm.Resumes.Value())
+		}
+		if werr != nil {
+			deadlocks++
+		}
+		fast += wm.FastAdvances.Value()
+	}
+	// The generator must reach both endings and the fast path, or the
+	// comparison proves less than it claims.
+	if deadlocks == 0 || deadlocks == len(scripts) || fast == 0 {
+		t.Fatalf("scripts too uniform: %d of %d deadlock, %d fast advances", deadlocks, len(scripts), fast)
+	}
+}
+
+// TestPanicInStepFailsRun checks that a panic in a Step fails the run
+// and names the process, whether the step runs in the coroutine (the
+// first) or on Run's goroutine (after a sleep), and that every process
+// that started runs its defers once.
+func TestPanicInStepFailsRun(t *testing.T) {
+	for _, first := range []bool{true, false} {
+		e := NewEngine()
+		c := e.NewCond("c")
+		var activated, deferred [4]int
+		err := e.Run(4, func(p *Proc) {
+			activated[p.ID()]++
+			defer func() { deferred[p.ID()]++ }()
+			if p.ID() != 2 {
+				p.Wait(c)
+				return
+			}
+			slept := first
+			p.Await(stepFunc(func() (Time, *Cond, bool) {
+				if !slept {
+					slept = true
+					return p.Now().Add(Microsecond), nil, false
+				}
+				p.Fail("step failed at %v", p.Now())
+				return 0, nil, true
+			}))
+		})
+		want := "des: proc 2 panicked: step failed at 0ns"
+		if !first {
+			want = "des: proc 2 panicked: step failed at 1.000us"
+		}
+		if err == nil || err.Error() != want {
+			t.Errorf("first=%v: err = %v, want %q", first, err, want)
+		}
+		for i, d := range deferred {
+			if d != activated[i] || activated[i] > 1 {
+				t.Errorf("first=%v: proc %d started %d times, ran its defers %d times", first, i, activated[i], d)
+			}
+		}
 	}
 }

@@ -23,6 +23,12 @@ import (
 // that process yields or finishes. A resume is a coroutine switch, which
 // bypasses the Go scheduler, and iter.Pull's race annotations give the
 // happens-before edges that keep -race clean.
+//
+// A process inside Proc.Await is popped without a resume: Run's loop
+// runs the awaited Stepper's next step itself and resumes the coroutine
+// only once the wait is over. The run queue sees the same pushes and
+// pops either way, so pops (Metrics.Dispatches) outnumber resumes
+// (Metrics.Resumes) by the steps run on Run's goroutine.
 type Engine struct {
 	clock    Time
 	queue    procHeap
@@ -45,18 +51,22 @@ type Engine struct {
 // costs one predictable branch per dispatch. Attach with SetMetrics
 // before Run.
 type Metrics struct {
-	// Dispatches counts coroutine resumes: one per process popped from
-	// the run queue by Run's loop (fast-path self-advances are not
-	// dispatches).
+	// Dispatches counts pops: one per process taken from the run queue
+	// by Run's loop (fast-path self-advances are not dispatches).
 	Dispatches *obs.Counter
+
+	// Resumes counts coroutine switches into a process: a pop of a
+	// process inside Proc.Await whose wait goes on runs a step on Run's
+	// goroutine and is a dispatch but no resume.
+	Resumes *obs.Counter
 
 	// Advances counts clock movements to a strictly later virtual
 	// time, across both queue dispatches and the SleepUntil fast path.
 	Advances *obs.Counter
 
-	// FastAdvances counts SleepUntil fast-path advances — sleeps that
-	// skipped the heap and the coroutine switch because no other
-	// process woke earlier.
+	// FastAdvances counts fast-path advances — sleeps (SleepUntil or a
+	// Stepper's) that skipped the heap and the coroutine switch because
+	// no other process woke earlier.
 	FastAdvances *obs.Counter
 
 	// HeapDepthMax is the high-watermark of the run-queue depth.
@@ -80,8 +90,10 @@ func (e *Engine) Now() Time { return e.clock }
 // guarantees to >= from; internal/check uses this hook to assert it
 // independently. Observers compose: each OnAdvance call adds a
 // subscriber, and all of them fire in registration order. Hooks run
-// while no other process runs: on Run's goroutine for a dispatch, and
-// inside the sleeping process for a SleepUntil fast-path advance. They
+// while no other process runs: on Run's goroutine for a dispatch, inside
+// the sleeping process for a SleepUntil fast-path advance, and on
+// whichever goroutine runs the step for a fast-path advance inside a
+// Stepper's Step (Run's, for every step but an Await's first). They
 // must not call back into the engine.
 func (e *Engine) OnAdvance(fn func(from, to Time)) {
 	if fn != nil {
@@ -139,6 +151,28 @@ func (e *Engine) Run(n int, body func(p *Proc)) error {
 		e.push(p, 0)
 	}
 	defer e.teardown()
+	e.dispatch()
+	if e.failure == nil && e.finished != n {
+		e.failure = e.deadlockError()
+	}
+	return e.failure
+}
+
+// dispatch is Run's loop. It pops the earliest process and either
+// resumes its coroutine or, for a process inside Await, runs the wait's
+// next step, resuming the coroutine once the wait is over. A panic in a
+// step (Proc.Fail, say) ends the loop and fails the run as a panic in
+// the body would; the process stays suspended in Await until teardown
+// stops it.
+func (e *Engine) dispatch() {
+	var stepping *Proc
+	defer func() {
+		if stepping != nil {
+			if r := recover(); r != nil && e.failure == nil {
+				e.failure = fmt.Errorf("des: %s panicked: %v", stepping.Label(), r)
+			}
+		}
+	}()
 	for e.failure == nil && e.queue.Len() > 0 {
 		p := e.pop()
 		p.state = stateRunning
@@ -146,7 +180,7 @@ func (e *Engine) Run(n int, body func(p *Proc)) error {
 			// Should be impossible: wake times are always >= the clock at
 			// the moment they are set.
 			e.failure = fmt.Errorf("des: time ran backwards (clock %v, wake %v for %s)", e.clock, p.wakeAt, p.Label())
-			break
+			return
 		}
 		if e.needsAdvance() {
 			e.notifyAdvance(e.clock, p.wakeAt)
@@ -158,13 +192,21 @@ func (e *Engine) Run(n int, body func(p *Proc)) error {
 			}
 		}
 		e.clock = p.wakeAt
+		if p.stepper != nil {
+			stepping, p.now = p, p.wakeAt
+			done := p.drive(p.stepper)
+			stepping = nil
+			if !done {
+				continue
+			}
+			p.stepper = nil
+		}
+		if m := e.metrics; m != nil {
+			m.Resumes.Inc()
+		}
 		e.running = p
 		p.next()
 	}
-	if e.failure == nil && e.finished != n {
-		e.failure = e.deadlockError()
-	}
-	return e.failure
 }
 
 // run is a process's coroutine body. It is entered on the process's

@@ -6,14 +6,17 @@ type procState int8
 
 const (
 	stateQueued  procState = iota // in the run queue with a wake time
-	stateRunning                  // resumed by Run's loop
+	stateRunning                  // popped by Run's loop
 	stateBlocked                  // parked on a Cond
 	stateDone                     // body returned or unwound
 )
 
 // Proc is the handle a simulated process uses to interact with virtual
-// time. All methods must be called only from the process's own body,
-// which runs only while Run has resumed it.
+// time. Its methods must be called only from the process's own body,
+// which runs only while Run has resumed it, or from the Step of a
+// Stepper the process awaits (see Await), which Run's loop may run on
+// its own goroutine; a Step must not call the blocking ones (Sleep,
+// SleepUntil, Wait, WaitFor, Await).
 type Proc struct {
 	id      int
 	label   string
@@ -30,6 +33,11 @@ type Proc struct {
 	next    func() (struct{}, bool)
 	stop    func()
 	suspend func(struct{}) bool
+
+	// stepper is the wait a process suspended in Await hands to Run's
+	// loop; nil when the process is to be resumed on its next pop.
+	stepper Stepper
+	once    parkOnce // Wait's Stepper
 
 	// waitingOn names the Cond the process is blocked on, for deadlock
 	// diagnostics.
@@ -74,15 +82,26 @@ func (p *Proc) Sleep(d Duration) {
 // SleepUntil blocks the process until virtual time t. If t is in the
 // past the process yields and resumes at its current time.
 func (p *Proc) SleepUntil(t Time) {
+	if !p.advance(t) {
+		p.yield()
+	}
+}
+
+// advance is the one sleep path. It moves the process to time t (or its
+// current time, if t is earlier) and reports true when it could do so on
+// the spot; otherwise it queues the process at t, and the caller must
+// give up control until Run's loop pops it.
+//
+// The fast path applies when no queued process wakes at or before t:
+// Run's loop would pop this process straight back, so the heap
+// round-trip and both coroutine switches are skipped. The comparison is
+// strict because an already-queued process with the same wake time
+// carries a smaller sequence number and must run first.
+func (p *Proc) advance(t Time) bool {
 	if t < p.now {
 		t = p.now
 	}
 	e := p.eng
-	// Fast path: if no queued process wakes at or before t, Run's loop
-	// would pop this process straight back, so the heap round-trip and
-	// both coroutine switches are skipped. The comparison is strict
-	// because an already-queued process with the same wake time carries
-	// a smaller sequence number and must run first.
 	if e.queue.Len() == 0 || e.queue[0].wakeAt > t {
 		if e.needsAdvance() {
 			e.notifyAdvance(e.clock, t)
@@ -96,10 +115,56 @@ func (p *Proc) SleepUntil(t Time) {
 		e.clock = t
 		p.wakeAt = t
 		p.now = t
-		return
+		return true
 	}
 	e.push(p, t)
+	return false
+}
+
+// Stepper is the rest of a blocking call, handed to the engine with
+// Proc.Await. Each Step says how the wait goes on: it is over (done),
+// the process parks on c until c is woken, or (c nil) it sleeps until
+// at, with SleepUntil's semantics. After the park or the sleep the
+// engine calls Step again, with the process's clock moved on.
+//
+// Only an Await's first Step runs in the process's coroutine; later
+// ones run on Run's goroutine, when Run's loop pops the process. A Step
+// may use the awaiting process's Proc (Now, Fail) and touch shared
+// simulation state as the body could, but must not block: no Sleep,
+// Wait or Await inside a Step.
+type Stepper interface {
+	Step() (at Time, c *Cond, done bool)
+}
+
+// Await blocks the process until s reports done. The coroutine is
+// resumed once, when the wait is over, however many parks and sleeps
+// the wait takes: every step after the first runs as Run's loop pops
+// the process. The schedule — every push and pop of the run queue, in
+// order — is the one the same steps written out with Wait and
+// SleepUntil would give.
+func (p *Proc) Await(s Stepper) {
+	if p.drive(s) {
+		return
+	}
+	p.stepper = s
 	p.yield()
+}
+
+// drive runs s's steps until the wait is over (true) or a step has
+// parked or queued the process (false).
+func (p *Proc) drive(s Stepper) bool {
+	for {
+		at, c, done := s.Step()
+		switch {
+		case done:
+			return true
+		case c != nil:
+			p.park(c)
+			return false
+		case !p.advance(at):
+			return false
+		}
+	}
 }
 
 // yield suspends the process's coroutine, handing control back to
@@ -133,19 +198,43 @@ func (e *Engine) NewCond(name string) *Cond {
 // The caller must re-check its predicate after Wait returns: wake-ups
 // are broadcasts, and another waiter may have consumed the state change.
 func (p *Proc) Wait(c *Cond) {
+	// The Stepper lives in the Proc, so handing it over allocates
+	// nothing.
+	p.once = parkOnce{c: c}
+	p.Await(&p.once)
+}
+
+// parkOnce is Wait's Stepper: park on c, and be done once woken.
+type parkOnce struct {
+	c      *Cond
+	parked bool
+}
+
+func (w *parkOnce) Step() (Time, *Cond, bool) {
+	if w.parked {
+		return 0, nil, true
+	}
+	w.parked = true
+	return 0, w.c, false
+}
+
+// park is the one parking path: it blocks the process on c until a
+// WakeAt queues it again.
+func (p *Proc) park(c *Cond) {
 	if c.eng != p.eng {
 		p.Fail("des: %s waited on a Cond from a different engine", p.Label())
 	}
 	p.state = stateBlocked
 	p.waitingOn = c.name
 	c.waiters = append(c.waiters, p)
-	p.yield()
-	p.waitingOn = ""
 }
 
 // WaitFor parks the calling process until pred() is true, re-checking
 // after every wake-up of c. pred is evaluated while the process runs, so
-// it may freely read shared simulation state.
+// it may freely read shared simulation state. It is a loop of Waits, so
+// the check stays in the coroutine and pred does not escape: a capturing
+// closure costs no allocation. A wait whose every step should run on
+// Run's goroutine hands a Stepper to Await instead.
 func (p *Proc) WaitFor(c *Cond, pred func() bool) {
 	for !pred() {
 		p.Wait(c)

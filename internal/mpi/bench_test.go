@@ -80,3 +80,17 @@ func BenchmarkRingExchange32(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkAllreduce64 measures a one-element max-reduction on 64
+// processes: the reduce-then-broadcast that closes every b_eff timing
+// loop.
+func BenchmarkAllreduce64(b *testing.B) {
+	err := Run(WorldConfig{Net: benchNet(64)}, func(c *Comm) {
+		for i := 0; i < b.N; i++ {
+			AllreduceValue(c, OpMax, float64(c.Rank()+i))
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

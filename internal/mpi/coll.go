@@ -26,34 +26,41 @@ const (
 	OpMin
 )
 
-func (op Op) combineFloat64(a, b float64) float64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		return math.Max(a, b)
-	case OpMin:
-		return math.Min(a, b)
+// combine applies op to two 8-byte words, which hold float64s when
+// float is set and int64s otherwise.
+func (op Op) combine(float bool, a, b uint64) uint64 {
+	if float {
+		x, y := math.Float64frombits(a), math.Float64frombits(b)
+		switch op {
+		case OpSum:
+			return math.Float64bits(x + y)
+		case OpMax:
+			return math.Float64bits(math.Max(x, y))
+		case OpMin:
+			return math.Float64bits(math.Min(x, y))
+		}
+	} else {
+		x, y := int64(a), int64(b)
+		switch op {
+		case OpSum:
+			return uint64(x + y)
+		case OpMax:
+			return uint64(max(x, y))
+		case OpMin:
+			return uint64(min(x, y))
+		}
 	}
 	panic("mpi: unknown op")
 }
 
-func (op Op) combineInt64(a, b int64) int64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		if a > b {
-			return a
-		}
-		return b
-	case OpMin:
-		if a < b {
-			return a
-		}
-		return b
+// combine folds a folding round's received words (tmp) into the
+// payload: data[i] = op(data[i], tmp[i]).
+func (w *waiter) combine() {
+	for i := 0; i+8 <= len(w.data); i += 8 {
+		a := binary.LittleEndian.Uint64(w.data[i:])
+		b := binary.LittleEndian.Uint64(w.tmp[i:])
+		binary.LittleEndian.PutUint64(w.data[i:], w.op.combine(w.float, a, b))
 	}
-	panic("mpi: unknown op")
 }
 
 // ---------------------------------------------------------------------
@@ -67,13 +74,13 @@ func (c *Comm) Barrier() {
 	if size == 1 {
 		return
 	}
-	round := 0
-	for k := 1; k < size; k <<= 1 {
-		dst := (c.rank + k) % size
-		src := (c.rank - k + size) % size
-		c.SendrecvBytes(dst, tagBarrier+round, 0, src, tagBarrier+round)
-		round++
+	w := c.begin()
+	for k, r := 1, 0; k < size; k, r = k<<1, r+1 {
+		w.rounds = append(w.rounds, round{
+			src: (c.rank - k + size) % size, dst: (c.rank + k) % size, tag: tagBarrier + r,
+		})
 	}
+	w.await()
 }
 
 // ---------------------------------------------------------------------
@@ -83,10 +90,17 @@ func (c *Comm) Barrier() {
 // All ranks must pass a buffer of the same length; non-roots receive
 // into it.
 func (c *Comm) Bcast(root int, data []byte) {
-	c.bcast(root, int64(len(data)), data)
+	w := c.begin()
+	w.data = data
+	w.bcastRounds(root, int64(len(data)))
+	w.await()
 }
 
-func (c *Comm) bcast(root int, size int64, data []byte) {
+// bcastRounds appends a binomial-tree broadcast from root: the receive
+// from the parent, then the sends to the children. size is what a
+// timing-only broadcast sends.
+func (w *waiter) bcastRounds(root int, size int64) {
+	c := w.comm
 	n := c.Size()
 	if n == 1 {
 		return
@@ -95,152 +109,122 @@ func (c *Comm) bcast(root int, size int64, data []byte) {
 		c.Proc().Fail("mpi: Bcast root %d out of range", root)
 	}
 	relrank := (c.rank - root + n) % n
-	// Receive phase: wait for the message from the parent.
 	mask := 1
-	for mask < n {
+	for ; mask < n; mask <<= 1 {
 		if relrank&mask != 0 {
-			src := (c.rank - mask + n) % n
-			if data != nil {
-				c.Recv(src, tagBcast, data)
-			} else {
-				c.RecvBytes(src, tagBcast)
-			}
+			w.rounds = append(w.rounds, round{src: (c.rank - mask + n) % n, dst: noPeer, tag: tagBcast})
 			break
 		}
-		mask <<= 1
 	}
-	// Send phase: forward to children.
-	mask >>= 1
-	for mask > 0 {
+	for mask >>= 1; mask > 0; mask >>= 1 {
 		if relrank+mask < n {
-			dst := (c.rank + mask) % n
-			if data != nil {
-				c.Send(dst, tagBcast, data)
-			} else {
-				c.SendBytes(dst, tagBcast, size)
-			}
+			w.rounds = append(w.rounds, round{src: noPeer, dst: (c.rank + mask) % n, tag: tagBcast, size: size})
 		}
-		mask >>= 1
 	}
 }
 
 // BcastInt64 broadcasts a slice of int64 from root; all ranks pass a
 // slice of the same length.
 func (c *Comm) BcastInt64(root int, xs []int64) {
-	buf := make([]byte, 8*len(xs))
-	if c.rank == root {
-		encodeInt64s(buf, xs)
-	}
-	c.Bcast(root, buf)
-	if c.rank != root {
-		decodeInt64s(xs, buf)
-	}
-}
-
-// BcastFloat64 broadcasts a slice of float64 from root.
-func (c *Comm) BcastFloat64(root int, xs []float64) {
-	buf := make([]byte, 8*len(xs))
-	if c.rank == root {
-		encodeFloat64s(buf, xs)
-	}
-	c.Bcast(root, buf)
-	if c.rank != root {
-		decodeFloat64s(xs, buf)
-	}
+	w := c.begin()
+	w.load(xs, OpSum)
+	w.bcastRounds(root, 0)
+	w.await()
+	w.store(xs)
 }
 
 // ---------------------------------------------------------------------
 // Reduce / Allreduce
 
-// ReduceFloat64 reduces xs element-wise onto root with op over a
-// binomial tree and returns the result at root (nil elsewhere).
-func (c *Comm) ReduceFloat64(root int, op Op, xs []float64) []float64 {
+// Scalar is an element type of the typed reductions.
+type Scalar interface{ int64 | float64 }
+
+// Reduce reduces xs element-wise onto root with op over a binomial
+// tree. At root xs is overwritten with the result; elsewhere it is left
+// as it was.
+func Reduce[T Scalar](c *Comm, root int, op Op, xs []T) {
+	w := c.begin()
+	w.load(xs, op)
+	w.reduceRounds(root)
+	w.await()
+	if c.rank == root {
+		w.store(xs)
+	}
+}
+
+// Allreduce reduces xs element-wise with op and overwrites xs with the
+// result at every rank (Reduce to rank 0 followed by Bcast). It
+// allocates nothing once the rank's scratch has grown to len(xs).
+func Allreduce[T Scalar](c *Comm, op Op, xs []T) {
+	w := c.begin()
+	w.load(xs, op)
+	w.reduceRounds(0)
+	w.bcastRounds(0, 0)
+	w.await()
+	w.store(xs)
+}
+
+// AllreduceValue is Allreduce of one element: it returns op over every
+// rank's x.
+func AllreduceValue[T Scalar](c *Comm, op Op, x T) T {
+	xs := []T{x}
+	Allreduce(c, op, xs)
+	return xs[0]
+}
+
+// reduceRounds appends a binomial-tree reduction onto root: a folding
+// receive from each child, then the send of the partial result to the
+// parent.
+func (w *waiter) reduceRounds(root int) {
+	c := w.comm
 	n := c.Size()
-	acc := append([]float64(nil), xs...)
-	if n > 1 {
-		relrank := (c.rank - root + n) % n
-		buf := make([]byte, 8*len(xs))
-		tmp := make([]float64, len(xs))
-		mask := 1
-		for mask < n {
-			if relrank&mask == 0 {
-				srcRel := relrank | mask
-				if srcRel < n {
-					src := (srcRel + root) % n
-					c.Recv(src, tagReduce, buf)
-					decodeFloat64s(tmp, buf)
-					for i := range acc {
-						acc[i] = op.combineFloat64(acc[i], tmp[i])
-					}
-				}
-			} else {
-				dst := ((relrank &^ mask) + root) % n
-				encodeFloat64s(buf, acc)
-				c.Send(dst, tagReduce, buf)
-				break
-			}
-			mask <<= 1
+	relrank := (c.rank - root + n) % n
+	for mask := 1; mask < n; mask <<= 1 {
+		if relrank&mask != 0 {
+			w.rounds = append(w.rounds, round{src: noPeer, dst: ((relrank &^ mask) + root) % n, tag: tagReduce})
+			return
+		}
+		if srcRel := relrank | mask; srcRel < n {
+			w.rounds = append(w.rounds, round{src: (srcRel + root) % n, dst: noPeer, tag: tagReduce, fold: true})
 		}
 	}
-	if c.rank == root {
-		return acc
-	}
-	return nil
 }
 
-// AllreduceFloat64 reduces xs element-wise with op and returns the
-// result at every rank (Reduce to 0 followed by Bcast).
-func (c *Comm) AllreduceFloat64(op Op, xs []float64) []float64 {
-	acc := c.ReduceFloat64(0, op, xs)
-	if c.rank != 0 {
-		acc = make([]float64, len(xs))
+// grow makes the rank's scratch hold k words: acc and tmp 8k bytes,
+// ints 2k int64s.
+func (w *waiter) grow(k int) {
+	if cap(w.acc) < 8*k {
+		w.acc, w.tmp = make([]byte, 8*k), make([]byte, 8*k)
 	}
-	c.BcastFloat64(0, acc)
-	return acc
+	if cap(w.ints) < 2*k {
+		w.ints = make([]int64, 2*k)
+	}
 }
 
-// AllreduceInt64 reduces int64s with op at every rank.
-func (c *Comm) AllreduceInt64(op Op, xs []int64) []int64 {
-	acc := c.reduceInt64(0, op, xs)
-	if c.rank != 0 {
-		acc = make([]int64, len(xs))
+// load makes xs, encoded into the rank's scratch, the payload of a
+// scalar collective reducing with op.
+func (w *waiter) load(xs any, op Op) {
+	switch v := xs.(type) {
+	case []float64:
+		w.grow(len(v))
+		w.data, w.float = w.acc[:8*len(v)], true
+		encodeFloat64s(w.data, v)
+	case []int64:
+		w.grow(len(v))
+		w.data, w.float = w.acc[:8*len(v)], false
+		encodeInt64s(w.data, v)
 	}
-	c.BcastInt64(0, acc)
-	return acc
+	w.tmp, w.op = w.tmp[:len(w.data)], op
 }
 
-func (c *Comm) reduceInt64(root int, op Op, xs []int64) []int64 {
-	n := c.Size()
-	acc := append([]int64(nil), xs...)
-	if n > 1 {
-		relrank := (c.rank - root + n) % n
-		buf := make([]byte, 8*len(xs))
-		tmp := make([]int64, len(xs))
-		mask := 1
-		for mask < n {
-			if relrank&mask == 0 {
-				srcRel := relrank | mask
-				if srcRel < n {
-					src := (srcRel + root) % n
-					c.Recv(src, tagReduce, buf)
-					decodeInt64s(tmp, buf)
-					for i := range acc {
-						acc[i] = op.combineInt64(acc[i], tmp[i])
-					}
-				}
-			} else {
-				dst := ((relrank &^ mask) + root) % n
-				encodeInt64s(buf, acc)
-				c.Send(dst, tagReduce, buf)
-				break
-			}
-			mask <<= 1
-		}
+// store decodes a scalar collective's payload into xs.
+func (w *waiter) store(xs any) {
+	switch v := xs.(type) {
+	case []float64:
+		decodeFloat64s(v, w.data)
+	case []int64:
+		decodeInt64s(v, w.data)
 	}
-	if c.rank == root {
-		return acc
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -272,71 +256,69 @@ func (c *Comm) GatherInt64(root int, mine []int64) []int64 {
 // ---------------------------------------------------------------------
 // Scan
 
-// ScanInt64 computes the inclusive prefix reduction: rank r receives
-// op(xs_0, ..., xs_r), element-wise, like MPI_Scan. Implemented with
-// the standard recursive-doubling partial-sums algorithm.
-func (c *Comm) ScanInt64(op Op, xs []int64) []int64 {
-	n := c.Size()
-	// result carries the inclusive prefix; partial the values this rank
+// ScanInt64 computes the inclusive prefix reduction in place: rank r's
+// xs becomes op(xs_0, ..., xs_r), element-wise, like MPI_Scan.
+// Implemented with the standard recursive-doubling partial-sums
+// algorithm; each round posts its send before its receive.
+func (c *Comm) ScanInt64(op Op, xs []int64) {
+	n, k := c.Size(), len(xs)
+	w := c.waiter()
+	w.grow(k)
+	// xs carries the inclusive prefix; partial the values this rank
 	// forwards (the reduction of its contiguous block seen so far).
-	result := append([]int64(nil), xs...)
-	partial := append([]int64(nil), xs...)
-	buf := make([]byte, 8*len(xs))
-	tmp := make([]int64, len(xs))
-	round := 0
-	for mask := 1; mask < n; mask <<= 1 {
-		dst := c.rank + mask
-		src := c.rank - mask
-		var reqs []*Request
-		if dst < n {
-			encodeInt64s(buf, partial)
-			reqs = append(reqs, c.Isend(dst, tagScan+round, buf))
+	partial := w.ints[:k]
+	copy(partial, xs)
+	sbuf, rbuf := w.acc[:8*k], w.tmp[:8*k]
+	for mask, r := 1, 0; mask < n; mask, r = mask<<1, r+1 {
+		var sr *Request
+		if dst := c.rank + mask; dst < n {
+			encodeInt64s(sbuf, partial)
+			sr = c.Isend(dst, tagScan+r, sbuf)
 		}
-		rbuf := make([]byte, 8*len(xs))
-		var rr *Request
-		if src >= 0 {
-			rr = c.Irecv(src, tagScan+round, rbuf)
-		}
-		if rr != nil {
-			c.Wait(rr)
-			decodeInt64s(tmp, rbuf)
-			for i := range result {
-				result[i] = op.combineInt64(tmp[i], result[i])
-				partial[i] = op.combineInt64(tmp[i], partial[i])
+		if src := c.rank - mask; src >= 0 {
+			c.Recv(src, tagScan+r, rbuf)
+			for i := range xs {
+				t := binary.LittleEndian.Uint64(rbuf[8*i:])
+				xs[i] = int64(op.combine(false, t, uint64(xs[i])))
+				partial[i] = int64(op.combine(false, t, uint64(partial[i])))
 			}
 		}
-		c.Waitall(reqs)
-		round++
+		if sr != nil {
+			c.Wait(sr)
+		}
 	}
-	return result
 }
 
-// ExscanInt64 is the exclusive prefix reduction: rank r receives
-// op(xs_0, ..., xs_{r-1}); rank 0 receives the identity for OpSum (0)
-// and ok-for-prefix defaults for OpMin/OpMax (the caller usually
-// ignores rank 0's value, as MPI leaves it undefined).
-func (c *Comm) ExscanInt64(op Op, xs []int64) []int64 {
-	incl := c.ScanInt64(op, xs)
-	out := make([]int64, len(xs))
+// ExscanInt64 is the exclusive prefix reduction in place: rank r's xs
+// becomes op(xs_0, ..., xs_{r-1}); rank 0's becomes zeros (MPI leaves
+// it undefined, and callers usually ignore it).
+func (c *Comm) ExscanInt64(op Op, xs []int64) {
+	k := len(xs)
+	w := c.waiter()
+	w.grow(k)
+	orig := w.ints[k : 2*k]
+	copy(orig, xs)
+	c.ScanInt64(op, xs)
 	switch op {
 	case OpSum:
-		for i := range out {
-			out[i] = incl[i] - xs[i]
+		for i := range xs {
+			xs[i] -= orig[i]
 		}
 	default:
 		// For min/max the exclusive value cannot be recovered from the
 		// inclusive one; shift explicitly.
-		buf := make([]byte, 8*len(xs))
+		buf := w.acc[:8*k]
 		if c.rank+1 < c.Size() {
-			encodeInt64s(buf, incl)
+			encodeInt64s(buf, xs)
 			c.Send(c.rank+1, tagScan+0xF0, buf)
 		}
 		if c.rank > 0 {
 			c.Recv(c.rank-1, tagScan+0xF0, buf)
-			decodeInt64s(out, buf)
+			decodeInt64s(xs, buf)
+		} else {
+			clear(xs)
 		}
 	}
-	return out
 }
 
 // ---------------------------------------------------------------------
@@ -348,26 +330,27 @@ func (c *Comm) ExscanInt64(op Op, xs []int64) []int64 {
 // optimisation real MPI implementations apply and the one that makes
 // MPI_Alltoallv a sensible method for b_eff's sparse ring patterns.
 // Pairwise-exchange algorithm: n-1 phases, phase k pairing rank r with
-// r+k (send) and r-k (receive).
+// r+k (send) and r-k (receive). The counts are read before the call
+// returns and not kept.
 func (c *Comm) AlltoallvBytes(sendCounts, recvCounts []int64) {
 	n := c.Size()
 	if len(sendCounts) != n || len(recvCounts) != n {
 		c.Proc().Fail("mpi: Alltoallv counts must have length %d", n)
 	}
+	w := c.begin()
 	for step := 1; step < n; step++ {
-		dst := (c.rank + step) % n
-		src := (c.rank - step + n) % n
-		sn := sendCounts[dst]
-		rn := recvCounts[src]
-		switch {
-		case sn > 0 && rn > 0:
-			c.SendrecvBytes(dst, tagAlltoallv+step, sn, src, tagAlltoallv+step)
-		case sn > 0:
-			c.SendBytes(dst, tagAlltoallv+step, sn)
-		case rn > 0:
-			c.RecvBytes(src, tagAlltoallv+step)
+		rd := round{src: noPeer, dst: noPeer, tag: tagAlltoallv + step}
+		if dst := (c.rank + step) % n; sendCounts[dst] > 0 {
+			rd.dst, rd.size = dst, sendCounts[dst]
+		}
+		if src := (c.rank - step + n) % n; recvCounts[src] > 0 {
+			rd.src = src
+		}
+		if rd.src != noPeer || rd.dst != noPeer {
+			w.rounds = append(w.rounds, rd)
 		}
 	}
+	w.await()
 	// Self block (sendCounts[rank]) is a local copy.
 	if sendCounts[c.rank] > 0 {
 		c.Proc().Sleep(c.world.net.CopyTime(sendCounts[c.rank]))

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"github.com/hpcbench/beff/internal/des"
+	"github.com/hpcbench/beff/internal/obs"
 	"github.com/hpcbench/beff/internal/simnet"
 )
 
@@ -281,14 +282,16 @@ func TestBcastInt64AllRoots(t *testing.T) {
 func TestReduceSum(t *testing.T) {
 	const n = 9
 	run(t, n, func(c *Comm) {
-		got := c.ReduceFloat64(2, OpSum, []float64{float64(c.Rank() + 1)})
+		mine := float64(c.Rank() + 1)
+		got := []float64{mine}
+		Reduce(c, 2, OpSum, got)
 		if c.Rank() == 2 {
 			want := float64(n * (n + 1) / 2)
 			if got[0] != want {
 				t.Errorf("sum = %v, want %v", got[0], want)
 			}
-		} else if got != nil {
-			t.Errorf("non-root got %v", got)
+		} else if got[0] != mine {
+			t.Errorf("non-root's input changed to %v", got)
 		}
 	})
 }
@@ -296,10 +299,10 @@ func TestReduceSum(t *testing.T) {
 func TestAllreduceMinMax(t *testing.T) {
 	const n = 6
 	run(t, n, func(c *Comm) {
-		mx := c.AllreduceFloat64(OpMax, []float64{float64(c.Rank())})
-		mn := c.AllreduceFloat64(OpMin, []float64{float64(c.Rank())})
-		if mx[0] != float64(n-1) || mn[0] != 0 {
-			t.Errorf("rank %d: max=%v min=%v", c.Rank(), mx[0], mn[0])
+		mx := AllreduceValue(c, OpMax, float64(c.Rank()))
+		mn := AllreduceValue(c, OpMin, float64(c.Rank()))
+		if mx != float64(n-1) || mn != 0 {
+			t.Errorf("rank %d: max=%v min=%v", c.Rank(), mx, mn)
 		}
 	})
 }
@@ -307,9 +310,8 @@ func TestAllreduceMinMax(t *testing.T) {
 func TestAllreduceInt64LargeValues(t *testing.T) {
 	run(t, 4, func(c *Comm) {
 		v := int64(1)<<60 + int64(c.Rank())
-		got := c.AllreduceInt64(OpMax, []int64{v})
-		if got[0] != int64(1)<<60+3 {
-			t.Errorf("got %d", got[0])
+		if got := AllreduceValue(c, OpMax, v); got != int64(1)<<60+3 {
+			t.Errorf("got %d", got)
 		}
 	})
 }
@@ -630,7 +632,8 @@ func TestParallelRingFasterThanSerializedOnSharedSpine(t *testing.T) {
 func TestScanInt64(t *testing.T) {
 	const n = 7
 	run(t, n, func(c *Comm) {
-		got := c.ScanInt64(OpSum, []int64{int64(c.Rank() + 1)})
+		got := []int64{int64(c.Rank() + 1)}
+		c.ScanInt64(OpSum, got)
 		want := int64((c.Rank() + 1) * (c.Rank() + 2) / 2)
 		if got[0] != want {
 			t.Errorf("rank %d: scan = %d, want %d", c.Rank(), got[0], want)
@@ -642,7 +645,8 @@ func TestScanMax(t *testing.T) {
 	const n = 6
 	vals := []int64{3, 1, 4, 1, 5, 2}
 	run(t, n, func(c *Comm) {
-		got := c.ScanInt64(OpMax, []int64{vals[c.Rank()]})
+		got := []int64{vals[c.Rank()]}
+		c.ScanInt64(OpMax, got)
 		want := vals[0]
 		for i := 1; i <= c.Rank(); i++ {
 			if vals[i] > want {
@@ -658,7 +662,8 @@ func TestScanMax(t *testing.T) {
 func TestExscanSum(t *testing.T) {
 	const n = 5
 	run(t, n, func(c *Comm) {
-		got := c.ExscanInt64(OpSum, []int64{10})
+		got := []int64{10}
+		c.ExscanInt64(OpSum, got)
 		if want := int64(10 * c.Rank()); got[0] != want {
 			t.Errorf("rank %d: exscan = %d, want %d", c.Rank(), got[0], want)
 		}
@@ -669,7 +674,8 @@ func TestExscanMaxShifts(t *testing.T) {
 	const n = 4
 	vals := []int64{7, 3, 9, 1}
 	run(t, n, func(c *Comm) {
-		got := c.ExscanInt64(OpMax, []int64{vals[c.Rank()]})
+		got := []int64{vals[c.Rank()]}
+		c.ExscanInt64(OpMax, got)
 		if c.Rank() == 0 {
 			return // undefined at rank 0, as in MPI
 		}
@@ -693,7 +699,8 @@ func TestScanVectorQuick(t *testing.T) {
 		ok := true
 		err := Run(WorldConfig{Net: testNet(n)}, func(c *Comm) {
 			mine := []int64{base + int64(c.Rank()), -int64(c.Rank() * c.Rank())}
-			got := c.ScanInt64(OpSum, mine)
+			got := append([]int64(nil), mine...)
+			c.ScanInt64(OpSum, got)
 			var w0, w1 int64
 			for i := 0; i <= c.Rank(); i++ {
 				w0 += base + int64(i)
@@ -749,5 +756,61 @@ func TestMismatchedBcastRootDeadlocks(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want deadlock, got %v", err)
+	}
+}
+
+// TestBlockingCallsResumeOnce checks that a blocking call resumes its
+// rank's coroutine at most once, however many rounds, parks and sleeps
+// it takes: the engine runs the rest of the wait. On 64 ranks, 10
+// Barriers and 10 Allreduces may resume each rank once per call, plus
+// the rank's first activation; the pops stay what the rounds need.
+func TestBlockingCallsResumeOnce(t *testing.T) {
+	const n, calls = 64, 10
+	m := &des.Metrics{Dispatches: new(obs.Counter), Resumes: new(obs.Counter)}
+	cfg := WorldConfig{Net: testNet(n)}
+	cfg.Observe(Observer{OnEngine: func(e *des.Engine) { e.SetMetrics(m) }})
+	err := Run(cfg, func(c *Comm) {
+		for i := 0; i < calls; i++ {
+			c.Barrier()
+			if got := AllreduceValue(c, OpSum, int64(c.Rank())); got != n*(n-1)/2 {
+				t.Errorf("rank %d: sum %d", c.Rank(), got)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, limit := m.Resumes.Value(), int64(n*(2*calls+1)); r > limit {
+		t.Errorf("%d resumes, want at most %d (one per rank and call, plus activation)", r, limit)
+	}
+	if d, r := m.Dispatches.Value(), m.Resumes.Value(); d < 4*r {
+		t.Errorf("%d dispatches for %d resumes: the rounds' parks and sleeps should not resume the rank", d, r)
+	}
+}
+
+// TestAllreduceAllocatesNothingPerCall: the scalar collectives run on
+// per-rank scratch, so 100 more one-element Allreduce calls per rank on
+// 16 ranks add fewer than 16 allocations to a whole run. The shorter run
+// makes 200 calls already, enough for every link's busy-slot window
+// (simnet's compactThreshold) to have reached its bound; at 100 the
+// windows still grow.
+func TestAllreduceAllocatesNothingPerCall(t *testing.T) {
+	const n = 16
+	allocs := func(calls int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			err := Run(WorldConfig{Net: testNet(n)}, func(c *Comm) {
+				for i := 0; i < calls; i++ {
+					AllreduceValue(c, OpMax, float64(i))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base, more := allocs(200), allocs(300)
+	if extra := more - base; extra >= n {
+		t.Errorf("100 more Allreduce calls per rank on %d ranks added %.0f allocations (%.0f -> %.0f), want < %d",
+			n, extra, base, more, n)
 	}
 }

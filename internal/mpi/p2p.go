@@ -67,6 +67,24 @@ func (c *Comm) IsendBytes(dst, tag int, n int64) *Request {
 }
 
 func (c *Comm) isend(dst, tag int, size int64, data []byte) *Request {
+	r := c.post(dst, tag, size, data)
+	if dst != ProcNull {
+		c.Proc().Sleep(c.sendOverhead())
+	}
+	return r
+}
+
+// sendOverhead is the CPU submission cost of a send: the same software
+// overhead the network model charges before injection, including any
+// straggler slowdown of the sending processor. Isend sleeps it; the
+// blocking calls owe it to their waiter.
+func (c *Comm) sendOverhead() des.Duration {
+	return c.world.net.SendOverheadFor(c.world.phys(c.group[c.rank]))
+}
+
+// post submits a send and returns its request, without the submission
+// cost. A send to ProcNull posts nothing and returns a done request.
+func (c *Comm) post(dst, tag int, size int64, data []byte) *Request {
 	if dst == ProcNull {
 		r := c.world.newRequest()
 		r.kind, r.comm, r.done, r.at = reqSend, c, true, c.Proc().Now()
@@ -119,21 +137,21 @@ func (c *Comm) isend(dst, tag int, size int64, data []byte) *Request {
 		m.availAt = p.Now().Add(w.net.Latency(sp, dp))
 	}
 	w.deliver(dstWorld, m)
-	// CPU submission cost: the same software overhead the network model
-	// charges before injection, including any straggler slowdown of the
-	// sending processor.
-	p.Sleep(w.net.SendOverheadFor(sp))
 	return req
 }
 
 // Send is a blocking send: Isend followed by Wait.
 func (c *Comm) Send(dst, tag int, data []byte) {
-	c.Wait(c.Isend(dst, tag, data))
+	w := c.begin()
+	w.send(dst, tag, int64(len(data)), data)
+	w.await()
 }
 
 // SendBytes is a blocking timing-only send of n bytes.
 func (c *Comm) SendBytes(dst, tag int, n int64) {
-	c.Wait(c.IsendBytes(dst, tag, n))
+	w := c.begin()
+	w.send(dst, tag, n, nil)
+	w.await()
 }
 
 // ---------------------------------------------------------------------
@@ -189,12 +207,16 @@ func (c *Comm) irecv(src, tag int, buf []byte) *Request {
 
 // Recv is a blocking receive; it returns the matched message's status.
 func (c *Comm) Recv(src, tag int, buf []byte) Status {
-	return c.Wait(c.Irecv(src, tag, buf))
+	w := c.begin()
+	w.recv(src, tag, buf)
+	return w.await()
 }
 
 // RecvBytes is a blocking timing-only receive.
 func (c *Comm) RecvBytes(src, tag int) Status {
-	return c.Wait(c.IrecvBytes(src, tag))
+	w := c.begin()
+	w.recv(src, tag, nil)
+	return w.await()
 }
 
 func (r *Request) matches(m *message) bool {
@@ -277,62 +299,4 @@ func (w *World) bind(m *message, req *Request) {
 	req.done = true
 	req.at = arrival
 	st.wake.WakeAt(arrival)
-}
-
-// ---------------------------------------------------------------------
-// Completion
-
-// Wait blocks until the request completes and returns its status (zero
-// Status for sends). For receives the payload, if any, is copied into
-// the posted buffer. Like MPI_Wait setting the handle to
-// MPI_REQUEST_NULL, Wait recycles the request: the handle must not be
-// used again afterwards.
-func (c *Comm) Wait(r *Request) Status {
-	p := c.Proc()
-	me := c.group[c.rank]
-	st := c.world.ranks[me]
-	if r.kind == reqSend {
-		sst := c.world.ranks[r.comm.group[r.comm.rank]]
-		p.WaitFor(sst.wake, func() bool { return r.done })
-	} else {
-		p.WaitFor(st.wake, func() bool { return r.done })
-	}
-	if r.at > p.Now() {
-		p.SleepUntil(r.at)
-	}
-	if r.kind == reqRecv && r.msg != nil {
-		m := r.msg
-		// Truncation is an error whenever a buffer was posted, even for
-		// timing-only senders: MPI's rule depends on the advertised
-		// message size, not on whether payload bytes were carried.
-		if r.buf != nil && int64(len(r.buf)) < m.size {
-			p.Fail("mpi: message of %d bytes truncated into %d-byte buffer (src %d tag %d)",
-				m.size, len(r.buf), m.src, m.tag)
-		}
-		if m.data != nil && r.buf != nil {
-			copy(r.buf, m.data)
-		}
-		r.status = Status{Source: r.comm.groupRankOf(m.src), Tag: m.tag, Size: m.size}
-		c.world.freeMessage(m)
-		r.msg = nil
-	}
-	status := r.status
-	c.world.freeRequest(r)
-	return status
-}
-
-// Waitall completes all requests.
-func (c *Comm) Waitall(rs []*Request) {
-	for _, r := range rs {
-		c.Wait(r)
-	}
-}
-
-// SendrecvBytes is the timing-only variant of Sendrecv.
-func (c *Comm) SendrecvBytes(dst, stag int, sn int64, src, rtag int) Status {
-	rr := c.IrecvBytes(src, rtag)
-	sr := c.IsendBytes(dst, stag, sn)
-	st := c.Wait(rr)
-	c.Wait(sr)
-	return st
 }

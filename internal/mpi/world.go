@@ -273,6 +273,7 @@ type rankState struct {
 	inbox  []*message // unexpected messages, in send order
 	posted []*Request // posted receives, in post order
 	wake   *des.Cond  // broadcast on any delivery or completion
+	wt     waiter     // state of the rank's blocking calls
 }
 
 // Run builds a World of n ranks on the given configuration, runs body
@@ -323,7 +324,9 @@ func Run(cfg WorldConfig, body func(c *Comm)) error {
 	}
 	return eng.Run(n, func(p *des.Proc) {
 		p.SetLabel(fmt.Sprintf("rank %d", p.ID()))
-		w.ranks[p.ID()].proc = p
+		st := w.ranks[p.ID()]
+		st.proc = p
+		st.wt.proc, st.wt.wake = p, st.wake
 		c := &Comm{world: w, ctx: 0, rank: p.ID(), group: group}
 		body(c)
 	})

@@ -209,7 +209,7 @@ func (f *File) twoPhase(seq int64, exts []extent, write bool) {
 		last := exts[len(exts)-1]
 		myLo, myHi = exts[0].off, last.off+last.size
 	}
-	c.AllreduceInt64(mpi.OpMax, []int64{myHi - myLo})
+	mpi.AllreduceValue(c, mpi.OpMax, myHi-myLo)
 
 	if cs.plan == nil {
 		cs.plan = makePlan(cs.deposits, f.info.Aggregators, f.fs.Config().StripeUnit)
@@ -353,8 +353,9 @@ func (f *File) orderedAccess(size int64, data []byte, write bool) {
 	// Each rank's ordered offset is the exclusive prefix sum of the
 	// request sizes — computed with MPI_Exscan + MPI_Allreduce, the way
 	// MPI_File_write_ordered implementations do it.
-	prefix := c.ExscanInt64(mpi.OpSum, []int64{size})[0]
-	total := c.AllreduceInt64(mpi.OpSum, []int64{size})[0]
+	prefix := []int64{size}
+	c.ExscanInt64(mpi.OpSum, prefix)
+	total := mpi.AllreduceValue(c, mpi.OpSum, size)
 	// The first rank past the size exchange claims the current shared
 	// pointer as this call's base and advances it for the whole group;
 	// everyone else reads the recorded base. Execution order between
@@ -365,7 +366,7 @@ func (f *File) orderedAccess(size int64, data []byte, write bool) {
 		f.sh.sharedPtr += total
 		cs.orderedClaimed = true
 	}
-	myOff := cs.orderedBase + prefix
+	myOff := cs.orderedBase + prefix[0]
 
 	exts := f.view.appendExtents(f.extBuf[:0], myOff, size)
 	f.extBuf = exts

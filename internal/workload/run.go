@@ -138,10 +138,11 @@ func runBody(c *mpi.Comm, fs *simfs.FS, spec *Spec) *Result {
 		el := c.Wtime() - t0
 
 		pr := PhaseResult{Name: ph.Name}
-		sums := c.AllreduceInt64(mpi.OpSum, []int64{ec.ops, ec.readBytes, ec.writeBytes})
+		sums := []int64{ec.ops, ec.readBytes, ec.writeBytes}
+		mpi.Allreduce(c, mpi.OpSum, sums)
 		pr.Ops, pr.ReadBytes, pr.WriteBytes = sums[0], sums[1], sums[2]
 		pr.Bytes = pr.ReadBytes + pr.WriteBytes
-		pr.Seconds = c.AllreduceFloat64(mpi.OpMax, []float64{el})[0]
+		pr.Seconds = mpi.AllreduceValue(c, mpi.OpMax, el)
 		if pr.Seconds > 0 {
 			pr.BW = float64(pr.Bytes) / pr.Seconds
 		}
