@@ -44,7 +44,7 @@ func main() {
 	c.SweepFlags(nil)
 	var (
 		reps      = flag.Int("reps", 0, "perturbed repetitions per point (0 disables perturbation)")
-		maxLoop   = flag.Int("maxloop", 2, "b_eff: max looplength (deterministic simulation makes 2 exact)")
+		maxLoop   = flag.Int("maxloop", 2, "b_eff: max looplength; a shortcut that moves b_eff (t3e/24: b_eff/p 74.2 MB/s at 2, 83.3 at the paper's 300)")
 		innerReps = flag.Int("inner-reps", 1, "b_eff: in-run repetitions per measurement")
 		lmaxOver  = flag.Int64("lmax", 0, "override L_max in bytes for every machine (0 = each profile's memory rule)")
 		analysis  = flag.Bool("analysis", false, "include the heavyweight analysis patterns (worst cycle, bisections)")

@@ -20,14 +20,19 @@ type Options struct {
 	Seed int64
 
 	// MaxLooplength caps the adaptive repetition count. Zero means the
-	// paper's 300. Simulated runs are deterministic, so small caps
-	// (e.g. 4) give identical averages at a fraction of the event
-	// count — the cmd tools and benches use that.
+	// paper's 300. Small caps (the cmd tools and benches use 2 to 8)
+	// cut the event count but move the result, because the iterations
+	// of a loop overlap with no barrier between them: on t3e at 24
+	// processes, analysis off, 1 repetition, b_eff/p is 74.2 MB/s at
+	// a cap of 2 and 83.3 MB/s at 300.
 	MaxLooplength int
 
 	// Reps is the number of repetitions per measurement, of which the
 	// maximum counts. Zero means the paper's 3. The simulator is
-	// noise-free, so 1 changes nothing but time.
+	// noise-free, but elapsed times are float64 differences of absolute
+	// virtual times, so a later repetition can move the 13th digit: t3e
+	// at 8 processes gives b_eff 670072770.33414 with 1 repetition and
+	// 670072770.33424 with 3.
 	Reps int
 
 	// SkipAnalysis omits the heavyweight additional analysis patterns

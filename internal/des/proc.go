@@ -81,23 +81,22 @@ func (p *Proc) Sleep(d Duration) {
 
 // SleepUntil blocks the process until virtual time t. If t is in the
 // past the process yields and resumes at its current time.
-func (p *Proc) SleepUntil(t Time) {
-	if !p.advance(t) {
-		p.yield()
-	}
-}
+func (p *Proc) SleepUntil(t Time) { p.advance(t, true) }
 
 // advance is the one sleep path. It moves the process to time t (or its
-// current time, if t is earlier) and reports true when it could do so on
-// the spot; otherwise it queues the process at t, and the caller must
-// give up control until Run's loop pops it.
+// current time, if t is earlier) and reports whether the process is at t
+// on return. When it cannot move on the spot it queues the process at
+// t; with block set it then yields until Run's loop pops it and reports
+// true, without it reports false and the caller must give up control.
+// Sleep and SleepUntil inline to this one call, so their fast path costs
+// a single call.
 //
 // The fast path applies when no queued process wakes at or before t:
 // Run's loop would pop this process straight back, so the heap
 // round-trip and both coroutine switches are skipped. The comparison is
 // strict because an already-queued process with the same wake time
 // carries a smaller sequence number and must run first.
-func (p *Proc) advance(t Time) bool {
+func (p *Proc) advance(t Time, block bool) bool {
 	if t < p.now {
 		t = p.now
 	}
@@ -118,7 +117,10 @@ func (p *Proc) advance(t Time) bool {
 		return true
 	}
 	e.push(p, t)
-	return false
+	if block {
+		p.yield()
+	}
+	return block
 }
 
 // Stepper is the rest of a blocking call, handed to the engine with
@@ -161,7 +163,7 @@ func (p *Proc) drive(s Stepper) bool {
 		case c != nil:
 			p.park(c)
 			return false
-		case !p.advance(at):
+		case !p.advance(at, false):
 			return false
 		}
 	}

@@ -45,8 +45,10 @@ type FleetSpec struct {
 	PerturbName string
 
 	// MaxLooplength, InnerReps, SkipAnalysis and LmaxOverride map to
-	// core.Options; MaxLooplength zero means 2 (the fleet default —
-	// deterministic simulation makes longer loops pure cost).
+	// core.Options; MaxLooplength zero means 2, the fleet default. It
+	// is a cost shortcut, not an exact one: b_eff moves with the loop
+	// cap (t3e/24: b_eff/p 74.2 MB/s at 2, 83.3 MB/s at the paper's
+	// 300).
 	MaxLooplength int
 	InnerReps     int
 	SkipAnalysis  bool

@@ -48,12 +48,6 @@ type SMPCluster struct {
 	egress  []*Resource
 	ingress []*Resource
 	spine   *Resource
-
-	// Routes depend only on the (source node, destination node) pair:
-	// intra-node traffic is one bus segment per node, inter-node traffic
-	// egress → (spine) → ingress. Both tables are memoised lazily.
-	intra  [][]Segment     // [node]
-	routes [][]cachedRoute // [srcNode][dstNode]
 }
 
 // NewSMPCluster validates the configuration and builds the resources.
@@ -76,8 +70,6 @@ func NewSMPCluster(cfg SMPClusterConfig) *SMPCluster {
 	if cfg.SpineBandwidth > 0 {
 		c.spine = NewResource("spine", cfg.SpineBandwidth)
 	}
-	c.intra = make([][]Segment, cfg.Nodes)
-	c.routes = make([][]cachedRoute, cfg.Nodes)
 	return c
 }
 
@@ -88,32 +80,17 @@ func (c *SMPCluster) NumProcs() int { return c.cfg.Nodes * c.cfg.ProcsPerNode }
 func (c *SMPCluster) NodeOf(proc int) int { return proc / c.cfg.ProcsPerNode }
 
 // Path routes intra-node messages over the node bus and inter-node
-// messages over egress → (spine) → ingress. Routes are memoised per
-// node pair; the returned slice is shared and must not be modified.
-func (c *SMPCluster) Path(src, dst int) ([]Segment, des.Duration) {
+// messages over egress → (spine) → ingress.
+func (c *SMPCluster) Path(segs []Segment, src, dst int) ([]Segment, des.Duration) {
 	sn, dn := c.NodeOf(src), c.NodeOf(dst)
 	if sn == dn {
-		if c.intra[sn] == nil {
-			c.intra[sn] = []Segment{{R: c.bus[sn], Factor: c.cfg.IntraCopies}}
-		}
-		return c.intra[sn], c.cfg.IntraLatency
+		return append(segs, Segment{R: c.bus[sn], Factor: c.cfg.IntraCopies}), c.cfg.IntraLatency
 	}
-	row := c.routes[sn]
-	if row == nil {
-		row = make([]cachedRoute, c.cfg.Nodes)
-		c.routes[sn] = row
+	segs = append(segs, Seg(c.egress[sn]))
+	if c.spine != nil {
+		segs = append(segs, Seg(c.spine))
 	}
-	e := &row[dn]
-	if !e.ok {
-		segs := make([]Segment, 0, 3)
-		segs = append(segs, Seg(c.egress[sn]))
-		if c.spine != nil {
-			segs = append(segs, Seg(c.spine))
-		}
-		segs = append(segs, Seg(c.ingress[dn]))
-		*e = cachedRoute{segs: segs, lat: c.cfg.InterLatency, ok: true}
-	}
-	return e.segs, e.lat
+	return append(segs, Seg(c.ingress[dn])), c.cfg.InterLatency
 }
 
 // Config returns the cluster configuration.
@@ -124,10 +101,9 @@ func (c *SMPCluster) Config() SMPClusterConfig { return c.cfg }
 // do not model in detail. Every message crosses only the (optional)
 // shared spine.
 type Crossbar struct {
-	n         int
-	spine     *Resource
-	lat       des.Duration
-	spineSegs []Segment // the one shared route, precomposed
+	n     int
+	spine *Resource
+	lat   des.Duration
 }
 
 // NewCrossbar builds an n-port crossbar. aggregateBW, when positive,
@@ -139,7 +115,6 @@ func NewCrossbar(n int, aggregateBW float64, lat des.Duration) *Crossbar {
 	x := &Crossbar{n: n, lat: lat}
 	if aggregateBW > 0 {
 		x.spine = NewResource("xbar", aggregateBW)
-		x.spineSegs = []Segment{Seg(x.spine)}
 	}
 	return x
 }
@@ -147,10 +122,12 @@ func NewCrossbar(n int, aggregateBW float64, lat des.Duration) *Crossbar {
 // NumProcs reports the port count.
 func (x *Crossbar) NumProcs() int { return x.n }
 
-// Path returns the spine (if capped) and the constant latency. The
-// returned slice is shared and must not be modified.
-func (x *Crossbar) Path(src, dst int) ([]Segment, des.Duration) {
-	return x.spineSegs, x.lat
+// Path appends the spine (if capped) and returns the constant latency.
+func (x *Crossbar) Path(segs []Segment, src, dst int) ([]Segment, des.Duration) {
+	if x.spine != nil {
+		segs = append(segs, Seg(x.spine))
+	}
+	return segs, x.lat
 }
 
 // Resources lists the cluster's buses, adapters and spine for

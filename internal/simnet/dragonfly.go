@@ -27,11 +27,6 @@ type Dragonfly struct {
 	local  [][]*Resource
 	global []*Resource
 	groups int
-
-	// routes memoises the composed route per (src router, dst router)
-	// pair: routing is minimal and static, so the route is a pure
-	// function of the router pair.
-	routes [][]cachedRoute
 }
 
 // DragonflyConfig sizes a Dragonfly.
@@ -86,7 +81,6 @@ func NewDragonfly(cfg DragonflyConfig) *Dragonfly {
 			d.global[j*groups+i] = r
 		}
 	}
-	d.routes = make([][]cachedRoute, routers)
 	return d
 }
 
@@ -113,39 +107,20 @@ func (d *Dragonfly) gateway(g, h int) int {
 	return h % d.perGroup
 }
 
-// Path composes the minimal route: intra-router pairs share the router
+// Path appends the minimal route: intra-router pairs share the router
 // crossbar (no fabric segment), intra-group pairs take one local link,
 // and cross-group pairs go source router → gateway (local), global
-// link, gateway → destination router (local). Routes are memoised per
-// router pair; the returned slice is shared and must not be modified.
-func (d *Dragonfly) Path(src, dst int) ([]Segment, des.Duration) {
+// link, gateway → destination router (local).
+func (d *Dragonfly) Path(segs []Segment, src, dst int) ([]Segment, des.Duration) {
 	sr, dr := d.RouterOf(src), d.RouterOf(dst)
 	if sr == dr {
-		return nil, d.localLat
+		return segs, d.localLat
 	}
-	row := d.routes[sr]
-	if row == nil {
-		row = make([]cachedRoute, len(d.routes))
-		d.routes[sr] = row
-	}
-	e := &row[dr]
-	if !e.ok {
-		*e = d.composeRoute(sr, dr)
-	}
-	return e.segs, e.lat
-}
-
-func (d *Dragonfly) composeRoute(sr, dr int) cachedRoute {
 	sg, dg := sr/d.perGroup, dr/d.perGroup
 	sl, dl := sr%d.perGroup, dr%d.perGroup
 	if sg == dg {
-		return cachedRoute{
-			segs: []Segment{Seg(d.localLink(sg, sl, dl))},
-			lat:  d.localLat,
-			ok:   true,
-		}
+		return append(segs, Seg(d.localLink(sg, sl, dl))), d.localLat
 	}
-	var segs []Segment
 	sgw, dgw := d.gateway(sg, dg), d.gateway(dg, sg)
 	if l := d.localLink(sg, sl, sgw); l != nil {
 		segs = append(segs, Seg(l))
@@ -154,7 +129,7 @@ func (d *Dragonfly) composeRoute(sr, dr int) cachedRoute {
 	if l := d.localLink(dg, dgw, dl); l != nil {
 		segs = append(segs, Seg(l))
 	}
-	return cachedRoute{segs: segs, lat: d.globalLat, ok: true}
+	return segs, d.globalLat
 }
 
 // Resources lists every fabric link for utilisation diagnostics.

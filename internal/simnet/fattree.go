@@ -20,11 +20,6 @@ type FatTree struct {
 	down     [][]*Resource
 	intraLat des.Duration
 	interLat des.Duration
-
-	// routes memoises the two-segment cross-leaf route per (source
-	// leaf, destination leaf, uplink) triple — the full route key under
-	// static routing, far smaller than a per-processor-pair table.
-	routes [][]cachedRoute // [srcLeaf][dstLeaf*uplinks+route]
 }
 
 // FatTreeConfig sizes a FatTree.
@@ -59,7 +54,6 @@ func NewFatTree(cfg FatTreeConfig) *FatTree {
 		ft.up = append(ft.up, ups)
 		ft.down = append(ft.down, downs)
 	}
-	ft.routes = make([][]cachedRoute, leaves)
 	return ft
 }
 
@@ -77,28 +71,14 @@ func (ft *FatTree) routeIndex(src, dst int) int {
 }
 
 // Path routes same-leaf traffic directly through the leaf crossbar and
-// cross-leaf traffic over one uplink and one downlink. Routes are
-// memoised; the returned slice is shared and must not be modified.
-func (ft *FatTree) Path(src, dst int) ([]Segment, des.Duration) {
+// cross-leaf traffic over one uplink and one downlink.
+func (ft *FatTree) Path(segs []Segment, src, dst int) ([]Segment, des.Duration) {
 	sl, dl := ft.LeafOf(src), ft.LeafOf(dst)
 	if sl == dl {
-		return nil, ft.intraLat
+		return segs, ft.intraLat
 	}
 	r := ft.routeIndex(src, dst)
-	row := ft.routes[sl]
-	if row == nil {
-		row = make([]cachedRoute, len(ft.routes)*ft.uplinks)
-		ft.routes[sl] = row
-	}
-	e := &row[dl*ft.uplinks+r]
-	if !e.ok {
-		*e = cachedRoute{
-			segs: []Segment{Seg(ft.up[sl][r]), Seg(ft.down[dl][r])},
-			lat:  ft.interLat,
-			ok:   true,
-		}
-	}
-	return e.segs, e.lat
+	return append(segs, Seg(ft.up[sl][r]), Seg(ft.down[dl][r])), ft.interLat
 }
 
 // Resources lists every switch link for utilisation diagnostics.

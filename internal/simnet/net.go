@@ -9,12 +9,15 @@ import (
 )
 
 // Fabric is a routed interconnect topology over physical processors
-// 0..NumProcs-1. Path returns the shared resources a message traverses
-// between two processors (excluding the per-processor NICs, which Net
-// owns) and the propagation latency of the route.
+// 0..NumProcs-1. Path appends to segs the shared resources a message
+// traverses between two distinct processors (not the per-processor NICs
+// and ports, which Net owns) and returns them with the propagation
+// latency of the route. Routing is static, so Path is a pure function of
+// the pair; Net memoises it, and a fabric keeps no route table of its
+// own.
 type Fabric interface {
 	NumProcs() int
-	Path(src, dst int) ([]Segment, des.Duration)
+	Path(segs []Segment, src, dst int) ([]Segment, des.Duration)
 }
 
 // Config describes the per-processor communication parameters of a
@@ -50,8 +53,8 @@ type Config struct {
 	MemCopyBandwidth float64
 }
 
-// maxPathCacheProcs bounds the processor count up to which per-pair
-// route caches are kept. Above it the quadratic table would dominate
+// maxPathCacheProcs bounds the processor count up to which Net keeps
+// its per-pair route cache. Above it the quadratic table would dominate
 // memory (rows are lazy, but a full all-to-all touches them all), so
 // larger machines fall back to computing routes per transfer.
 const maxPathCacheProcs = 1024
@@ -78,9 +81,10 @@ type Net struct {
 	// fabric route, port, NIC) and latency per (src,dst) pair. Routing
 	// is static, so the composition is a pure function of the pair; one
 	// full Table-1 run books millions of transfers over the same few
-	// thousand pairs. nil when NumProcs > maxPathCacheProcs.
+	// thousand pairs. It is the only route cache; fabrics compute each
+	// route afresh. nil when NumProcs > maxPathCacheProcs.
 	pathRows [][]cachedRoute
-	scratch  []Segment // compose buffer for the uncached fallback
+	scratch  []Segment // compose buffer, reused on every cache miss
 
 	bytesMoved int64
 	messages   int64
@@ -114,8 +118,8 @@ type Metrics struct {
 	Queued *obs.Counter
 
 	// RouteCacheHits and RouteCacheMisses track the per-pair route
-	// cache; misses include the uncached fallback on machines above
-	// maxPathCacheProcs.
+	// cache. Transfers and Latency lookups both count; on machines above
+	// maxPathCacheProcs every lookup of either kind is a miss.
 	RouteCacheHits   *obs.Counter
 	RouteCacheMisses *obs.Counter
 
@@ -284,52 +288,49 @@ func (n *Net) fanOutTransfer(src, dst int, size int64, start, end des.Time) {
 
 // pathFor returns the composed segment list and route latency for a
 // src→dst transfer, from the per-pair cache when one is kept. The
-// returned slice is shared; callers must only read it.
+// returned slice is shared (a cached route, or the scratch buffer the
+// next miss overwrites); callers must only read it, and only until the
+// next pathFor.
 func (n *Net) pathFor(src, dst int) ([]Segment, des.Duration) {
-	if n.pathRows == nil {
-		// Too many processors to memoise: compose into the reusable
-		// scratch buffer (consumed synchronously by reserve).
-		if m := n.metrics; m != nil {
-			m.RouteCacheMisses.Inc()
+	var e *cachedRoute
+	if n.pathRows != nil {
+		row := n.pathRows[src]
+		if row == nil {
+			row = make([]cachedRoute, len(n.pathRows))
+			n.pathRows[src] = row
 		}
-		path, lat := n.cfg.Fabric.Path(src, dst)
-		n.scratch = n.composeInto(n.scratch[:0], src, dst, path)
-		return n.scratch, lat
-	}
-	row := n.pathRows[src]
-	if row == nil {
-		row = make([]cachedRoute, len(n.pathRows))
-		n.pathRows[src] = row
-	}
-	if e := &row[dst]; e.ok {
-		if m := n.metrics; m != nil {
-			m.RouteCacheHits.Inc()
+		if e = &row[dst]; e.ok {
+			if m := n.metrics; m != nil {
+				m.RouteCacheHits.Inc()
+			}
+			return e.segs, e.lat
 		}
-		return e.segs, e.lat
 	}
 	if m := n.metrics; m != nil {
 		m.RouteCacheMisses.Inc()
 	}
-	path, lat := n.cfg.Fabric.Path(src, dst)
-	segs := n.composeInto(make([]Segment, 0, len(path)+4), src, dst, path)
-	row[dst] = cachedRoute{segs: segs, lat: lat, ok: true}
+	segs, lat := n.compose(n.scratch[:0], src, dst)
+	n.scratch = segs
+	if e != nil {
+		segs = append(make([]Segment, 0, len(segs)), segs...)
+		*e = cachedRoute{segs: segs, lat: lat, ok: true}
+	}
 	return segs, lat
 }
 
-// composeInto appends the full resource chain of a transfer — source
-// NIC, memory ports if modelled, the fabric route, destination NIC —
-// to segs and returns it.
-func (n *Net) composeInto(segs []Segment, src, dst int, path []Segment) []Segment {
+// compose appends the full resource chain of a transfer — source NIC,
+// memory ports if modelled, the fabric route, destination NIC — to segs
+// and returns it with the route latency.
+func (n *Net) compose(segs []Segment, src, dst int) ([]Segment, des.Duration) {
 	segs = append(segs, Seg(n.tx[src]))
 	if n.port != nil {
 		segs = append(segs, Seg(n.port[src]))
 	}
-	segs = append(segs, path...)
+	segs, lat := n.cfg.Fabric.Path(segs, src, dst)
 	if n.port != nil {
 		segs = append(segs, Seg(n.port[dst]))
 	}
-	segs = append(segs, Seg(n.rx[dst]))
-	return segs
+	return append(segs, Seg(n.rx[dst])), lat
 }
 
 // CopyTime reports the cost of a local memory copy of size bytes.
@@ -346,14 +347,9 @@ func (n *Net) Latency(src, dst int) des.Duration {
 	if src == dst {
 		return n.cfg.SendOverhead + n.cfg.RecvOverhead
 	}
-	var lat des.Duration
-	if n.pathRows != nil {
-		// Rendezvous asks for latency on every message; read it from the
-		// route cache rather than re-deriving the route.
-		_, lat = n.pathFor(src, dst)
-	} else {
-		_, lat = n.cfg.Fabric.Path(src, dst)
-	}
+	// Rendezvous asks for latency on every message; read it from the
+	// route cache rather than re-deriving the route.
+	_, lat := n.pathFor(src, dst)
 	return n.cfg.SendOverhead + lat + n.cfg.RecvOverhead
 }
 

@@ -150,7 +150,7 @@ func TestTorusPathLengthMatchesHopCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		s, d := rng.Intn(64), rng.Intn(64)
-		path, _ := tor.Path(s, d)
+		path, _ := tor.Path(nil, s, d)
 		if len(path) != tor.HopCount(s, d) {
 			t.Fatalf("path(%d,%d) has %d segments, hop count %d", s, d, len(path), tor.HopCount(s, d))
 		}
@@ -171,8 +171,8 @@ func TestTorusHopCountSymmetric(t *testing.T) {
 
 func TestTorusLatencyScalesWithHops(t *testing.T) {
 	tor := NewTorus3D(8, 1, 1, 100*MB, 1*des.Microsecond, 100*des.Nanosecond)
-	_, lat1 := tor.Path(0, 1)
-	_, lat4 := tor.Path(0, 4)
+	_, lat1 := tor.Path(nil, 0, 1)
+	_, lat4 := tor.Path(nil, 0, 4)
 	if lat1 != des.Duration(1100) {
 		t.Errorf("1-hop latency = %v, want 1.1us", lat1)
 	}
@@ -430,11 +430,11 @@ func TestReservationsNeverOverlap(t *testing.T) {
 func TestFatTreeSameLeafNoSwitchLinks(t *testing.T) {
 	ft := NewFatTree(FatTreeConfig{Procs: 16, LeafSize: 4, Uplinks: 2, LinkBW: 100 * MB,
 		IntraLat: des.Microsecond, InterLat: 5 * des.Microsecond})
-	path, lat := ft.Path(0, 3)
+	path, lat := ft.Path(nil, 0, 3)
 	if len(path) != 0 || lat != des.Microsecond {
 		t.Errorf("same-leaf path = %d segs, lat %v", len(path), lat)
 	}
-	path, lat = ft.Path(0, 4)
+	path, lat = ft.Path(nil, 0, 4)
 	if len(path) != 2 || lat != 5*des.Microsecond {
 		t.Errorf("cross-leaf path = %d segs, lat %v", len(path), lat)
 	}

@@ -19,11 +19,6 @@ type Torus3D struct {
 	links   []*Resource // [(node*3+dim)*2+dir]
 	baseLat des.Duration
 	hopLat  des.Duration
-	scratch []Segment
-
-	// routes memoises the dimension-ordered route per (src,dst) pair;
-	// rows are allocated on first use. nil on tori too large to cache.
-	routes [][]cachedRoute
 }
 
 // NewTorus3D builds a dx × dy × dz torus. linkBW is the bandwidth of
@@ -43,9 +38,6 @@ func NewTorus3D(dx, dy, dz int, linkBW float64, baseLat, hopLat des.Duration) *T
 					fmt.Sprintf("link[n%d,d%d,%+d]", node, dim, dir*2-1), linkBW)
 			}
 		}
-	}
-	if n <= maxPathCacheProcs {
-		t.routes = make([][]cachedRoute, n)
 	}
 	return t
 }
@@ -94,34 +86,9 @@ func (t *Torus3D) HopCount(src, dst int) int {
 }
 
 // Path routes dimension by dimension (x, then y, then z), taking the
-// shortest direction around each ring. Routes are memoised per pair;
-// the returned slice is shared and must not be modified (uncached
-// fallback: reused on the next call).
-func (t *Torus3D) Path(src, dst int) ([]Segment, des.Duration) {
-	if src == dst {
-		return nil, t.baseLat
-	}
-	if t.routes != nil {
-		row := t.routes[src]
-		if row == nil {
-			row = make([]cachedRoute, t.nprocs)
-			t.routes[src] = row
-		}
-		if e := &row[dst]; e.ok {
-			return e.segs, e.lat
-		}
-		segs, lat := t.route(nil, src, dst)
-		row[dst] = cachedRoute{segs: segs, lat: lat, ok: true}
-		return segs, lat
-	}
-	var lat des.Duration
-	t.scratch, lat = t.route(t.scratch[:0], src, dst)
-	return t.scratch, lat
-}
-
-// route appends the dimension-ordered link sequence to segs and returns
-// it with the route latency.
-func (t *Torus3D) route(segs []Segment, src, dst int) ([]Segment, des.Duration) {
+// shortest direction around each ring, and appends the link sequence to
+// segs.
+func (t *Torus3D) Path(segs []Segment, src, dst int) ([]Segment, des.Duration) {
 	cur := t.coords(src)
 	d := t.coords(dst)
 	hops := 0
