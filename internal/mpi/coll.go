@@ -338,12 +338,21 @@ func (c *Comm) AlltoallvBytes(sendCounts, recvCounts []int64) {
 		c.Proc().Fail("mpi: Alltoallv counts must have length %d", n)
 	}
 	w := c.begin()
+	// dst = rank+step and src = rank-step, mod n: walked with a wrap
+	// instead of two divisions per phase.
+	dst, src := c.rank, c.rank
 	for step := 1; step < n; step++ {
+		if dst++; dst == n {
+			dst = 0
+		}
+		if src--; src < 0 {
+			src = n - 1
+		}
 		rd := round{src: noPeer, dst: noPeer, tag: tagAlltoallv + step}
-		if dst := (c.rank + step) % n; sendCounts[dst] > 0 {
+		if sendCounts[dst] > 0 {
 			rd.dst, rd.size = dst, sendCounts[dst]
 		}
-		if src := (c.rank - step + n) % n; recvCounts[src] > 0 {
+		if recvCounts[src] > 0 {
 			rd.src = src
 		}
 		if rd.src != noPeer || rd.dst != noPeer {

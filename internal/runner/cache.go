@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/hpcbench/beff/internal/obs"
 	"github.com/hpcbench/beff/internal/store"
@@ -35,6 +36,14 @@ type Cache struct {
 	// Swallowed persistence failures; nil until Instrument, and a nil
 	// obs counter is a no-op.
 	errs *obs.Counter
+
+	// verified is the set of keys whose stored value, re-indented, is
+	// known to be the bytes JSONTask would render through the typed
+	// value: keys this cache stored itself, and keys whose first hit
+	// here rendered both ways byte-equal. A key stays valid because the
+	// store changes under a cache only through store: the writer lock
+	// keeps other writers out, and a read-only store is a snapshot.
+	verified *sync.Map
 }
 
 // OpenCache creates dir (if needed) and returns a cache rooted there.
@@ -57,7 +66,7 @@ func OpenCache(dir string) (*Cache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runner: open cache: %w", err)
 	}
-	return &Cache{dir: dir, salt: codeVersion, st: st, locked: locked}, nil
+	return &Cache{dir: dir, salt: codeVersion, st: st, locked: locked, verified: new(sync.Map)}, nil
 }
 
 // Dir reports the cache's root directory.
@@ -111,6 +120,20 @@ func (c *Cache) keyFor(fingerprint any) (string, error) {
 	return fingerprintKey(c.salt, fingerprint)
 }
 
+// cellKey is the cache key of a cell's fingerprint, or "" when the
+// cell bypasses the cache: no cache, no fingerprint, or a fingerprint
+// that does not marshal.
+func (c *Cache) cellKey(fingerprint any) string {
+	if c == nil || fingerprint == nil {
+		return ""
+	}
+	k, err := c.keyFor(fingerprint)
+	if err != nil {
+		return ""
+	}
+	return k
+}
+
 // FingerprintKey reports the content-addressed identity of a cell
 // fingerprint under the current code version — the same hex SHA-256
 // that names the fingerprint's cache entry. The service layer dedupes
@@ -143,29 +166,39 @@ type entry struct {
 	Value       json.RawMessage `json:"value"`
 }
 
-// decodeEntry unpacks a stored entry document into the pointer `into`.
-// Any failure — truncated or corrupted JSON, value shape mismatch —
-// reports false so the caller treats it as a miss and recomputes.
-func decodeEntry(data []byte, into any) bool {
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return false
+// load reads the entry under key and returns its stored value. A
+// non-nil into (a pointer) also receives the value decoded. Any failure
+// — truncated or corrupted JSON, a null value, a value that does not
+// decode into into — reports a miss so the caller recomputes (the
+// subsequent store repairs the entry).
+func (c *Cache) load(key string, into any) (json.RawMessage, bool) {
+	data, ok, err := c.st.Get(key)
+	if err != nil || !ok {
+		return nil, false
 	}
-	if len(e.Value) == 0 || string(e.Value) == "null" {
+	var e entry
+	if json.Unmarshal(data, &e) != nil || len(e.Value) == 0 || string(e.Value) == "null" {
 		// A JSON null would "unmarshal" successfully into a pointer
 		// target by setting it to nil — a poisoned hit. Treat it as the
 		// corruption it is and recompute.
-		return false
+		return nil, false
 	}
-	return json.Unmarshal(e.Value, into) == nil
+	if into != nil && json.Unmarshal(e.Value, into) != nil {
+		return nil, false
+	}
+	return e.Value, true
 }
 
-// load reads an entry into the pointer `into`, reporting a miss on any
-// failure so the caller recomputes (the subsequent store repairs the
-// entry).
-func (c *Cache) load(key string, into any) bool {
-	data, ok, err := c.st.Get(key)
-	return err == nil && ok && decodeEntry(data, into)
+// verifiedValue is load without the typed decode, for a key in the
+// verified set; any other key reports a miss.
+func (c *Cache) verifiedValue(key string) (json.RawMessage, bool) {
+	if key == "" {
+		return nil, false
+	}
+	if _, ok := c.verified.Load(key); !ok {
+		return nil, false
+	}
+	return c.load(key, nil)
 }
 
 // store writes an entry. Failures — including every Put on a read-only
@@ -186,5 +219,9 @@ func (c *Cache) store(key, cellKey string, fingerprint, value any) {
 	}
 	if err := c.st.Put(key, data); err != nil {
 		c.errs.Inc()
+		return
 	}
+	// The entry holds json.Marshal(value), and json.MarshalIndent is
+	// json.Indent of exactly that.
+	c.verified.Store(key, struct{}{})
 }

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -363,13 +364,24 @@ func runTask(t Task) (value json.RawMessage, cached bool, err error) {
 	return t.Run()
 }
 
-// JSONTask adapts a typed cell into a pool Task: the cell runs
-// through RunCell (so it probes and repairs the same on-disk cache the
-// CLI sweeps use) and its value is rendered as indented JSON — the
-// exact bytes of the golden corpus, which is what makes results served
-// over HTTP byte-comparable to testdata/golden/ entries. The task's
-// Hash is the cell's FingerprintKey, so identical concurrent
-// submissions share one execution.
+// JSONTask adapts a typed cell into a pool Task whose value is the
+// cell's result as indented JSON (json.MarshalIndent with two spaces
+// plus a trailing newline) — the exact bytes of the golden corpus,
+// which is what makes results served over HTTP byte-comparable to
+// testdata/golden/ entries. The cell probes and repairs the same
+// on-disk cache the CLI sweeps use. The task's Hash is the cell's
+// FingerprintKey, so identical concurrent submissions share one
+// execution.
+//
+// A hit on a key in the cache's verified set is served from the stored
+// value re-indented, never decoded into T: json.MarshalIndent(v) is
+// json.Indent(json.Marshal(v)), and the entry holds json.Marshal(v).
+// Any other key goes the typed way, through RunCell's decode into T, so
+// a stored value that does not decode is a miss that recomputes and
+// repairs the entry. A hit whose typed rendering equals its re-indented
+// stored value admits the key to the set; one that differs is served
+// through T, as every later hit on it will be. Every returned value has
+// cap == len: the service keeps up to MaxJobs of them.
 func JSONTask[T any](c Cell[T], cache *Cache) Task {
 	hash := ""
 	if c.Fingerprint != nil {
@@ -381,7 +393,13 @@ func JSONTask[T any](c Cell[T], cache *Cache) Task {
 		Key:  c.Key,
 		Hash: hash,
 		Run: func() (json.RawMessage, bool, error) {
-			r := RunCell(c, cache)
+			key := cache.cellKey(c.Fingerprint)
+			if raw, ok := cache.verifiedValue(key); ok {
+				if data, err := indentValue(raw); err == nil {
+					return data, true, nil
+				}
+			}
+			r, raw := runCell(c, cache, key)
 			if r.Err != nil {
 				return nil, false, r.Err
 			}
@@ -389,7 +407,31 @@ func JSONTask[T any](c Cell[T], cache *Cache) Task {
 			if err != nil {
 				return nil, false, fmt.Errorf("task %s: encode result: %w", c.Key, err)
 			}
-			return append(data, '\n'), r.Cached, nil
+			out := line(data)
+			if r.Cached {
+				if ind, err := indentValue(raw); err == nil && bytes.Equal(ind, out) {
+					cache.verified.Store(key, struct{}{})
+				}
+			}
+			return out, r.Cached, nil
 		},
 	}
+}
+
+// indentValue renders a stored value the way JSONTask renders a typed
+// one: json.Indent with two spaces, then a newline.
+func indentValue(value json.RawMessage) (json.RawMessage, error) {
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, value, "", "  "); err != nil {
+		return nil, err
+	}
+	return line(buf.Bytes()), nil
+}
+
+// line returns data and a newline in a new slice with cap == len.
+func line(data []byte) json.RawMessage {
+	out := make(json.RawMessage, len(data)+1)
+	copy(out, data)
+	out[len(data)] = '\n'
+	return out
 }

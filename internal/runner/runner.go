@@ -125,29 +125,33 @@ func Sweep[T any](cells []Cell[T], opt Options) []Result[T] {
 // (internal/serve) uses it directly so HTTP-served results share the
 // same cache entries as CLI sweeps. A nil cache always recomputes.
 func RunCell[T any](c Cell[T], cache *Cache) Result[T] {
+	res, _ := runCell(c, cache, cache.cellKey(c.Fingerprint))
+	return res
+}
+
+// runCell is RunCell under a precomputed cache key ("" recomputes
+// without touching the cache). On a hit it also returns the entry's
+// stored value, undecoded.
+func runCell[T any](c Cell[T], cache *Cache, key string) (Result[T], json.RawMessage) {
 	res := Result[T]{Key: c.Key}
 	start := time.Now()
-	var ck string
-	if cache != nil && c.Fingerprint != nil {
-		if k, err := cache.keyFor(c.Fingerprint); err == nil {
-			ck = k
-			if cache.load(ck, &res.Value) {
-				res.Cached = true
-				res.Elapsed = time.Since(start)
-				return res
-			}
-			// Miss, corrupted entry, or stale code version: fall
-			// through and recompute; the store below repairs the entry.
-			var zero T
-			res.Value = zero
+	if key != "" {
+		if raw, ok := cache.load(key, &res.Value); ok {
+			res.Cached = true
+			res.Elapsed = time.Since(start)
+			return res, raw
 		}
+		// Miss, corrupted entry, or stale code version: fall through
+		// and recompute; the store below repairs the entry.
+		var zero T
+		res.Value = zero
 	}
 	res.Value, res.Err = protect(c)
 	res.Elapsed = time.Since(start)
-	if res.Err == nil && ck != "" {
-		cache.store(ck, c.Key, c.Fingerprint, res.Value)
+	if res.Err == nil && key != "" {
+		cache.store(key, c.Key, c.Fingerprint, res.Value)
 	}
-	return res
+	return res, nil
 }
 
 // protect invokes the cell body with panic isolation: a panicking cell

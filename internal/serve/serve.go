@@ -8,7 +8,7 @@
 // The data flow per request is
 //
 //	submit → admission control → expand to cells → pool queue
-//	       → in-flight dedupe → runner.RunCell (cache probe/compute/store)
+//	       → in-flight dedupe → runner.JSONTask (cache probe/compute/store)
 //	       → per-job registry → NDJSON stream / poll / result fetch
 //
 // Results are rendered with the same indented-JSON encoding as the

@@ -172,6 +172,10 @@ func blockPoolWorkers(t *testing.T, s *Server, n int) (release func()) {
 // procs 8, L_max override 64 KiB, looplength cap 2, seed 1, one rep.
 const goldenSpec = `{"bench":"beff","machines":["t3e"],"procs":[8],"lmax_override":65536,"max_looplength":2}`
 
+// goldenIOSpec is the b_eff_io request matching the corpus's
+// beffio_t3e.json entry.
+const goldenIOSpec = `{"bench":"beffio","machines":["t3e"],"procs":[4],"t_seconds":0.5}`
+
 // quickSpec is a cheaper cell for tests that only need *some* work.
 const quickSpec = `{"bench":"beff","machines":["t3e"],"procs":[4],"lmax_override":1024,"max_looplength":1}`
 
@@ -186,7 +190,7 @@ func TestGoldenOverHTTP(t *testing.T) {
 		name, spec, golden string
 	}{
 		{"beff", goldenSpec, "beff_t3e.json"},
-		{"beffio", `{"bench":"beffio","machines":["t3e"],"procs":[4],"t_seconds":0.5}`, "beffio_t3e.json"},
+		{"beffio", goldenIOSpec, "beffio_t3e.json"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -620,52 +624,57 @@ func TestStoreMetricsExported(t *testing.T) {
 }
 
 // TestGoldenFromWarmStore pins that a cache hit over HTTP is golden:
-// the golden cell computed into a store by one server is served from
+// the golden cells computed into a store by one server are served from
 // that store by the next server on the same directory, byte-identical
-// to the corpus entry without being recomputed. A fresh store computes
-// the same bytes.
+// to the corpus entries without being recomputed. The warm server
+// fetches each cell twice: its first hit renders the typed value, its
+// second the stored bytes. A fresh store computes each cell, then
+// serves the entry it stored.
 func TestGoldenFromWarmStore(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("..", "check", "testdata", "golden", "beff_t3e.json"))
-	if err != nil {
-		t.Fatal(err)
+	corpus := []struct{ spec, golden string }{
+		{goldenSpec, "beff_t3e.json"},
+		{goldenIOSpec, "beffio_t3e.json"},
 	}
-	fetch := func(t *testing.T, cfg Config) (JobStatus, []byte) {
-		_, ts := newTestServer(t, cfg)
-		code, data := post(t, ts, "/api/v1/sweeps", goldenSpec)
-		if code != http.StatusAccepted {
-			t.Fatalf("submit: %d: %s", code, data)
+	// fetchEach runs every corpus spec as a new job on a server over
+	// dir, once per entry of cached, and checks the job's cached-cell
+	// count and the cell's bytes against the golden entry.
+	fetchEach := func(t *testing.T, dir string, cached ...int) {
+		_, ts := newTestServer(t, Config{Workers: 2, CacheDir: dir})
+		for _, c := range corpus {
+			want, err := os.ReadFile(filepath.Join("..", "check", "testdata", "golden", c.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range cached {
+				code, data := post(t, ts, "/api/v1/sweeps", c.spec)
+				if code != http.StatusAccepted {
+					t.Fatalf("submit: %d: %s", code, data)
+				}
+				st := decodeStatus(t, data)
+				st = waitState(t, ts, st.ID, func(j JobStatus) bool { return j.State == "done" })
+				code, cell := get(t, ts, "/api/v1/jobs/"+st.ID+"/cells/0")
+				if code != http.StatusOK {
+					t.Fatalf("%s fetch %d: %d: %s", c.golden, i+1, code, cell)
+				}
+				if st.CellsCached != n {
+					t.Fatalf("%s fetch %d: cells_cached = %d, want %d", c.golden, i+1, st.CellsCached, n)
+				}
+				if !bytes.Equal(cell, want) {
+					t.Fatalf("%s fetch %d differs from golden (%d vs %d bytes)", c.golden, i+1, len(cell), len(want))
+				}
+			}
 		}
-		st := decodeStatus(t, data)
-		st = waitState(t, ts, st.ID, func(j JobStatus) bool { return j.State == "done" })
-		code, cell := get(t, ts, "/api/v1/jobs/"+st.ID+"/cells/0")
-		if code != http.StatusOK {
-			t.Fatalf("cell fetch: %d: %s", code, cell)
-		}
-		return st, cell
 	}
 
 	t.Run("warm-store", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "cache")
-		// The first server computes the cell into the store; its
+		// The first server computes the cells into the store; its
 		// subtest's cleanup drains it and releases the writer lock.
-		t.Run("cold", func(t *testing.T) {
-			if job, _ := fetch(t, Config{Workers: 2, CacheDir: dir}); job.CellsCached != 0 {
-				t.Fatalf("empty store served a hit: %+v", job)
-			}
-		})
-		job, cell := fetch(t, Config{Workers: 2, CacheDir: dir})
-		if job.CellsCached != 1 {
-			t.Fatalf("stored cell was recomputed: %+v", job)
-		}
-		if !bytes.Equal(cell, want) {
-			t.Fatalf("warm store differs from golden (%d vs %d bytes)", len(cell), len(want))
-		}
+		t.Run("cold", func(t *testing.T) { fetchEach(t, dir, 0) })
+		fetchEach(t, dir, 1, 1)
 	})
 	t.Run("fresh-store", func(t *testing.T) {
-		_, cell := fetch(t, Config{Workers: 2, CacheDir: filepath.Join(t.TempDir(), "fresh")})
-		if !bytes.Equal(cell, want) {
-			t.Fatalf("fresh store differs from golden (%d vs %d bytes)", len(cell), len(want))
-		}
+		fetchEach(t, filepath.Join(t.TempDir(), "fresh"), 0, 1)
 	})
 }
 
