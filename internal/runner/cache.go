@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -37,12 +38,13 @@ type Cache struct {
 	// obs counter is a no-op.
 	errs *obs.Counter
 
-	// verified is the set of keys whose stored value, re-indented, is
-	// known to be the bytes JSONTask would render through the typed
-	// value: keys this cache stored itself, and keys whose first hit
-	// here rendered both ways byte-equal. A key stays valid because the
-	// store changes under a cache only through store: the writer lock
-	// keeps other writers out, and a read-only store is a snapshot.
+	// verified is the set of keys whose stored entry, rendered by
+	// renderStored, is known to be the bytes JSONTask would render
+	// through the typed value: keys this cache stored itself, and keys
+	// whose first hit here rendered both ways byte-equal. A key stays
+	// valid because the store changes under a cache only through store:
+	// the writer lock keeps other writers out, a read-only store is a
+	// snapshot, and Get checks every record's CRC.
 	verified *sync.Map
 }
 
@@ -120,6 +122,17 @@ func (c *Cache) keyFor(fingerprint any) (string, error) {
 	return fingerprintKey(c.salt, fingerprint)
 }
 
+// taskKey is cellKey for a fingerprint whose FingerprintKey is hash.
+// Under the code-version salt the two are the same SHA-256, so only a
+// cache keyed under another salt (withSalt) hashes the fingerprint
+// again.
+func (c *Cache) taskKey(fingerprint any, hash string) string {
+	if c != nil && c.salt == codeVersion {
+		return hash
+	}
+	return c.cellKey(fingerprint)
+}
+
 // cellKey is the cache key of a cell's fingerprint, or "" when the
 // cell bypasses the cache: no cache, no fingerprint, or a fingerprint
 // that does not marshal.
@@ -158,20 +171,21 @@ func fingerprintKey(salt string, fingerprint any) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// entry is the stored format. Key and Fingerprint are for humans
-// inspecting the cache; only Value is read back.
+// entry is the stored format, written by json.MarshalIndent with a
+// one-space indent. Key and Fingerprint are for humans inspecting the
+// cache; only Value is read back.
 type entry struct {
 	Key         string          `json:"key"`
 	Fingerprint json.RawMessage `json:"fingerprint"`
 	Value       json.RawMessage `json:"value"`
 }
 
-// load reads the entry under key and returns its stored value. A
-// non-nil into (a pointer) also receives the value decoded. Any failure
-// — truncated or corrupted JSON, a null value, a value that does not
-// decode into into — reports a miss so the caller recomputes (the
-// subsequent store repairs the entry).
-func (c *Cache) load(key string, into any) (json.RawMessage, bool) {
+// load reads the entry under key, decodes its value into into (a
+// pointer) and returns the stored entry. Any failure — truncated or
+// corrupted JSON, a null value, a value that does not decode into
+// into — reports a miss so the caller recomputes (the subsequent store
+// repairs the entry).
+func (c *Cache) load(key string, into any) ([]byte, bool) {
 	data, ok, err := c.st.Get(key)
 	if err != nil || !ok {
 		return nil, false
@@ -183,14 +197,14 @@ func (c *Cache) load(key string, into any) (json.RawMessage, bool) {
 		// corruption it is and recompute.
 		return nil, false
 	}
-	if into != nil && json.Unmarshal(e.Value, into) != nil {
+	if json.Unmarshal(e.Value, into) != nil {
 		return nil, false
 	}
-	return e.Value, true
+	return data, true
 }
 
-// verifiedValue is load without the typed decode, for a key in the
-// verified set; any other key reports a miss.
+// verifiedValue is a verified key's stored entry rendered by
+// renderStored, without load's decodes; any other key reports a miss.
 func (c *Cache) verifiedValue(key string) (json.RawMessage, bool) {
 	if key == "" {
 		return nil, false
@@ -198,7 +212,51 @@ func (c *Cache) verifiedValue(key string) (json.RawMessage, bool) {
 	if _, ok := c.verified.Load(key); !ok {
 		return nil, false
 	}
-	return c.load(key, nil)
+	data, ok, err := c.st.Get(key)
+	if err != nil || !ok {
+		return nil, false
+	}
+	return renderStored(data)
+}
+
+// Stored entries and JSONTask values, as Layouts: store writes the
+// entry's three fields one space deep, and JSONTask renders a value
+// the way json.MarshalIndent(v, "", "  ") does.
+var (
+	entryLayout = Layout{Prefix: 1, Indent: 1}
+	valueLayout = Layout{Prefix: 0, Indent: 2}
+)
+
+// valueField starts the value's line in an entry laid out as store
+// writes it. Every other line of that layout that starts one space
+// deep is the key, the fingerprint or the fingerprint's last line, so
+// the first match is the value, and the value is the last field.
+var valueField = []byte("\n \"value\": ")
+
+// renderStored renders the value of a stored entry as JSONTask renders
+// the typed value, json.MarshalIndent(v, "", "  ") plus a newline: it
+// re-indents the value's lines (AppendReindent) into a slice of the
+// exact size. For an entry that store wrote the bytes are equal by
+// construction: the entry holds json.Marshal(v) indented one space
+// deep, so its lines at two spaces from the margin are
+// json.MarshalIndent(v, "", "  "). An entry laid out any other way
+// renders something else, or reports false, and never compares equal
+// to the typed rendering. A null value reports false, as load does.
+func renderStored(data []byte) (json.RawMessage, bool) {
+	i := bytes.Index(data, valueField)
+	if i < 0 || !bytes.HasSuffix(data, []byte("\n}")) {
+		return nil, false
+	}
+	v := data[i+len(valueField) : len(data)-2]
+	if string(v) == "null" {
+		return nil, false
+	}
+	n, ok := ReindentLen(v, entryLayout, valueLayout)
+	if !ok {
+		return nil, false
+	}
+	out := AppendReindent(make(json.RawMessage, 0, n+1), v, entryLayout, valueLayout)
+	return append(out, '\n'), true
 }
 
 // store writes an entry. Failures — including every Put on a read-only
@@ -221,7 +279,6 @@ func (c *Cache) store(key, cellKey string, fingerprint, value any) {
 		c.errs.Inc()
 		return
 	}
-	// The entry holds json.Marshal(value), and json.MarshalIndent is
-	// json.Indent of exactly that.
+	// The entry has the layout renderStored reads.
 	c.verified.Store(key, struct{}{})
 }

@@ -208,6 +208,10 @@ func TestCodeVersionSaltInvalidates(t *testing.T) {
 	if res[0].Cached || runs.Load() != 2 {
 		t.Fatalf("entry from a different code version served: %+v", res[0])
 	}
+	// JSONTask keys by the cache's salt too, not by its dedupe hash.
+	if _, cached, err := JSONTask(cell, cache.withSalt("another-sim-version")).Run(); err != nil || cached || runs.Load() != 3 {
+		t.Fatalf("JSONTask served an entry from a different code version: cached=%v err=%v runs=%d", cached, err, runs.Load())
+	}
 }
 
 func TestNilFingerprintNeverCached(t *testing.T) {

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// Tests for JSONTask's two hit paths: the stored value re-indented for
-// keys in the cache's verified set, the typed decode for every other
-// key.
+// Tests for JSONTask's two hit paths: the stored entry rendered by
+// renderStored for keys in the cache's verified set, the typed decode
+// for every other key.
 
 // counted is a cell value that counts its typed decodes, so a test can
 // tell a hit served through T from one served from the stored bytes.
@@ -115,6 +115,59 @@ func TestJSONTaskHitPaths(t *testing.T) {
 			t.Fatal("a verified key was decoded into T")
 		}
 	}
+	key, err := cache.keyFor(cell.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cache.verified.Load(key); !ok {
+		t.Fatal("a key whose typed hit rendered like its stored entry was not verified")
+	}
+
+	// Entries another writer laid out differently decode into T, but
+	// renderStored does not render them as the typed path does: they
+	// never enter the verified set and every hit goes the typed way,
+	// with today's bytes.
+	value, err := json.Marshal(counted{N: 11, F: 2.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ours := entry{Key: cell.Key, Fingerprint: json.RawMessage(`{"Machine":"counted","Procs":2}`), Value: value}
+	valueFirst := struct {
+		Key         string          `json:"key"`
+		Value       json.RawMessage `json:"value"`
+		Fingerprint json.RawMessage `json:"fingerprint"`
+	}{ours.Key, ours.Value, ours.Fingerprint}
+	for _, tc := range []struct {
+		name   string
+		layout func() ([]byte, error)
+	}{
+		{"compact", func() ([]byte, error) { return json.Marshal(ours) }},
+		{"two-space indent", func() ([]byte, error) { return json.MarshalIndent(ours, "", "  ") }},
+		{"value before fingerprint", func() ([]byte, error) { return json.MarshalIndent(valueFirst, "", " ") }},
+		// Laid out by hand so that the fingerprint's nested value is the
+		// first line that looks like the value field.
+		{"nested value in the fingerprint", func() ([]byte, error) {
+			return []byte("{\n \"key\": \"counted-cell\",\n \"fingerprint\": {\n \"value\": {\"N\": 99, \"F\": 1},\n" +
+				" \"Machine\": \"counted\"\n },\n \"value\": {\n  \"N\": 11,\n  \"F\": 2.5\n }\n}"), nil
+		}},
+	} {
+		data, err := tc.layout()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cache.st.Put(key, data); err != nil {
+			t.Fatal(err)
+		}
+		cache = reopen(t, cache)
+		for i := 0; i < 3; i++ {
+			if !hit(t, tc.name, cell, cache, want) {
+				t.Fatalf("%s: hit %d served the stored entry without the typed decode", tc.name, i+1)
+			}
+		}
+		if _, ok := cache.verified.Load(key); ok {
+			t.Fatalf("%s: the key entered the verified set", tc.name)
+		}
+	}
 	if runs.Load() != 2 {
 		t.Fatalf("cell body ran %d times, want 2 (uncached, cold)", runs.Load())
 	}
@@ -133,6 +186,8 @@ func TestJSONTaskCorruptEntriesRecomputed(t *testing.T) {
 	for _, poison := range []string{
 		"{truncated",
 		`{"key":"x","fingerprint":{},"value":null}`,
+		"{\n \"key\": \"x\",\n \"fingerprint\": {},\n \"value\": null\n}",
+		"{\n \"key\": \"x\",\n \"fingerprint\": {},\n \"value\": {\n  \"N\": 11,\n  \"F\": 2.5",
 		`{"key":"x","value":"not a struct"}`,
 		"",
 		"\x00\x01binary garbage\xff",

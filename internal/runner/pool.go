@@ -371,17 +371,17 @@ func runTask(t Task) (value json.RawMessage, cached bool, err error) {
 // testdata/golden/ entries. The cell probes and repairs the same
 // on-disk cache the CLI sweeps use. The task's Hash is the cell's
 // FingerprintKey, so identical concurrent submissions share one
-// execution.
+// execution; under the code-version salt it is the cache key too.
 //
 // A hit on a key in the cache's verified set is served from the stored
-// value re-indented, never decoded into T: json.MarshalIndent(v) is
-// json.Indent(json.Marshal(v)), and the entry holds json.Marshal(v).
-// Any other key goes the typed way, through RunCell's decode into T, so
-// a stored value that does not decode is a miss that recomputes and
-// repairs the entry. A hit whose typed rendering equals its re-indented
-// stored value admits the key to the set; one that differs is served
-// through T, as every later hit on it will be. Every returned value has
-// cap == len: the service keeps up to MaxJobs of them.
+// entry by renderStored, never decoded: its value's lines re-indented,
+// with no JSON scanner pass. Any other key goes the typed way, through
+// RunCell's decode into T, so a stored value that does not decode is a
+// miss that recomputes and repairs the entry. A hit whose typed
+// rendering equals renderStored's admits the key to the set; one that
+// differs is served through T, as every later hit on it will be. Every
+// returned value has cap == len: the service keeps up to MaxJobs of
+// them.
 func JSONTask[T any](c Cell[T], cache *Cache) Task {
 	hash := ""
 	if c.Fingerprint != nil {
@@ -393,13 +393,11 @@ func JSONTask[T any](c Cell[T], cache *Cache) Task {
 		Key:  c.Key,
 		Hash: hash,
 		Run: func() (json.RawMessage, bool, error) {
-			key := cache.cellKey(c.Fingerprint)
-			if raw, ok := cache.verifiedValue(key); ok {
-				if data, err := indentValue(raw); err == nil {
-					return data, true, nil
-				}
+			key := cache.taskKey(c.Fingerprint, hash)
+			if v, ok := cache.verifiedValue(key); ok {
+				return v, true, nil
 			}
-			r, raw := runCell(c, cache, key)
+			r, stored := runCell(c, cache, key)
 			if r.Err != nil {
 				return nil, false, r.Err
 			}
@@ -409,23 +407,13 @@ func JSONTask[T any](c Cell[T], cache *Cache) Task {
 			}
 			out := line(data)
 			if r.Cached {
-				if ind, err := indentValue(raw); err == nil && bytes.Equal(ind, out) {
+				if v, ok := renderStored(stored); ok && bytes.Equal(v, out) {
 					cache.verified.Store(key, struct{}{})
 				}
 			}
 			return out, r.Cached, nil
 		},
 	}
-}
-
-// indentValue renders a stored value the way JSONTask renders a typed
-// one: json.Indent with two spaces, then a newline.
-func indentValue(value json.RawMessage) (json.RawMessage, error) {
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, value, "", "  "); err != nil {
-		return nil, err
-	}
-	return line(buf.Bytes()), nil
 }
 
 // line returns data and a newline in a new slice with cap == len.

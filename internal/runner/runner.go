@@ -130,16 +130,16 @@ func RunCell[T any](c Cell[T], cache *Cache) Result[T] {
 }
 
 // runCell is RunCell under a precomputed cache key ("" recomputes
-// without touching the cache). On a hit it also returns the entry's
-// stored value, undecoded.
-func runCell[T any](c Cell[T], cache *Cache, key string) (Result[T], json.RawMessage) {
+// without touching the cache). On a hit it also returns the stored
+// entry.
+func runCell[T any](c Cell[T], cache *Cache, key string) (Result[T], []byte) {
 	res := Result[T]{Key: c.Key}
 	start := time.Now()
 	if key != "" {
-		if raw, ok := cache.load(key, &res.Value); ok {
+		if stored, ok := cache.load(key, &res.Value); ok {
 			res.Cached = true
 			res.Elapsed = time.Since(start)
-			return res, raw
+			return res, stored
 		}
 		// Miss, corrupted entry, or stale code version: fall through
 		// and recompute; the store below repairs the entry.

@@ -24,6 +24,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -467,8 +468,118 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			j.id, st.State, st.CellsDone+st.CellsCanceled, st.CellsTotal)
 		return
 	}
+	body, err := j.result().encode()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "encode_failed", "job %s: %v", j.id, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
+}
+
+// Cell results, as Layouts: JSONTask renders them at two spaces from
+// the left margin, and writeJSON's encoder puts them three levels, six
+// spaces, deep.
+var (
+	taskLayout   = runner.Layout{Prefix: 0, Indent: 2}
+	resultLayout = runner.Layout{Prefix: 6, Indent: 2}
+)
+
+// encode renders r exactly as writeJSON does: the encoder's
+// two-space-indented form, newline-terminated. It writes the envelope
+// itself and splices each cell's result into the body, re-indented
+// (runner.AppendReindent) instead of compacted and indented again by
+// encoding/json. That is sound because every result is JSONTask output,
+// json.MarshalIndent(v, "", "  ") plus a newline. The envelope is
+// written first with the results left out, then the body is built at
+// its exact size.
+func (r jobResult) encode() ([]byte, error) {
+	var env []byte // the body without the cell results
+	type cut struct {
+		at     int // where the result goes in env
+		result []byte
+	}
+	var cuts []cut
+	size := 0 // of the results, re-indented
+	env = append(env, "{\n  \"id\": "...)
+	env = appendString(env, r.ID)
+	env = append(env, ",\n  \"bench\": "...)
+	env = appendString(env, r.Bench)
+	env = append(env, ",\n  \"cells\": "...)
+	switch {
+	case r.Cells == nil:
+		env = append(env, "null"...)
+	case len(r.Cells) == 0:
+		env = append(env, "[]"...)
+	default:
+		env = append(env, '[')
+		for i, c := range r.Cells {
+			if i > 0 {
+				env = append(env, ',')
+			}
+			env = append(env, "\n    {\n      \"index\": "...)
+			env = strconv.AppendInt(env, int64(c.Index), 10)
+			env = append(env, ",\n      \"key\": "...)
+			env = appendString(env, c.Key)
+			if c.Cached {
+				env = append(env, ",\n      \"cached\": true"...)
+			}
+			if c.Deduped {
+				env = append(env, ",\n      \"deduped\": true"...)
+			}
+			if c.Error != "" {
+				env = append(env, ",\n      \"error\": "...)
+				env = appendString(env, c.Error)
+			}
+			if len(c.Result) > 0 {
+				env = append(env, ",\n      \"result\": "...)
+				result := bytes.TrimSuffix(c.Result, []byte("\n"))
+				n, ok := runner.ReindentLen(result, taskLayout, resultLayout)
+				if !ok {
+					return nil, fmt.Errorf("cell %d (%s): result is not indented JSON", c.Index, c.Key)
+				}
+				cuts = append(cuts, cut{len(env), result})
+				size += n
+			}
+			env = append(env, "\n    }"...)
+		}
+		env = append(env, "\n  ]"...)
+	}
+	if r.Fleet != nil {
+		fleet, err := json.MarshalIndent(r.Fleet, "  ", "  ")
+		if err != nil {
+			return nil, fmt.Errorf("fleet report: %w", err)
+		}
+		env = append(env, ",\n  \"fleet\": "...)
+		env = append(env, fleet...)
+	}
+	if r.FleetError != "" {
+		env = append(env, ",\n  \"fleet_error\": "...)
+		env = appendString(env, r.FleetError)
+	}
+	env = append(env, "\n}\n"...)
+
+	body := make([]byte, 0, len(env)+size)
+	prev := 0
+	for _, c := range cuts {
+		body = append(body, env[prev:c.at]...)
+		body = runner.AppendReindent(body, c.result, taskLayout, resultLayout)
+		prev = c.at
+	}
+	return append(body, env[prev:]...), nil
+}
+
+// appendString appends s as a JSON string, as encoding/json writes it.
+func appendString(dst []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(dst, q...)
+}
+
+// result gathers a finished job's result body.
+func (j *job) result() jobResult {
 	out := jobResult{ID: j.id, Bench: j.bench}
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	for i, c := range j.cells {
 		cr := cellResult{Index: i, Key: c.key, Cached: c.cached, Deduped: c.handle.Deduped()}
 		switch {
@@ -489,8 +600,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			out.Fleet = fr
 		}
 	}
-	j.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	return out
 }
 
 // assembleFleetLocked folds a finished fleet job's raw cell values
