@@ -47,8 +47,9 @@ type CellResult struct {
 	HeadlineMB float64 `json:"headline_mb_s"` // the cell's benchmark value, for result-drift detection
 
 	// Dispatches counts the engine's run-queue pops and Resumes its
-	// coroutine switches (des.Metrics). Both are deterministic; the
-	// dispatch count is the schedule's size, gated exactly.
+	// coroutine switches (des.Metrics). Both are deterministic: the
+	// dispatch count is the schedule's size, gated exactly, and the
+	// resume count is gated against any rise.
 	Dispatches int64 `json:"dispatches,omitempty"`
 	Resumes    int64 `json:"resumes,omitempty"`
 }
@@ -215,7 +216,7 @@ func main() {
 	var (
 		quick    = flag.Bool("quick", false, "small cells for CI smoke runs")
 		iters    = flag.Int("iters", 3, "repetitions per cell (best wall time counts)")
-		gate     = flag.String("gate", "", "regression gate: compare against this bench history and exit 1 on >10% wall or any allocs/op growth over the best point, >5% bytes/op growth over the latest point, any headline drift, or any change in dispatches")
+		gate     = flag.String("gate", "", "regression gate: compare against this bench history and exit 1 on >10% wall or any allocs/op growth over the best point, >5% bytes/op growth over the latest point, any headline drift, any change in dispatches, or any rise in resumes")
 		appendTo = flag.String("append", "", "fold this run into the bench history at this path (created if absent; skipped when the gate fails)")
 		sha      = flag.String("sha", "", "git commit to record in the history entry")
 		date     = flag.String("date", "", "timestamp to record as generated (default: current UTC time; pin it for deterministic history entries)")
@@ -359,7 +360,10 @@ func headlineDrift(cur, recorded float64) bool {
 //     entry;
 //   - any change in dispatches against the latest entry that records
 //     them: the schedule is deterministic, so a moved count means the
-//     engine pushes or pops differently.
+//     engine pushes or pops differently;
+//   - any rise in resumes against the latest entry that records them:
+//     a blocking call or batch resumes its rank once, so more resumes
+//     mean the ranks' waits were split up.
 //
 // Cells whose offence is wall time are also returned as suspects, which
 // the caller may re-measure before accepting the verdict. A cell no
@@ -367,8 +371,8 @@ func headlineDrift(cur, recorded float64) bool {
 // called out on stdout so the history gets a new point.
 func runGate(cells []CellResult, hist []Report) (failures, wallSuspects []string) {
 	for _, cur := range cells {
-		var best, latest, bestAllocs, sched CellResult
-		var bestAt, latestAt, bestAllocsAt, schedAt string
+		var best, latest, bestAllocs, sched, resumed CellResult
+		var bestAt, latestAt, bestAllocsAt, schedAt, resumedAt string
 		for _, h := range hist {
 			for _, base := range h.Cells {
 				if base.Name != cur.Name || base.WallSec <= 0 {
@@ -377,6 +381,9 @@ func runGate(cells []CellResult, hist []Report) (failures, wallSuspects []string
 				latest, latestAt = base, entryLabel(h)
 				if base.Dispatches > 0 {
 					sched, schedAt = base, latestAt
+				}
+				if base.Resumes > 0 {
+					resumed, resumedAt = base, latestAt
 				}
 				if best.WallSec == 0 || base.WallSec < best.WallSec {
 					best, bestAt = base, latestAt
@@ -417,6 +424,10 @@ func runGate(cells []CellResult, hist []Report) (failures, wallSuspects []string
 		if sched.Dispatches > 0 && cur.Dispatches != sched.Dispatches {
 			failures = append(failures, fmt.Sprintf("%s: %d dispatches, %s recorded %d (the schedule changed)",
 				cur.Name, cur.Dispatches, schedAt, sched.Dispatches))
+		}
+		if resumed.Resumes > 0 && cur.Resumes > resumed.Resumes {
+			failures = append(failures, fmt.Sprintf("%s: %d resumes, %s recorded %d (the ranks resume more often)",
+				cur.Name, cur.Resumes, resumedAt, resumed.Resumes))
 		}
 	}
 	return failures, wallSuspects

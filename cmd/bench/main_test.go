@@ -262,3 +262,34 @@ func TestGateCatchesScheduleChange(t *testing.T) {
 		t.Errorf("a history without dispatches should not be compared: %v", f)
 	}
 }
+
+func withResumes(c CellResult, r int64) CellResult {
+	c.Resumes = r
+	return c
+}
+
+// TestGateCatchesResumeRise: resumes may fall but not rise against the
+// latest entry that records them; an entry without the field is
+// skipped.
+func TestGateCatchesResumeRise(t *testing.T) {
+	hist := []Report{
+		mkReport("aaaa111", withResumes(cell4("beff_t3e_16", 1.0, 5), 900)),
+		mkReport("bbbb222", withResumes(cell4("beff_t3e_16", 1.0, 5), 1000)),
+		mkReport("cccc333", cell4("beff_t3e_16", 1.0, 5)), // predates the field
+	}
+	at := func(r int64) []CellResult { return []CellResult{withResumes(cell4("beff_t3e_16", 1.0, 5), r)} }
+
+	for _, r := range []int64{1000, 999, 300} {
+		if f, s := runGate(at(r), hist); len(f) != 0 || len(s) != 0 {
+			t.Errorf("%d resumes against a recorded 1000 should pass: %v", r, f)
+		}
+	}
+	f, s := runGate(at(1001), hist)
+	if len(f) != 1 || !strings.Contains(f[0], "resumes") || !strings.Contains(f[0], "bbbb222") || len(s) != 0 {
+		t.Errorf("1001 resumes against a recorded 1000 should fail naming bbbb222, without a wall suspect: %v / %v", f, s)
+	}
+	old := []Report{mkReport("aaaa111", cell4("beff_t3e_16", 1.0, 5))}
+	if f, _ := runGate(at(1234), old); len(f) != 0 {
+		t.Errorf("a history without resumes should not be compared: %v", f)
+	}
+}

@@ -57,12 +57,7 @@ func runAnalysis(c *mpi.Comm, L int64, s *exchScratch) []AnalysisEntry {
 // total bandwidth over the slowest process's time. bytesPerProc is the
 // payload each participating process sends per iteration.
 func timedExchange(c *mpi.Comm, nb Neighbors, bytesPerProc int64, involved int, iters int, s *exchScratch) float64 {
-	c.Barrier()
-	start := c.Wtime()
-	for i := 0; i < iters; i++ {
-		exchange(c, nb, bytesPerProc/2, MethodNonblocking, s)
-	}
-	el := c.Wtime() - start
+	el := timedLoop(c, nb, bytesPerProc/2, MethodNonblocking, iters, s)
 	all := mpi.AllreduceValue(c, mpi.OpMax, el)
 	if all <= 0 {
 		return 0

@@ -44,13 +44,11 @@ const (
 )
 
 // exchScratch is the per-rank scratch the exchange methods reuse across
-// loop iterations and timing loops: Alltoallv count vectors and the
-// nonblocking request slice. runBody makes one per rank. AlltoallvBytes
-// reads the counts synchronously and does not retain them, and Waitall
-// recycles the requests, so reuse is safe.
+// loop iterations and timing loops: the Alltoallv count vectors.
+// runBody makes one per rank. AlltoallvBytes reads the counts when it
+// is added to a batch and does not retain them, so reuse is safe.
 type exchScratch struct {
 	send, recv []int64
-	reqs       [4]*mpi.Request
 }
 
 // counts returns zeroed send/recv count vectors of length n.
@@ -62,15 +60,15 @@ func (s *exchScratch) counts(n int) (send, recv []int64) {
 	return s.send[:n], s.recv[:n]
 }
 
-// exchange performs one iteration of the pattern's communication for
-// one process: a message of L bytes to each ring neighbour and the two
-// matching receives.
-func exchange(c *mpi.Comm, nb Neighbors, L int64, m Method, s *exchScratch) {
+// exchange adds one iteration of the pattern's communication for one
+// process of an n-rank communicator to the batch b: a message of L
+// bytes to each ring neighbour and the two matching receives.
+func exchange(b mpi.Batch, n int, nb Neighbors, L int64, m Method, s *exchScratch) {
 	if !nb.InRing {
 		if m == MethodAlltoallv {
 			// Alltoallv is collective: even idle processes participate.
-			zero, _ := s.counts(c.Size())
-			c.AlltoallvBytes(zero, zero)
+			zero, _ := s.counts(n)
+			b.AlltoallvBytes(zero, zero)
 		}
 		return
 	}
@@ -78,39 +76,45 @@ func exchange(c *mpi.Comm, nb Neighbors, L int64, m Method, s *exchScratch) {
 	case MethodSendrecv:
 		// "Afterwards it sends a message back to its right neighbor":
 		// the two transfers are issued one after the other.
-		c.SendrecvBytes(nb.Left, tagToLeft, L, nb.Right, tagToLeft)
-		c.SendrecvBytes(nb.Right, tagToRight, L, nb.Left, tagToRight)
+		b.SendrecvBytes(nb.Left, tagToLeft, L, nb.Right, tagToLeft)
+		b.SendrecvBytes(nb.Right, tagToRight, L, nb.Left, tagToRight)
 	case MethodAlltoallv:
-		send, recv := s.counts(c.Size())
+		send, recv := s.counts(n)
 		send[nb.Left] += L
 		send[nb.Right] += L
 		recv[nb.Left] += L
 		recv[nb.Right] += L
-		c.AlltoallvBytes(send, recv)
+		b.AlltoallvBytes(send, recv)
 		send[nb.Left], send[nb.Right] = 0, 0
 		recv[nb.Left], recv[nb.Right] = 0, 0
 	case MethodNonblocking:
-		s.reqs = [4]*mpi.Request{
-			c.IrecvBytes(nb.Right, tagToLeft),
-			c.IrecvBytes(nb.Left, tagToRight),
-			c.IsendBytes(nb.Left, tagToLeft, L),
-			c.IsendBytes(nb.Right, tagToRight, L),
-		}
-		c.Waitall(s.reqs[:])
+		b.IrecvBytes(nb.Right, tagToLeft)
+		b.IrecvBytes(nb.Left, tagToRight)
+		b.IsendBytes(nb.Left, tagToLeft, L)
+		b.IsendBytes(nb.Right, tagToRight, L)
+		b.Waitall()
 	}
+}
+
+// timedLoop runs a barrier and then iters exchanges as one batch, and
+// returns this process's elapsed time in seconds from the end of the
+// barrier.
+func timedLoop(c *mpi.Comm, nb Neighbors, L int64, m Method, iters int, s *exchScratch) float64 {
+	b := c.Batch()
+	b.Barrier()
+	b.Mark()
+	for k := 0; k < iters; k++ {
+		exchange(b, c.Size(), nb, L, m, s)
+	}
+	t0 := b.Run()
+	return c.Wtime() - t0.Seconds()
 }
 
 // measureOnce runs the pattern looplength times with the given message
 // size and method, and returns the maximum per-process time in seconds
 // (the b_eff timing rule).
 func measureOnce(c *mpi.Comm, p *Pattern, L int64, m Method, looplength int, s *exchScratch) float64 {
-	c.Barrier()
-	t0 := c.Wtime()
-	nb := p.NB[c.Rank()]
-	for k := 0; k < looplength; k++ {
-		exchange(c, nb, L, m, s)
-	}
-	el := c.Wtime() - t0
+	el := timedLoop(c, p.NB[c.Rank()], L, m, looplength, s)
 	return mpi.AllreduceValue(c, mpi.OpMax, el)
 }
 

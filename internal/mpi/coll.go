@@ -70,17 +70,21 @@ func (w *waiter) combine() {
 // using the dissemination algorithm: ceil(log2(n)) rounds of
 // zero-payload sendrecvs.
 func (c *Comm) Barrier() {
+	b := c.Batch()
+	b.Barrier()
+	b.Run()
+}
+
+// barrier appends Barrier's rounds.
+func (w *waiter) barrier() {
+	c := w.comm
 	size := c.Size()
-	if size == 1 {
-		return
-	}
-	w := c.begin()
 	for k, r := 1, 0; k < size; k, r = k<<1, r+1 {
-		w.rounds = append(w.rounds, round{
-			src: (c.rank - k + size) % size, dst: (c.rank + k) % size, tag: tagBarrier + r,
+		w.add(round{
+			src: (c.rank - k + size) % size, rtag: tagBarrier + r,
+			dst: (c.rank + k) % size, stag: tagBarrier + r, wait: true,
 		})
 	}
-	w.await()
 }
 
 // ---------------------------------------------------------------------
@@ -112,13 +116,13 @@ func (w *waiter) bcastRounds(root int, size int64) {
 	mask := 1
 	for ; mask < n; mask <<= 1 {
 		if relrank&mask != 0 {
-			w.rounds = append(w.rounds, round{src: (c.rank - mask + n) % n, dst: noPeer, tag: tagBcast})
+			w.add(round{src: (c.rank - mask + n) % n, rtag: tagBcast, dst: noPeer, wait: true})
 			break
 		}
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if relrank+mask < n {
-			w.rounds = append(w.rounds, round{src: noPeer, dst: (c.rank + mask) % n, tag: tagBcast, size: size})
+			w.add(round{src: noPeer, dst: (c.rank + mask) % n, stag: tagBcast, size: size, wait: true})
 		}
 	}
 }
@@ -181,11 +185,11 @@ func (w *waiter) reduceRounds(root int) {
 	relrank := (c.rank - root + n) % n
 	for mask := 1; mask < n; mask <<= 1 {
 		if relrank&mask != 0 {
-			w.rounds = append(w.rounds, round{src: noPeer, dst: ((relrank &^ mask) + root) % n, tag: tagReduce})
+			w.add(round{src: noPeer, dst: ((relrank &^ mask) + root) % n, stag: tagReduce, wait: true})
 			return
 		}
 		if srcRel := relrank | mask; srcRel < n {
-			w.rounds = append(w.rounds, round{src: (srcRel + root) % n, dst: noPeer, tag: tagReduce, fold: true})
+			w.add(round{src: (srcRel + root) % n, rtag: tagReduce, dst: noPeer, fold: true, wait: true})
 		}
 	}
 }
@@ -333,11 +337,18 @@ func (c *Comm) ExscanInt64(op Op, xs []int64) {
 // r+k (send) and r-k (receive). The counts are read before the call
 // returns and not kept.
 func (c *Comm) AlltoallvBytes(sendCounts, recvCounts []int64) {
+	b := c.Batch()
+	b.AlltoallvBytes(sendCounts, recvCounts)
+	b.Run()
+}
+
+// alltoallv appends AlltoallvBytes's rounds.
+func (w *waiter) alltoallv(sendCounts, recvCounts []int64) {
+	c := w.comm
 	n := c.Size()
 	if len(sendCounts) != n || len(recvCounts) != n {
 		c.Proc().Fail("mpi: Alltoallv counts must have length %d", n)
 	}
-	w := c.begin()
 	// dst = rank+step and src = rank-step, mod n: walked with a wrap
 	// instead of two divisions per phase.
 	dst, src := c.rank, c.rank
@@ -348,7 +359,7 @@ func (c *Comm) AlltoallvBytes(sendCounts, recvCounts []int64) {
 		if src--; src < 0 {
 			src = n - 1
 		}
-		rd := round{src: noPeer, dst: noPeer, tag: tagAlltoallv + step}
+		rd := round{src: noPeer, rtag: tagAlltoallv + step, dst: noPeer, stag: tagAlltoallv + step, wait: true}
 		if sendCounts[dst] > 0 {
 			rd.dst, rd.size = dst, sendCounts[dst]
 		}
@@ -356,13 +367,12 @@ func (c *Comm) AlltoallvBytes(sendCounts, recvCounts []int64) {
 			rd.src = src
 		}
 		if rd.src != noPeer || rd.dst != noPeer {
-			w.rounds = append(w.rounds, rd)
+			w.add(rd)
 		}
 	}
-	w.await()
 	// Self block (sendCounts[rank]) is a local copy.
 	if sendCounts[c.rank] > 0 {
-		c.Proc().Sleep(c.world.net.CopyTime(sendCounts[c.rank]))
+		w.add(round{kind: sleepRound, size: int64(c.world.net.CopyTime(sendCounts[c.rank]))})
 	}
 }
 

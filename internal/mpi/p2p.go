@@ -143,14 +143,15 @@ func (c *Comm) post(dst, tag int, size int64, data []byte) *Request {
 // Send is a blocking send: Isend followed by Wait.
 func (c *Comm) Send(dst, tag int, data []byte) {
 	w := c.begin()
-	w.send(dst, tag, int64(len(data)), data)
+	w.data = data
+	w.add(round{src: noPeer, dst: dst, stag: tag, wait: true})
 	w.await()
 }
 
 // SendBytes is a blocking timing-only send of n bytes.
 func (c *Comm) SendBytes(dst, tag int, n int64) {
 	w := c.begin()
-	w.send(dst, tag, n, nil)
+	w.add(round{src: noPeer, dst: dst, stag: tag, size: n, wait: true})
 	w.await()
 }
 
@@ -208,14 +209,15 @@ func (c *Comm) irecv(src, tag int, buf []byte) *Request {
 // Recv is a blocking receive; it returns the matched message's status.
 func (c *Comm) Recv(src, tag int, buf []byte) Status {
 	w := c.begin()
-	w.recv(src, tag, buf)
+	w.data = buf
+	w.add(round{src: src, rtag: tag, dst: noPeer, wait: true})
 	return w.await()
 }
 
 // RecvBytes is a blocking timing-only receive.
 func (c *Comm) RecvBytes(src, tag int) Status {
 	w := c.begin()
-	w.recv(src, tag, nil)
+	w.add(round{src: src, rtag: tag, dst: noPeer, wait: true})
 	return w.await()
 }
 

@@ -6,9 +6,86 @@ import (
 	"github.com/hpcbench/beff/internal/des"
 )
 
-// This file holds the blocking calls: each is one des.Proc.Await over
-// the calling rank's waiter, which the engine runs until the call is
-// over, resuming the rank's coroutine once.
+// This file holds the blocking calls and batches of them: each is one
+// des.Proc.Await over the calling rank's waiter, which the engine runs
+// until the batch is over, resuming the rank's coroutine once. A
+// blocking call is a batch of one call.
+
+// Batch is a sequence of blocking calls a rank hands the engine at
+// once: Run waits them all, one after another, and resumes the rank's
+// coroutine once, however many calls the batch holds. A batch gives
+// the schedule the same calls made one by one give — every message
+// leaves and is matched at the same virtual time — so a timing loop
+// built as a batch measures what the loop of calls measures, at a
+// fraction of the coroutine switches.
+//
+// A rank builds one batch at a time, with Comm.Batch, and makes no MPI
+// call on any communicator between Batch and Run. The calls record
+// their arguments: nothing is posted before Run.
+type Batch struct {
+	w   *waiter
+	seq uint64 // the waiter's begin count when the batch was made
+}
+
+// Batch starts an empty batch of blocking calls on c.
+func (c *Comm) Batch() Batch {
+	w := c.begin()
+	return Batch{w: w, seq: w.seq}
+}
+
+// waiter returns the batch's waiter, failing the rank if the batch has
+// run or a blocking call or another batch has begun since it was made.
+func (b Batch) waiter() *waiter {
+	if b.w.seq != b.seq {
+		b.w.proc.Fail("mpi: batch used after its Run or another blocking call or batch began")
+	}
+	return b.w
+}
+
+// Barrier adds Comm.Barrier.
+func (b Batch) Barrier() { b.waiter().barrier() }
+
+// SendrecvBytes adds Comm.SendrecvBytes.
+func (b Batch) SendrecvBytes(dst, stag int, sn int64, src, rtag int) {
+	b.waiter().add(round{src: src, rtag: rtag, dst: dst, stag: stag, size: sn, wait: true})
+}
+
+// AlltoallvBytes adds Comm.AlltoallvBytes. The counts are read now and
+// not kept.
+func (b Batch) AlltoallvBytes(sendCounts, recvCounts []int64) {
+	b.waiter().alltoallv(sendCounts, recvCounts)
+}
+
+// IrecvBytes adds Comm.IrecvBytes; the batch's next Waitall completes
+// the receive.
+func (b Batch) IrecvBytes(src, tag int) {
+	b.waiter().add(round{src: src, rtag: tag, dst: noPeer})
+}
+
+// IsendBytes adds Comm.IsendBytes; the batch's next Waitall completes
+// the send. Like Isend, the send costs its submission overhead before
+// the batch goes on.
+func (b Batch) IsendBytes(dst, tag int, n int64) {
+	b.waiter().add(round{src: noPeer, dst: dst, stag: tag, size: n})
+}
+
+// Waitall adds the Waitall of every receive and send the batch added
+// since its last Waitall, in the order they were added.
+func (b Batch) Waitall() { b.waiter().add(round{src: noPeer, dst: noPeer, wait: true}) }
+
+// Mark records the virtual time at this point of the batch, for Run to
+// return: the time Comm.Time would report between the calls before the
+// mark and the calls after it.
+func (b Batch) Mark() { b.waiter().add(round{kind: markRound}) }
+
+// Run makes the batch's calls and returns the time of its last Mark
+// (zero without one). The batch cannot be used again.
+func (b Batch) Run() des.Time {
+	w := b.waiter()
+	w.await()
+	w.seq++
+	return w.mark
+}
 
 // Wait blocks until the request completes and returns its status (zero
 // Status for sends). For receives the payload, if any, is copied into
@@ -16,26 +93,27 @@ import (
 // MPI_REQUEST_NULL, Wait recycles the request: the handle must not be
 // used again afterwards.
 func (c *Comm) Wait(r *Request) Status {
-	w := c.begin()
-	w.reqs = append(w.reqs, r)
-	return w.await()
+	b := c.Batch()
+	b.w.reqs = append(b.w.reqs, r)
+	b.Waitall()
+	return b.w.await()
 }
 
 // Waitall completes all requests, in order.
 func (c *Comm) Waitall(rs []*Request) {
-	w := c.begin()
+	b := c.Batch()
 	// Copied, not kept: the waiter is heap-held, and holding the
 	// caller's slice would move the caller's array to the heap.
-	w.reqs = append(w.reqs, rs...)
-	w.await()
+	b.w.reqs = append(b.w.reqs, rs...)
+	b.Waitall()
+	b.Run()
 }
 
 // SendrecvBytes is the timing-only variant of Sendrecv.
 func (c *Comm) SendrecvBytes(dst, stag int, sn int64, src, rtag int) Status {
-	w := c.begin()
-	w.recv(src, rtag, nil)
-	w.send(dst, stag, sn, nil)
-	return w.await()
+	b := c.Batch()
+	b.SendrecvBytes(dst, stag, sn, src, rtag)
+	return b.w.await()
 }
 
 // noPeer marks a round without a receive or without a send. It is not
@@ -43,24 +121,39 @@ func (c *Comm) SendrecvBytes(dst, stag int, sn int64, src, rtag int) Status {
 // to ProcNull is posted and completes at once.
 const noPeer = math.MinInt
 
-// round is one step of a collective: an optional receive and an
-// optional send, posted together and waited receive first, as
-// SendrecvBytes, SendBytes and RecvBytes wait them.
+// roundKind says what a round does.
+type roundKind int8
+
+const (
+	postRound  roundKind = iota // post a receive and a send
+	markRound                   // record the clock for Batch.Run
+	sleepRound                  // sleep for size nanoseconds
+)
+
+// round is one step of a blocking call or batch. A posting round posts
+// an optional receive and an optional send, receive first; a send costs
+// its submission overhead, slept before anything else happens. If wait
+// is set the round then waits for every request posted since the last
+// wait, in posting order, as SendrecvBytes, Waitall and the rounds of a
+// collective wait them.
 type round struct {
-	src, dst int   // communicator ranks, or noPeer
-	tag      int   // the tag of both directions
-	size     int64 // bytes sent when the collective carries no payload
-	fold     bool  // receive into the scratch and combine into the payload (no send)
+	src, dst   int   // communicator ranks, or noPeer
+	rtag, stag int   // the tags of the receive and of the send
+	size       int64 // bytes sent when the call carries no payload; a sleep's length
+	kind       roundKind
+	fold       bool // receive into the scratch and combine into the payload (no send)
+	wait       bool
 }
 
 // waiter is a rank's blocking-call state, and the des.Stepper every
-// blocking call of the rank hands to Proc.Await, so a call resumes the
-// rank's coroutine once however often it parks or sleeps. A call first
-// owes the submission cost of a send it posted itself (Isend sleeps its
-// own), then waits for its requests in order: until each is done, then
-// until its completion time. A collective adds rounds: when a round's
-// requests are complete the waiter posts the next round, so a whole
-// collective is one Await.
+// blocking call and batch of the rank hands to Proc.Await, so a batch
+// resumes the rank's coroutine once however often it parks or sleeps.
+// A batch is a list of rounds, which the waiter runs in order: it posts
+// a round's requests, sleeps the submission cost of a send it posted,
+// and, at a waiting round, waits for the requests in order: until each
+// is done, then until its completion time. A collective is a list of
+// rounds that each wait, so a whole collective is one Await, and so is
+// a batch of calls.
 //
 // Each request is completed (payload copy, Status, free-lists) as soon
 // as the wait passes it; that touches no virtual time.
@@ -68,12 +161,15 @@ type waiter struct {
 	comm *Comm
 	proc *des.Proc
 	wake *des.Cond // the rank's mailbox
+	seq  uint64    // blocking calls and batches begun, and batches run
 
-	overhead bool     // the call owes a submission-cost sleep...
+	overhead bool     // a sleep is owed...
 	sleepAt  des.Time // ...until this time
 	reqs     []*Request
-	next     int    // reqs[:next] are complete
-	status   Status // of reqs[0], once complete
+	waiting  bool     // reqs are being waited
+	next     int      // reqs[:next] are complete
+	status   Status   // of reqs[0], once complete
+	mark     des.Time // the clock at the batch's last Mark
 
 	rounds []round
 	round  int    // rounds[:round] are posted
@@ -92,23 +188,28 @@ type waiter struct {
 // waiter returns the caller's waiter.
 func (c *Comm) waiter() *waiter { return &c.world.ranks[c.group[c.rank]].wt }
 
-// begin readies the caller's waiter for one blocking call on c.
+// begin readies the caller's waiter for one blocking call or batch on
+// c.
 func (c *Comm) begin() *waiter {
 	w := c.waiter()
 	w.comm = c
-	w.overhead = false
+	w.seq++
+	w.overhead, w.waiting = false, false
 	w.reqs, w.next = w.reqs[:0], 0
 	w.rounds, w.round, w.fold = w.rounds[:0], 0, false
-	w.data, w.status = nil, Status{}
+	w.data, w.status, w.mark = nil, Status{}, 0
 	return w
 }
 
-// recv posts a receive of the call or round.
+// add appends a round to the call or batch.
+func (w *waiter) add(rd round) { w.rounds = append(w.rounds, rd) }
+
+// recv posts a receive of the round.
 func (w *waiter) recv(src, tag int, buf []byte) {
 	w.reqs = append(w.reqs, w.comm.irecv(src, tag, buf))
 }
 
-// send posts a send of the call or round, owing its submission cost.
+// send posts a send of the round, owing its submission cost.
 func (w *waiter) send(dst, tag int, size int64, data []byte) {
 	c := w.comm
 	w.reqs = append(w.reqs, c.post(dst, tag, size, data))
@@ -117,8 +218,8 @@ func (w *waiter) send(dst, tag int, size int64, data []byte) {
 	}
 }
 
-// await runs the call to its end and returns the status of its first
-// request.
+// await runs the call or batch to its end and returns the status of
+// the first request of its last wait.
 func (w *waiter) await() Status {
 	w.proc.Await(w)
 	return w.status
@@ -131,42 +232,54 @@ func (w *waiter) Step() (des.Time, *des.Cond, bool) {
 			w.overhead = false
 			return w.sleepAt, nil, false
 		}
-		for ; w.next < len(w.reqs); w.next++ {
-			r := w.reqs[w.next]
-			if !r.done {
-				return 0, w.wake, false
+		if w.waiting {
+			for ; w.next < len(w.reqs); w.next++ {
+				r := w.reqs[w.next]
+				if !r.done {
+					return 0, w.wake, false
+				}
+				if r.at > w.proc.Now() {
+					return r.at, nil, false
+				}
+				st := w.complete(r)
+				if w.next == 0 {
+					w.status = st
+				}
+				if w.fold {
+					w.combine()
+				}
 			}
-			if r.at > w.proc.Now() {
-				return r.at, nil, false
-			}
-			st := w.complete(r)
-			if w.next == 0 {
-				w.status = st
-			}
-			if w.fold {
-				w.combine()
-			}
+			w.reqs, w.next, w.waiting = w.reqs[:0], 0, false
 		}
 		if w.round == len(w.rounds) {
 			return 0, nil, true
 		}
-		rd := w.rounds[w.round]
+		rd := &w.rounds[w.round]
 		w.round++
-		w.reqs, w.next, w.fold = w.reqs[:0], 0, rd.fold
+		switch rd.kind {
+		case markRound:
+			w.mark = w.proc.Now()
+			continue
+		case sleepRound:
+			w.overhead, w.sleepAt = true, w.proc.Now().Add(des.Duration(rd.size))
+			continue
+		}
+		w.fold = rd.fold
 		if rd.src != noPeer {
 			buf := w.data
 			if rd.fold {
 				buf = w.tmp
 			}
-			w.recv(rd.src, rd.tag, buf)
+			w.recv(rd.src, rd.rtag, buf)
 		}
 		if rd.dst != noPeer {
 			size := rd.size
 			if w.data != nil {
 				size = int64(len(w.data))
 			}
-			w.send(rd.dst, rd.tag, size, w.data)
+			w.send(rd.dst, rd.stag, size, w.data)
 		}
+		w.waiting = rd.wait
 	}
 }
 

@@ -267,6 +267,12 @@ func (w *World) putBuf(b []byte) {
 	w.freeBufs = append(w.freeBufs, b)
 }
 
+// slabRounds and slabReqs are the rounds and requests a rank's waiter
+// holds before its lists regrow: enough for a barrier on up to 64
+// ranks, a mark and four nonblocking exchanges of five rounds and four
+// requests each (a b_eff timing loop at looplength 4).
+const slabRounds, slabReqs = 32, 4
+
 // rankState is the per-rank message-passing state.
 type rankState struct {
 	proc   *des.Proc
@@ -314,9 +320,19 @@ func Run(cfg WorldConfig, body func(c *Comm)) error {
 			o.OnEngine(eng)
 		}
 	}
+	// The ranks' states, and their waiters' first rounds and requests,
+	// come from one slab each; a rank's list that outgrows its share
+	// regrows on its own.
+	states := make([]rankState, n)
+	rounds := make([]round, n*slabRounds)
+	reqs := make([]*Request, n*slabReqs)
 	w.ranks = make([]*rankState, n)
 	for i := range w.ranks {
-		w.ranks[i] = &rankState{wake: eng.NewCond(fmt.Sprintf("rank %d mailbox", i))}
+		st := &states[i]
+		st.wake = eng.NewCond(fmt.Sprintf("rank %d mailbox", i))
+		st.wt.rounds = rounds[i*slabRounds : i*slabRounds : (i+1)*slabRounds]
+		st.wt.reqs = reqs[i*slabReqs : i*slabReqs : (i+1)*slabReqs]
+		w.ranks[i] = st
 	}
 	group := make([]int, n)
 	for i := range group {
