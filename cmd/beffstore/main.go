@@ -8,7 +8,7 @@
 //
 //	beffstore [-cache DIR] stats                  store shape + per-segment table
 //	beffstore [-cache DIR] ls [-v]                live keys (with -v: cell key, size)
-//	beffstore [-cache DIR] get <key>              one raw entry document
+//	beffstore [-cache DIR] get <key>              one raw entry: header line, then value
 //	beffstore [-cache DIR] verify                 replay + checksum + decode every entry
 //	beffstore [-cache DIR] compact                merge sealed segments, drop dead records
 //	beffstore [-cache DIR] bench [flags]          store latency benchmark
@@ -20,6 +20,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -40,12 +41,36 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// entryDoc mirrors the cache's stored entry document (runner's
-// unexported entry type): what the store keeps per key.
+// entryDoc is a cache entry as the store keeps it per key, in either
+// of the runner cache's layouts: runner.ServedLayout, a one-line header
+// holding the key and the fingerprint followed by the indented value,
+// or the legacy one, a single document with all three fields.
 type entryDoc struct {
 	Key         string          `json:"key"`
 	Fingerprint json.RawMessage `json:"fingerprint"`
 	Value       json.RawMessage `json:"value"`
+}
+
+// parseEntry decodes an entry in either layout. The error reports a
+// header or document that does not decode, or a value that is empty,
+// null or not JSON; the key is set whenever the header decodes.
+func parseEntry(data []byte) (entryDoc, error) {
+	var e entryDoc
+	served := bytes.HasPrefix(data, []byte(runner.ServedLayout))
+	head, body, _ := bytes.Cut(data, []byte("\n"))
+	if !served {
+		head = data
+	}
+	if err := json.Unmarshal(head, &e); err != nil {
+		return e, err
+	}
+	if served {
+		e.Value = bytes.TrimSpace(body)
+	}
+	if len(e.Value) == 0 || string(e.Value) == "null" || !json.Valid(e.Value) {
+		return e, errors.New("no value")
+	}
+	return e, nil
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -106,9 +131,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stdout, key)
 				return nil
 			}
-			var e entryDoc
 			cell := "?"
-			if json.Unmarshal(value, &e) == nil && e.Key != "" {
+			if e, _ := parseEntry(value); e.Key != "" {
 				cell = e.Key
 			}
 			fmt.Fprintf(stdout, "%s  %8d  %s\n", key, len(value), cell)
@@ -150,15 +174,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer st.Close()
 		// Scan re-reads every record through the CRC check; on top of
-		// that, every entry document must decode and carry a value.
+		// that, every entry must decode and carry a value.
 		entries, bytes, bad := 0, int64(0), 0
 		scanErr := st.Scan(func(key string, value []byte) error {
 			entries++
 			bytes += int64(len(value))
-			var e entryDoc
-			if err := json.Unmarshal(value, &e); err != nil || len(e.Value) == 0 || string(e.Value) == "null" {
+			if _, err := parseEntry(value); err != nil {
 				bad++
-				fmt.Fprintf(stderr, "beffstore: entry %s: damaged document\n", key)
+				fmt.Fprintf(stderr, "beffstore: entry %s: damaged entry: %v\n", key, err)
 			}
 			return nil
 		})
@@ -278,8 +301,8 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	}
 	defer os.RemoveAll(work)
 
-	// Each entry document is the envelope the runner cache writes,
-	// around an opaque payload.
+	// Each entry is laid out as the runner cache writes it, around an
+	// opaque payload.
 	fmt.Fprintf(stderr, "beffstore: building a %d-entry store (%d payload bytes each)...\n", *entries, *valueBytes)
 	dir := filepath.Join(work, "store")
 	st, err := store.Open(dir, store.Options{NoAutoCompact: true})
@@ -294,12 +317,8 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		keys[i] = fmt.Sprintf("%064x", uint64(i)*0x9e3779b97f4a7c15)
 		rng.Read(payload)
 		val, _ := json.Marshal(payload) // []byte marshals to a base64 JSON string
-		doc, _ := json.MarshalIndent(entryDoc{
-			Key:         fmt.Sprintf("bench:cell@%d", i),
-			Fingerprint: json.RawMessage(fmt.Sprintf(`{"cell":%d}`, i)),
-			Value:       val,
-		}, "", " ")
-		if err := st.Put(keys[i], doc); err != nil {
+		doc := fmt.Sprintf(runner.ServedLayout+`"key":"bench:cell@%d","fingerprint":{"cell":%d}}`+"\n%s\n", i, i, val)
+		if err := st.Put(keys[i], []byte(doc)); err != nil {
 			return fail(err)
 		}
 	}

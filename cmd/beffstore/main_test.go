@@ -9,11 +9,12 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hpcbench/beff/internal/runner"
 	"github.com/hpcbench/beff/internal/store"
 )
 
-// seedStore puts n entry documents into a store at dir and returns
-// their hex keys.
+// seedStore puts n entries into a store at dir, alternating the runner
+// cache's two layouts (legacy first), and returns their hex keys.
 func seedStore(t *testing.T, dir string, n int) []string {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{})
@@ -28,6 +29,9 @@ func seedStore(t *testing.T, dir string, n int) []string {
  "fingerprint": {"i": %d},
  "value": {"n": %d}
 }`, i, i, i*10)
+		if i%2 == 1 {
+			doc = fmt.Sprintf(runner.ServedLayout+`"key":"cell-%d","fingerprint":{"i":%d}}`+"\n{\n  \"n\": %d\n}\n", i, i, i*10)
+		}
 		if err := st.Put(keys[i], []byte(doc)); err != nil {
 			t.Fatal(err)
 		}
@@ -49,11 +53,15 @@ func TestGetLsVerifyRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	keys := seedStore(t, dir, 5)
 
-	// get returns each entry document with its cell key.
+	// get returns each entry with its cell key: the whole document,
+	// or the header line of the served layout.
 	for i, key := range keys {
 		code, out, errb := beffstore("-cache", dir, "get", key)
 		if code != 0 {
 			t.Fatalf("get %s: exit %d\n%s", key, code, errb)
+		}
+		if strings.HasPrefix(out, runner.ServedLayout) {
+			out, _, _ = strings.Cut(out, "\n")
 		}
 		var e entryDoc
 		if err := json.Unmarshal([]byte(out), &e); err != nil {
@@ -64,10 +72,16 @@ func TestGetLsVerifyRoundTrip(t *testing.T) {
 		}
 	}
 
-	// ls lists them; verify finds no damage.
+	// ls lists them, ls -v with their cell keys; verify finds no damage.
 	code, out, _ := beffstore("-cache", dir, "ls")
 	if code != 0 || len(strings.Fields(out)) != 5 {
 		t.Fatalf("ls: exit %d, out %q", code, out)
+	}
+	code, out, _ = beffstore("-cache", dir, "ls", "-v")
+	for i := range keys {
+		if code != 0 || !strings.Contains(out, fmt.Sprintf("  cell-%d\n", i)) {
+			t.Fatalf("ls -v: exit %d, no cell-%d in %q", code, i, out)
+		}
 	}
 	code, out, errb := beffstore("-cache", dir, "verify")
 	if code != 0 || !strings.Contains(out, "verified 5 entries, ") || !strings.Contains(out, " 0 damaged") {
@@ -82,19 +96,33 @@ func TestVerifyNamesDamagedEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := strings.Repeat("f", 64)
-	if err := st.Put(bad, []byte("{torn")); err != nil {
-		t.Fatal(err)
+	// A torn legacy document, and served-layout entries whose header
+	// does not decode or whose body is missing, empty, null or not JSON.
+	head := runner.ServedLayout + `"key":"cell-x","fingerprint":{}}`
+	damaged := []string{
+		"{torn",
+		runner.ServedLayout + `"key":}` + "\n1\n",
+		head,
+		head + "\n",
+		head + "\nnull\n",
+		head + "\n{\"n\":\n",
+	}
+	for i, doc := range damaged {
+		if err := st.Put(fmt.Sprintf("%064x", 0xf0+i), []byte(doc)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	code, out, errb := beffstore("-cache", dir, "verify")
-	if code != 1 || !strings.Contains(out, "verified 3 entries, ") || !strings.Contains(out, " 1 damaged") {
+	if code != 1 || !strings.Contains(out, "verified 8 entries, ") || !strings.Contains(out, " 6 damaged") {
 		t.Fatalf("verify: exit %d, out %q", code, out)
 	}
-	if !strings.Contains(errb, bad) {
-		t.Fatalf("verify stderr does not name %s: %q", bad, errb)
+	for i := range damaged {
+		if bad := fmt.Sprintf("%064x", 0xf0+i); !strings.Contains(errb, bad) {
+			t.Fatalf("verify stderr does not name %s: %q", bad, errb)
+		}
 	}
 }
 

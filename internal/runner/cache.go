@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/hpcbench/beff/internal/obs"
 	"github.com/hpcbench/beff/internal/store"
@@ -37,15 +36,6 @@ type Cache struct {
 	// Swallowed persistence failures; nil until Instrument, and a nil
 	// obs counter is a no-op.
 	errs *obs.Counter
-
-	// verified is the set of keys whose stored entry, rendered by
-	// renderStored, is known to be the bytes JSONTask would render
-	// through the typed value: keys this cache stored itself, and keys
-	// whose first hit here rendered both ways byte-equal. A key stays
-	// valid because the store changes under a cache only through store:
-	// the writer lock keeps other writers out, a read-only store is a
-	// snapshot, and Get checks every record's CRC.
-	verified *sync.Map
 }
 
 // OpenCache creates dir (if needed) and returns a cache rooted there.
@@ -68,7 +58,7 @@ func OpenCache(dir string) (*Cache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runner: open cache: %w", err)
 	}
-	return &Cache{dir: dir, salt: codeVersion, st: st, locked: locked, verified: new(sync.Map)}, nil
+	return &Cache{dir: dir, salt: codeVersion, st: st, locked: locked}, nil
 }
 
 // Dir reports the cache's root directory.
@@ -171,114 +161,96 @@ func fingerprintKey(salt string, fingerprint any) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// entry is the stored format, written by json.MarshalIndent with a
-// one-space indent. Key and Fingerprint are for humans inspecting the
-// cache; only Value is read back.
-type entry struct {
-	Key         string          `json:"key"`
-	Fingerprint json.RawMessage `json:"fingerprint"`
-	Value       json.RawMessage `json:"value"`
+// ServedLayout starts every entry that Cache.store writes, the only
+// layout it writes: a one-line compact JSON header,
+// {"layout":"served-1","key":…,"fingerprint":…}, a newline, and then
+// the value exactly as JSONTask serves it, json.MarshalIndent(v, "",
+// "  ") plus a newline. Compact JSON holds a newline only escaped, so
+// the first raw newline ends the header, and a prefix test tells the
+// layouts apart. Key and Fingerprint are for humans inspecting the
+// cache; only the body is read back. JSONTask serves the body as
+// stored: only store writes this layout under a code version, and the
+// store checks every record's CRC.
+const ServedLayout = `{"layout":"served-1",`
+
+// header is an entry's header after its layout field.
+type header struct {
+	Key         string `json:"key"`
+	Fingerprint any    `json:"fingerprint"`
 }
 
-// load reads the entry under key, decodes its value into into (a
-// pointer) and returns the stored entry. Any failure — truncated or
-// corrupted JSON, a null value, a value that does not decode into
-// into — reports a miss so the caller recomputes (the subsequent store
-// repairs the entry).
-func (c *Cache) load(key string, into any) ([]byte, bool) {
+// legacyEntry is the layout store wrote before ServedLayout:
+// json.MarshalIndent of {key, fingerprint, value} with a one-space
+// indent. Entries in it are still read, and a hit rewrites them.
+type legacyEntry struct {
+	Value json.RawMessage `json:"value"`
+}
+
+// load reads the entry under key. An entry in the served layout
+// returns its body, decoded into into (a pointer) unless raw is set.
+// An entry in the legacy layout is decoded into into and returns a nil
+// body: the caller rewrites it. Any failure — an entry that is neither,
+// a torn header, an empty or null value, a value that does not decode
+// into into — reports a miss so the caller recomputes (the subsequent
+// store repairs the entry). A JSON null would "unmarshal" successfully
+// into a pointer target by setting it to nil: a poisoned hit.
+func (c *Cache) load(key string, into any, raw bool) (json.RawMessage, bool) {
 	data, ok, err := c.st.Get(key)
 	if err != nil || !ok {
 		return nil, false
 	}
-	var e entry
-	if json.Unmarshal(data, &e) != nil || len(e.Value) == 0 || string(e.Value) == "null" {
-		// A JSON null would "unmarshal" successfully into a pointer
-		// target by setting it to nil — a poisoned hit. Treat it as the
-		// corruption it is and recompute.
+	if !bytes.HasPrefix(data, []byte(ServedLayout)) {
+		var e legacyEntry
+		if json.Unmarshal(data, &e) != nil || len(e.Value) == 0 || string(e.Value) == "null" {
+			return nil, false
+		}
+		return nil, json.Unmarshal(e.Value, into) == nil
+	}
+	i := bytes.IndexByte(data, '\n')
+	if i < 0 {
 		return nil, false
 	}
-	if json.Unmarshal(e.Value, into) != nil {
+	body := data[i+1 : len(data) : len(data)]
+	if v := bytes.TrimSpace(body); len(v) == 0 || string(v) == "null" {
 		return nil, false
 	}
-	return data, true
+	if !raw && json.Unmarshal(body, into) != nil {
+		return nil, false
+	}
+	return body, true
 }
 
-// verifiedValue is a verified key's stored entry rendered by
-// renderStored, without load's decodes; any other key reports a miss.
-func (c *Cache) verifiedValue(key string) (json.RawMessage, bool) {
-	if key == "" {
-		return nil, false
+// served returns value as JSONTask serves it, json.MarshalIndent(value,
+// "", "  ") plus a newline, after head, in a slice of exact size.
+func served(head []byte, value any) ([]byte, error) {
+	data, err := json.MarshalIndent(value, "", "  ")
+	if err != nil {
+		return nil, err
 	}
-	if _, ok := c.verified.Load(key); !ok {
-		return nil, false
-	}
-	data, ok, err := c.st.Get(key)
-	if err != nil || !ok {
-		return nil, false
-	}
-	return renderStored(data)
+	out := make([]byte, len(head)+len(data)+1)
+	copy(out[copy(out, head):], data)
+	out[len(out)-1] = '\n'
+	return out, nil
 }
 
-// Stored entries and JSONTask values, as Layouts: store writes the
-// entry's three fields one space deep, and JSONTask renders a value
-// the way json.MarshalIndent(v, "", "  ") does.
-var (
-	entryLayout = Layout{Prefix: 1, Indent: 1}
-	valueLayout = Layout{Prefix: 0, Indent: 2}
-)
-
-// valueField starts the value's line in an entry laid out as store
-// writes it. Every other line of that layout that starts one space
-// deep is the key, the fingerprint or the fingerprint's last line, so
-// the first match is the value, and the value is the last field.
-var valueField = []byte("\n \"value\": ")
-
-// renderStored renders the value of a stored entry as JSONTask renders
-// the typed value, json.MarshalIndent(v, "", "  ") plus a newline: it
-// re-indents the value's lines (AppendReindent) into a slice of the
-// exact size. For an entry that store wrote the bytes are equal by
-// construction: the entry holds json.Marshal(v) indented one space
-// deep, so its lines at two spaces from the margin are
-// json.MarshalIndent(v, "", "  "). An entry laid out any other way
-// renders something else, or reports false, and never compares equal
-// to the typed rendering. A null value reports false, as load does.
-func renderStored(data []byte) (json.RawMessage, bool) {
-	i := bytes.Index(data, valueField)
-	if i < 0 || !bytes.HasSuffix(data, []byte("\n}")) {
-		return nil, false
-	}
-	v := data[i+len(valueField) : len(data)-2]
-	if string(v) == "null" {
-		return nil, false
-	}
-	n, ok := ReindentLen(v, entryLayout, valueLayout)
-	if !ok {
-		return nil, false
-	}
-	out := AppendReindent(make(json.RawMessage, 0, n+1), v, entryLayout, valueLayout)
-	return append(out, '\n'), true
-}
-
-// store writes an entry. Failures — including every Put on a read-only
-// cache — are swallowed (and counted, once instrumented): a cache that
-// cannot persist degrades to recomputation, it never fails the sweep.
-func (c *Cache) store(key, cellKey string, fingerprint, value any) {
-	val, err := json.Marshal(value)
+// store writes value's entry in the served layout, the only layout it
+// writes, and returns the entry's body: the bytes JSONTask serves, nil
+// when value does not encode. Persistence failures — including every
+// Put on a read-only cache — are swallowed (and counted, once
+// instrumented): a cache that cannot persist degrades to recomputation,
+// it never fails the sweep.
+func (c *Cache) store(key, cellKey string, fingerprint, value any) json.RawMessage {
+	h, err := json.Marshal(header{Key: cellKey, Fingerprint: fingerprint})
 	if err != nil {
-		return
+		return nil
 	}
-	fp, err := json.Marshal(fingerprint)
+	head := append(append([]byte(ServedLayout), h[1:]...), '\n') // h is {"key":…}
+	data, err := served(head, value)
 	if err != nil {
-		return
-	}
-	data, err := json.MarshalIndent(entry{Key: cellKey, Fingerprint: fp, Value: val}, "", " ")
-	if err != nil {
-		return
+		return nil
 	}
 	if err := c.st.Put(key, data); err != nil {
 		c.errs.Inc()
-		return
 	}
-	// The entry has the layout renderStored reads.
-	c.verified.Store(key, struct{}{})
+	return data[len(head):]
 }

@@ -170,7 +170,7 @@ func TestConcurrentSameKeyWriters(t *testing.T) {
 				for i := 0; i < 50; i++ {
 					c.store(key, "race-cell", fingerprint, 42)
 					var got int
-					if _, ok := c.load(key, &got); ok && got != 42 {
+					if _, ok := c.load(key, &got, false); ok && got != 42 {
 						t.Errorf("torn read: %d", got)
 						return
 					}
@@ -179,7 +179,7 @@ func TestConcurrentSameKeyWriters(t *testing.T) {
 		}
 		wg.Wait()
 		var got int
-		if _, ok := c.load(key, &got); !ok || got != 42 {
+		if _, ok := c.load(key, &got, false); !ok || got != 42 {
 			t.Fatalf("final value = %d", got)
 		}
 	})

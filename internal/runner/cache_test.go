@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -249,9 +250,21 @@ func TestCacheEntryIsInspectable(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("entry missing: %v", err)
 	}
-	for _, want := range []string{`"key"`, `"fingerprint"`, `"value"`, "sx5"} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("entry missing %s:\n%s", want, data)
-		}
+	// A header line naming the cell, then the bytes JSONTask serves.
+	head, body, _ := strings.Cut(string(data), "\n")
+	var h struct {
+		Layout      string `json:"layout"`
+		Key         string `json:"key"`
+		Fingerprint fp     `json:"fingerprint"`
+	}
+	if !strings.HasPrefix(head, ServedLayout) || json.Unmarshal([]byte(head), &h) != nil {
+		t.Fatalf("entry header %q", head)
+	}
+	if h.Layout != "served-1" || h.Key != cell.Key || h.Fingerprint != cell.Fingerprint {
+		t.Fatalf("entry header %+v", h)
+	}
+	served, _, err := JSONTask(cell, nil).Run()
+	if err != nil || body != string(served) {
+		t.Fatalf("entry body %q, served %q (%v)", body, served, err)
 	}
 }

@@ -1,15 +1,22 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"github.com/hpcbench/beff/internal/core"
+	"github.com/hpcbench/beff/internal/obs"
 )
 
-// Tests for JSONTask's two hit paths: the stored entry rendered by
-// renderStored for keys in the cache's verified set, the typed decode
-// for every other key.
+// Tests for JSONTask's two hit paths: the body of an entry in the
+// served layout, as stored, and the typed decode of a legacy entry,
+// whose hit rewrites it in the served layout.
 
 // counted is a cell value that counts its typed decodes, so a test can
 // tell a hit served through T from one served from the stored bytes.
@@ -62,7 +69,7 @@ func runJSON(t *testing.T, path string, c Cell[counted], cache *Cache) (string, 
 }
 
 // reopen closes c and opens a fresh Cache on the same directory: a new
-// process's view, with an empty verified set.
+// process's view.
 func reopen(t *testing.T, c *Cache) *Cache {
 	t.Helper()
 	dir := c.Dir()
@@ -90,6 +97,18 @@ func hit(t *testing.T, path string, c Cell[counted], cache *Cache, want string) 
 	return typedDecodes.Load() != before
 }
 
+// servedEntry reports whether the entry under key is in the served
+// layout, with body as its body.
+func servedEntry(t *testing.T, cache *Cache, key, body string) bool {
+	t.Helper()
+	data, ok, err := cache.st.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("entry %s missing: %v", key, err)
+	}
+	head, got, _ := strings.Cut(string(data), "\n")
+	return strings.HasPrefix(head, ServedLayout) && got == body
+}
+
 func TestJSONTaskHitPaths(t *testing.T) {
 	var runs atomic.Int32
 	cell := countedCell(&runs)
@@ -105,53 +124,24 @@ func TestJSONTaskHitPaths(t *testing.T) {
 	if hit(t, "hit on a key this cache stored", cell, cache, want) {
 		t.Fatal("a key this cache stored was decoded into T")
 	}
-
 	cache = reopen(t, cache)
-	if !hit(t, "first hit in a new process", cell, cache, want) {
-		t.Fatal("the first hit on an unverified key skipped the typed decode")
+	if hit(t, "hit in a new process", cell, cache, want) {
+		t.Fatal("an entry in the served layout was decoded into T")
 	}
-	for i := 0; i < 2; i++ {
-		if hit(t, "verified hit", cell, cache, want) {
-			t.Fatal("a verified key was decoded into T")
-		}
-	}
+
+	// Legacy entries, whatever their layout, decode into T on their
+	// first hit, which rewrites them; later hits serve the body.
 	key, err := cache.keyFor(cell.Fingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cache.verified.Load(key); !ok {
-		t.Fatal("a key whose typed hit rendered like its stored entry was not verified")
-	}
-
-	// Entries another writer laid out differently decode into T, but
-	// renderStored does not render them as the typed path does: they
-	// never enter the verified set and every hit goes the typed way,
-	// with today's bytes.
-	value, err := json.Marshal(counted{N: 11, F: 2.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ours := entry{Key: cell.Key, Fingerprint: json.RawMessage(`{"Machine":"counted","Procs":2}`), Value: value}
-	valueFirst := struct {
+	legacy := struct {
 		Key         string          `json:"key"`
-		Value       json.RawMessage `json:"value"`
 		Fingerprint json.RawMessage `json:"fingerprint"`
-	}{ours.Key, ours.Value, ours.Fingerprint}
-	for _, tc := range []struct {
-		name   string
-		layout func() ([]byte, error)
-	}{
-		{"compact", func() ([]byte, error) { return json.Marshal(ours) }},
-		{"two-space indent", func() ([]byte, error) { return json.MarshalIndent(ours, "", "  ") }},
-		{"value before fingerprint", func() ([]byte, error) { return json.MarshalIndent(valueFirst, "", " ") }},
-		// Laid out by hand so that the fingerprint's nested value is the
-		// first line that looks like the value field.
-		{"nested value in the fingerprint", func() ([]byte, error) {
-			return []byte("{\n \"key\": \"counted-cell\",\n \"fingerprint\": {\n \"value\": {\"N\": 99, \"F\": 1},\n" +
-				" \"Machine\": \"counted\"\n },\n \"value\": {\n  \"N\": 11,\n  \"F\": 2.5\n }\n}"), nil
-		}},
-	} {
-		data, err := tc.layout()
+		Value       json.RawMessage `json:"value"`
+	}{cell.Key, json.RawMessage(`{"Machine":"counted","Procs":2}`), json.RawMessage(`{"N":11,"F":2.5}`)}
+	for _, indent := range []string{"", " ", "  "} {
+		data, err := json.MarshalIndent(legacy, "", indent)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,18 +149,103 @@ func TestJSONTaskHitPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		cache = reopen(t, cache)
-		for i := 0; i < 3; i++ {
-			if !hit(t, tc.name, cell, cache, want) {
-				t.Fatalf("%s: hit %d served the stored entry without the typed decode", tc.name, i+1)
-			}
+		if !hit(t, "legacy entry", cell, cache, want) {
+			t.Fatalf("indent %q: a legacy entry was served without the typed decode", indent)
 		}
-		if _, ok := cache.verified.Load(key); ok {
-			t.Fatalf("%s: the key entered the verified set", tc.name)
+		if !servedEntry(t, cache, key, want) {
+			t.Fatalf("indent %q: the hit did not rewrite the legacy entry", indent)
+		}
+		if hit(t, "rewritten entry", cell, cache, want) {
+			t.Fatalf("indent %q: the rewritten entry was decoded into T", indent)
 		}
 	}
 	if runs.Load() != 2 {
 		t.Fatalf("cell body ran %d times, want 2 (uncached, cold)", runs.Load())
 	}
+}
+
+// TestLegacyEntryMigrated serves an entry that the cache wrote in its
+// legacy layout, committed as testdata, for the corpus's t3e b_eff
+// cell: byte-identical to the golden entry, through the typed path,
+// rewritten in the served layout by the first hit on a writable cache
+// and never by a read-only one.
+func TestLegacyEntryMigrated(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "legacy_beff_t3e.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "check", "testdata", "golden", "beff_t3e.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	beff := BeffCell("t3e", 8, core.Options{LmaxOverride: 1 << 16, MaxLooplength: 2, Reps: 1, Seed: 1})
+	cell := Cell[*decodedResult]{Key: beff.Key, Fingerprint: beff.Fingerprint, Run: func() (*decodedResult, error) {
+		return nil, errors.New("a cached cell was computed")
+	}}
+	hitGolden := func(cache *Cache) (typed bool) {
+		t.Helper()
+		before := typedDecodes.Load()
+		got, cached, err := JSONTask(cell, cache).Run()
+		if err != nil || !cached || !bytes.Equal(got, want) || cap(got) != len(got) {
+			t.Fatalf("hit: cached=%v err=%v, %d bytes against the golden %d", cached, err, len(got), len(want))
+		}
+		return typedDecodes.Load() != before
+	}
+
+	dir := filepath.Join(t.TempDir(), "cache")
+	holder, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { holder.Close() })
+	key, err := holder.keyFor(cell.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.st.Put(key, fixture); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.ReadOnly() == nil {
+		t.Fatal("second opener is writable")
+	}
+	reg := obs.New()
+	second.Instrument(reg)
+	for i := 0; i < 3; i++ {
+		if !hitGolden(second) {
+			t.Fatalf("read-only hit %d skipped the typed decode", i+1)
+		}
+	}
+	if n := reg.Counter("runner_cache_store_errors_total").Value(); n != 0 {
+		t.Fatalf("a read-only cache tried %d rewrites", n)
+	}
+	second.Close()
+	if stored, _, err := holder.st.Get(key); err != nil || !bytes.Equal(stored, fixture) {
+		t.Fatalf("a read-only cache rewrote the entry (err %v)", err)
+	}
+
+	if !hitGolden(holder) {
+		t.Fatal("the first hit on the legacy entry skipped the typed decode")
+	}
+	if !servedEntry(t, holder, key, string(want)) {
+		t.Fatal("the first hit did not rewrite the legacy entry in the served layout")
+	}
+	if hitGolden(holder) {
+		t.Fatal("the rewritten entry was decoded into T")
+	}
+}
+
+// decodedResult is a b_eff result that counts its typed decodes; it
+// encodes as core.Result does.
+type decodedResult struct{ core.Result }
+
+func (v *decodedResult) UnmarshalJSON(b []byte) error {
+	typedDecodes.Add(1)
+	return json.Unmarshal(b, &v.Result)
 }
 
 func TestJSONTaskCorruptEntriesRecomputed(t *testing.T) {
@@ -191,6 +266,13 @@ func TestJSONTaskCorruptEntriesRecomputed(t *testing.T) {
 		`{"key":"x","value":"not a struct"}`,
 		"",
 		"\x00\x01binary garbage\xff",
+		// The served layout torn or emptied: no newline after the
+		// header, an empty body, a null body.
+		ServedLayout + `"key":"x","fingerprint":{}}`,
+		ServedLayout + `"key":"x","fingerprint":{}}` + "\n",
+		ServedLayout + `"key":"x","fingerprint":{}}` + "\nnull\n",
+		// A legacy compact entry whose first line mimics a header.
+		ServedLayout + `"key":"x","fingerprint":{},"value":{"N":11,"F":2.5}}`,
 	} {
 		if err := cache.st.Put(key, []byte(poison)); err != nil {
 			t.Fatal(err)
@@ -204,20 +286,19 @@ func TestJSONTaskCorruptEntriesRecomputed(t *testing.T) {
 		if runs.Load() != before+1 {
 			t.Fatalf("poisoned entry %q: body not re-invoked", poison)
 		}
+		if !servedEntry(t, cache, key, want) {
+			t.Fatalf("poison %q: the recompute did not repair the entry", poison)
+		}
 		if hit(t, "hit after the repair", cell, cache, want) {
 			t.Fatalf("poison %q: the repaired entry was decoded into T", poison)
-		}
-		// The repair persisted: a new process decodes it into T.
-		cache = reopen(t, cache)
-		if !hit(t, "repaired entry in a new process", cell, cache, want) {
-			t.Fatalf("poison %q: first hit skipped the typed decode", poison)
 		}
 	}
 }
 
-// TestJSONTaskNonRoundTripServedThroughT pins the first-hit comparison:
-// an entry that decodes into T but does not re-encode to its own bytes
-// is served through T on every hit, never raw.
+// TestJSONTaskNonRoundTripServedThroughT: a legacy entry that decodes
+// into T but does not re-encode to its own bytes is served through T,
+// with today's bytes, and its first hit rewrites it, so every hit
+// serves today's bytes.
 func TestJSONTaskNonRoundTripServedThroughT(t *testing.T) {
 	var runs atomic.Int32
 	cell := countedCell(&runs)
@@ -229,12 +310,7 @@ func TestJSONTaskNonRoundTripServedThroughT(t *testing.T) {
 		{"float written 1.0", `{"N":11,"F":1.0}`, counted{N: 11, F: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "cache")
-			cache, err := OpenCache(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { cache.Close() })
+			cache := openTestCache(t)
 			key, err := cache.keyFor(cell.Fingerprint)
 			if err != nil {
 				t.Fatal(err)
@@ -244,17 +320,119 @@ func TestJSONTaskNonRoundTripServedThroughT(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := rendered(t, tc.decoded)
-			for i := 0; i < 3; i++ {
-				if !hit(t, "non-round-tripping entry", cell, cache, want) {
-					t.Fatalf("hit %d served the stored bytes raw", i+1)
-				}
+			if !hit(t, "non-round-tripping entry", cell, cache, want) {
+				t.Fatal("the first hit served the stored bytes raw")
 			}
-			if _, ok := cache.verified.Load(key); ok {
-				t.Fatal("a non-round-tripping key entered the verified set")
+			if !servedEntry(t, cache, key, want) {
+				t.Fatal("the first hit did not rewrite the entry")
+			}
+			for i := 0; i < 2; i++ {
+				if hit(t, "rewritten entry", cell, cache, want) {
+					t.Fatalf("hit %d on the rewritten entry was decoded into T", i+2)
+				}
 			}
 			if runs.Load() != 0 {
 				t.Fatalf("cell body ran %d times on a decodable entry", runs.Load())
 			}
 		})
 	}
+}
+
+// FuzzStoredEntry puts arbitrary bytes under a cell's key. JSONTask
+// and RunCell either recompute or serve a hit, and never panic. A
+// JSONTask hit on an entry in the served layout is its body, and any
+// other hit is the typed rendering of the legacy entry's value, after
+// which the entry is in the served layout. The same bytes, as a value,
+// a fingerprint and a cell key, round-trip through store to exactly
+// the bytes JSONTask serves for them.
+func FuzzStoredEntry(f *testing.F) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "legacy_beff_t3e.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	for _, seed := range []string{
+		ServedLayout + `"key":"counted-cell","fingerprint":{}}` + "\n{\n  \"N\": 11,\n  \"F\": 2.5\n}\n",
+		ServedLayout + `"key":"x","fingerprint":{}}`,
+		ServedLayout + `"key":"x","fingerprint":{}}` + "\nnull\n",
+		ServedLayout + `"key":"x","fingerprint":{},"value":{"N":11,"F":2.5}}`,
+		"{\n \"key\": \"x\",\n \"fingerprint\": {},\n \"value\": {\n  \"N\": 7,\n  \"F\": 1\n }\n}",
+		`{"key":"x","fingerprint":{},"value":{"N":11,"F":1.0,"Extra":true}}`,
+		`{"key":"x","value":null}`, `"a \n string"`, "",
+	} {
+		f.Add([]byte(seed))
+	}
+	cache, err := OpenCache(filepath.Join(f.TempDir(), "cache"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var runs atomic.Int32
+	cell := countedCell(&runs)
+	key, err := cache.keyFor(cell.Fingerprint)
+	if err != nil {
+		f.Fatal(err)
+	}
+	computed, err := served(nil, counted{N: 11, F: 2.5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// What each layout reader makes of data, by encoding/json alone.
+		_, body, ok := bytes.Cut(data, []byte("\n"))
+		inServed := bytes.HasPrefix(data, []byte(ServedLayout)) && ok
+		var legacy struct{ Value json.RawMessage }
+		var typed counted
+		decodes := json.Unmarshal(data, &legacy) == nil && json.Unmarshal(legacy.Value, &typed) == nil
+
+		if err := cache.st.Put(key, data); err != nil {
+			t.Fatal(err)
+		}
+		before := runs.Load()
+		got, cached, err := JSONTask(cell, cache).Run()
+		switch {
+		case err != nil:
+			t.Fatalf("JSONTask failed: %v", err)
+		case cap(got) != len(got):
+			t.Fatalf("value has cap %d, len %d", cap(got), len(got))
+		case !cached:
+			if !bytes.Equal(got, computed) || runs.Load() != before+1 {
+				t.Fatalf("recompute served %q", got)
+			}
+		case inServed:
+			if !bytes.Equal(got, body) {
+				t.Fatalf("served %q, the body is %q", got, body)
+			}
+		case !decodes || string(got) != rendered(t, typed):
+			t.Fatalf("legacy hit served %q", got)
+		}
+		if !(cached && inServed) && !servedEntry(t, cache, key, string(got)) {
+			t.Fatal("the entry was not repaired or rewritten in the served layout")
+		}
+
+		if err := cache.st.Put(key, data); err != nil {
+			t.Fatal(err)
+		}
+		if r := RunCell(cell, cache); r.Err != nil || (!r.Cached && r.Value != (counted{N: 11, F: 2.5})) {
+			t.Fatalf("RunCell: %+v", r)
+		}
+
+		var v any // nil for null, a value that never hits
+		if json.Unmarshal(data, &v) != nil {
+			return
+		}
+		vkey, err := cache.keyFor(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := served(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cache.store(vkey, string(data), v, v); !bytes.Equal(got, want) {
+			t.Fatalf("store returned %q, want %q", got, want)
+		}
+		if got, ok := cache.load(vkey, nil, true); v != nil && (!ok || !bytes.Equal(got, want)) {
+			t.Fatalf("stored entry serves %q (hit %v), want %q", got, ok, want)
+		}
+	})
 }

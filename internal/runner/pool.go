@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -373,15 +372,12 @@ func runTask(t Task) (value json.RawMessage, cached bool, err error) {
 // FingerprintKey, so identical concurrent submissions share one
 // execution; under the code-version salt it is the cache key too.
 //
-// A hit on a key in the cache's verified set is served from the stored
-// entry by renderStored, never decoded: its value's lines re-indented,
-// with no JSON scanner pass. Any other key goes the typed way, through
-// RunCell's decode into T, so a stored value that does not decode is a
-// miss that recomputes and repairs the entry. A hit whose typed
-// rendering equals renderStored's admits the key to the set; one that
-// differs is served through T, as every later hit on it will be. Every
-// returned value has cap == len: the service keeps up to MaxJobs of
-// them.
+// An entry in the served layout holds those bytes as its body, and a
+// hit serves the body as stored, never decoded. A legacy entry goes
+// the typed way, through a decode into T, and the hit rewrites it in
+// the served layout; a computed value is encoded once, by the store
+// that persists it. Every returned value has cap == len: the service
+// keeps up to MaxJobs of them.
 func JSONTask[T any](c Cell[T], cache *Cache) Task {
 	hash := ""
 	if c.Fingerprint != nil {
@@ -393,33 +389,17 @@ func JSONTask[T any](c Cell[T], cache *Cache) Task {
 		Key:  c.Key,
 		Hash: hash,
 		Run: func() (json.RawMessage, bool, error) {
-			key := cache.taskKey(c.Fingerprint, hash)
-			if v, ok := cache.verifiedValue(key); ok {
-				return v, true, nil
-			}
-			r, stored := runCell(c, cache, key)
+			r, body := runCell(c, cache, cache.taskKey(c.Fingerprint, hash), true)
 			if r.Err != nil {
 				return nil, false, r.Err
 			}
-			data, err := json.MarshalIndent(r.Value, "", "  ")
-			if err != nil {
-				return nil, false, fmt.Errorf("task %s: encode result: %w", c.Key, err)
-			}
-			out := line(data)
-			if r.Cached {
-				if v, ok := renderStored(stored); ok && bytes.Equal(v, out) {
-					cache.verified.Store(key, struct{}{})
+			if body == nil {
+				var err error
+				if body, err = served(nil, r.Value); err != nil {
+					return nil, false, fmt.Errorf("task %s: encode result: %w", c.Key, err)
 				}
 			}
-			return out, r.Cached, nil
+			return body, r.Cached, nil
 		},
 	}
-}
-
-// line returns data and a newline in a new slice with cap == len.
-func line(data []byte) json.RawMessage {
-	out := make(json.RawMessage, len(data)+1)
-	copy(out, data)
-	out[len(data)] = '\n'
-	return out
 }

@@ -125,21 +125,29 @@ func Sweep[T any](cells []Cell[T], opt Options) []Result[T] {
 // (internal/serve) uses it directly so HTTP-served results share the
 // same cache entries as CLI sweeps. A nil cache always recomputes.
 func RunCell[T any](c Cell[T], cache *Cache) Result[T] {
-	res, _ := runCell(c, cache, cache.cellKey(c.Fingerprint))
+	res, _ := runCell(c, cache, cache.cellKey(c.Fingerprint), false)
 	return res
 }
 
 // runCell is RunCell under a precomputed cache key ("" recomputes
-// without touching the cache). On a hit it also returns the stored
-// entry.
-func runCell[T any](c Cell[T], cache *Cache, key string) (Result[T], []byte) {
+// without touching the cache). It also returns the body of the entry
+// it hit or stored, the bytes JSONTask serves, or nil when it has none.
+// With raw set, a hit on an entry in the served layout returns its body
+// without decoding it into Value. A hit on a legacy entry rewrites it in
+// the served layout, unless the cache is read-only.
+func runCell[T any](c Cell[T], cache *Cache, key string, raw bool) (Result[T], json.RawMessage) {
 	res := Result[T]{Key: c.Key}
 	start := time.Now()
+	var body json.RawMessage
 	if key != "" {
-		if stored, ok := cache.load(key, &res.Value); ok {
+		var ok bool
+		if body, ok = cache.load(key, &res.Value, raw); ok {
+			if body == nil && cache.locked == nil {
+				body = cache.store(key, c.Key, c.Fingerprint, res.Value)
+			}
 			res.Cached = true
 			res.Elapsed = time.Since(start)
-			return res, stored
+			return res, body
 		}
 		// Miss, corrupted entry, or stale code version: fall through
 		// and recompute; the store below repairs the entry.
@@ -149,9 +157,9 @@ func runCell[T any](c Cell[T], cache *Cache, key string) (Result[T], []byte) {
 	res.Value, res.Err = protect(c)
 	res.Elapsed = time.Since(start)
 	if res.Err == nil && key != "" {
-		cache.store(key, c.Key, c.Fingerprint, res.Value)
+		body = cache.store(key, c.Key, c.Fingerprint, res.Value)
 	}
-	return res, nil
+	return res, body
 }
 
 // protect invokes the cell body with panic isolation: a panicking cell

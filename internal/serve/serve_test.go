@@ -627,9 +627,8 @@ func TestStoreMetricsExported(t *testing.T) {
 // the golden cells computed into a store by one server are served from
 // that store by the next server on the same directory, byte-identical
 // to the corpus entries without being recomputed. The warm server
-// fetches each cell twice: its first hit renders the typed value, its
-// second the stored bytes. A fresh store computes each cell, then
-// serves the entry it stored.
+// fetches each cell twice, both times from the stored bytes. A fresh
+// store computes each cell, then serves the entry it stored.
 func TestGoldenFromWarmStore(t *testing.T) {
 	corpus := []struct{ spec, golden string }{
 		{goldenSpec, "beff_t3e.json"},
