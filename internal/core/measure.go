@@ -45,8 +45,9 @@ const (
 
 // exchScratch is the per-rank scratch the exchange methods reuse across
 // loop iterations and timing loops: the Alltoallv count vectors.
-// runBody makes one per rank. AlltoallvBytes reads the counts when it
-// is added to a batch and does not retain them, so reuse is safe.
+// runBody makes one per rank. A batch's AlltoallvBytes reads the counts
+// when it posts, so timedLoop fills them before its batch runs and
+// zeroes them again after.
 type exchScratch struct {
 	send, recv []int64
 }
@@ -61,14 +62,14 @@ func (s *exchScratch) counts(n int) (send, recv []int64) {
 }
 
 // exchange adds one iteration of the pattern's communication for one
-// process of an n-rank communicator to the batch b: a message of L
-// bytes to each ring neighbour and the two matching receives.
-func exchange(b mpi.Batch, n int, nb Neighbors, L int64, m Method, s *exchScratch) {
+// process to the batch b: a message of L bytes to each ring neighbour
+// and the two matching receives. Alltoallv moves the counts send and
+// recv, which hold those messages (zeros outside the ring).
+func exchange(b mpi.Batch, nb Neighbors, L int64, m Method, send, recv []int64) {
 	if !nb.InRing {
 		if m == MethodAlltoallv {
 			// Alltoallv is collective: even idle processes participate.
-			zero, _ := s.counts(n)
-			b.AlltoallvBytes(zero, zero)
+			b.AlltoallvBytes(send, recv)
 		}
 		return
 	}
@@ -79,14 +80,7 @@ func exchange(b mpi.Batch, n int, nb Neighbors, L int64, m Method, s *exchScratc
 		b.SendrecvBytes(nb.Left, tagToLeft, L, nb.Right, tagToLeft)
 		b.SendrecvBytes(nb.Right, tagToRight, L, nb.Left, tagToRight)
 	case MethodAlltoallv:
-		send, recv := s.counts(n)
-		send[nb.Left] += L
-		send[nb.Right] += L
-		recv[nb.Left] += L
-		recv[nb.Right] += L
 		b.AlltoallvBytes(send, recv)
-		send[nb.Left], send[nb.Right] = 0, 0
-		recv[nb.Left], recv[nb.Right] = 0, 0
 	case MethodNonblocking:
 		b.IrecvBytes(nb.Right, tagToLeft)
 		b.IrecvBytes(nb.Left, tagToRight)
@@ -100,13 +94,25 @@ func exchange(b mpi.Batch, n int, nb Neighbors, L int64, m Method, s *exchScratc
 // returns this process's elapsed time in seconds from the end of the
 // barrier.
 func timedLoop(c *mpi.Comm, nb Neighbors, L int64, m Method, iters int, s *exchScratch) float64 {
+	send, recv := s.counts(c.Size())
+	ring := m == MethodAlltoallv && nb.InRing
+	if ring {
+		send[nb.Left] += L
+		send[nb.Right] += L
+		recv[nb.Left] += L
+		recv[nb.Right] += L
+	}
 	b := c.Batch()
 	b.Barrier()
 	b.Mark()
 	for k := 0; k < iters; k++ {
-		exchange(b, c.Size(), nb, L, m, s)
+		exchange(b, nb, L, m, send, recv)
 	}
 	t0 := b.Run()
+	if ring {
+		send[nb.Left], send[nb.Right] = 0, 0
+		recv[nb.Left], recv[nb.Right] = 0, 0
+	}
 	return c.Wtime() - t0.Seconds()
 }
 

@@ -15,11 +15,14 @@ import (
 // same program: peers are ring shifts of the rank, so each send has its
 // receive.
 type progOp struct {
-	kind   byte // 'b' Barrier, 'm' Mark, 's' SendrecvBytes, 'a' AlltoallvBytes, 'r' IrecvBytes, 'i' IsendBytes, 'w' Waitall
+	kind   byte // 'b' Barrier, 'm' Mark, 's' SendrecvBytes, 'a' AlltoallvBytes, 'r' IrecvBytes, 'i' IsendBytes, 'w' Waitall, 'x' AllreduceInt64, 'c' ScanInt64, 'e' ExscanInt64, 'h' Host
 	shift  int  // 's', 'r', 'i': send to rank+shift, receive from rank-shift
-	tag    int
+	tag    int  // 'x', 'c', 'e': seeds the values
 	size   int64
-	counts [][]int64 // 'a': counts[i][j] bytes from rank i to rank j
+	counts [][]int64      // 'a': counts[i][j] bytes from rank i to rank j
+	op     Op             // 'x', 'c', 'e'
+	k      int            // 'x', 'c', 'e': values per rank
+	sleeps []des.Duration // 'h': the host code's sleeps, from its clock
 }
 
 // program is a generated MPI program: its batches, run in order, on n
@@ -31,9 +34,13 @@ type program struct {
 
 var fabricNames = []string{"crossbar", "SMP cluster", "torus"}
 
+var opNames = []string{OpSum: "sum", OpMax: "max", OpMin: "min"}
+
 // String lays the program out one batch to a bracket: b and m for
 // Barrier and Mark, s, r and i with their shift, tag and size, a for
-// an Alltoallv, w for a Waitall.
+// an Alltoallv, w for a Waitall, x, c and e for an Allreduce, Scan and
+// Exscan with their op, seed and length, h for host code with its
+// sleeps.
 func (p program) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d ranks on the %s:", p.n, fabricNames[p.fabric])
@@ -51,6 +58,10 @@ func (p program) String() string {
 				fmt.Fprintf(&sb, "%+d/%d", op.shift, op.tag)
 			case 'a':
 				fmt.Fprint(&sb, op.counts)
+			case 'x', 'c', 'e':
+				fmt.Fprintf(&sb, "%s/%d:%d", opNames[op.op], op.tag, op.k)
+			case 'h':
+				fmt.Fprint(&sb, op.sleeps)
 			}
 		}
 		sb.WriteByte(']')
@@ -64,6 +75,87 @@ const progEagerLimit = 4096
 
 var progSizes = []int64{0, 1, 100, progEagerLimit, progEagerLimit + 1, 20000}
 
+// progSleeps are the host code's sleeps: to the current time, and past
+// a send overhead and a latency of the test fabrics.
+var progSleeps = []des.Duration{0, 1 * des.Microsecond, 2 * des.Microsecond, 7 * des.Microsecond}
+
+// progValues returns a reduction's or scan's values on rank r: small,
+// of both signs, and different across ranks and ops.
+func progValues(op progOp, r int) []int64 {
+	xs := make([]int64, op.k)
+	for i := range xs {
+		xs[i] = int64((r*7+op.tag*3+i*5)%11 - 5)
+	}
+	return xs
+}
+
+// scanByCalls is ScanInt64, or ExscanInt64 if exclusive, made of
+// blocking calls: each recursive-doubling round an Isend, a Recv and a
+// Wait, and for an exclusive scan other than OpSum a shift by Send and
+// Recv.
+func scanByCalls(c *Comm, op Op, xs []int64, exclusive bool) {
+	n, k := c.Size(), len(xs)
+	orig := slices.Clone(xs)
+	partial := slices.Clone(xs)
+	sbuf, rbuf := make([]byte, 8*k), make([]byte, 8*k)
+	for mask, r := 1, 0; mask < n; mask, r = mask<<1, r+1 {
+		var sr *Request
+		if dst := c.rank + mask; dst < n {
+			encodeInt64s(sbuf, partial)
+			sr = c.Isend(dst, tagScan+r, sbuf)
+		}
+		if src := c.rank - mask; src >= 0 {
+			c.Recv(src, tagScan+r, rbuf)
+			got := make([]int64, k)
+			decodeInt64s(got, rbuf)
+			for i := range xs {
+				xs[i] = int64(op.combine(false, uint64(got[i]), uint64(xs[i])))
+				partial[i] = int64(op.combine(false, uint64(got[i]), uint64(partial[i])))
+			}
+		}
+		if sr != nil {
+			c.Wait(sr)
+		}
+	}
+	switch {
+	case !exclusive:
+	case op == OpSum:
+		for i := range xs {
+			xs[i] -= orig[i]
+		}
+	default:
+		if c.rank+1 < n {
+			encodeInt64s(sbuf, xs)
+			c.Send(c.rank+1, tagScan+0xF0, sbuf)
+		}
+		if c.rank > 0 {
+			c.Recv(c.rank-1, tagScan+0xF0, rbuf)
+			decodeInt64s(xs, rbuf)
+		} else {
+			clear(xs)
+		}
+	}
+}
+
+// hostSleeps is host code that sleeps for each of sleeps in turn, from
+// its clock, and records the clock at each step.
+type hostSleeps struct {
+	c      *Comm
+	sleeps []des.Duration
+	times  *[]des.Time
+}
+
+func (h *hostSleeps) HostStep() (des.Time, bool) {
+	now := h.c.Time()
+	*h.times = append(*h.times, now)
+	if len(h.sleeps) == 0 {
+		return 0, false
+	}
+	d := h.sleeps[0]
+	h.sleeps = h.sleeps[1:]
+	return now.Add(d), true
+}
+
 // genProgram builds a program from next, which returns a number in
 // [0, k) for next(k).
 func genProgram(next func(k int) int) program {
@@ -72,7 +164,7 @@ func genProgram(next func(k int) int) program {
 	for nb := 1 + next(4); nb > 0; nb-- {
 		var ops []progOp
 		for nc := 1 + next(5); nc > 0; nc-- {
-			switch next(4) {
+			switch next(7) {
 			case 0:
 				ops = append(ops, progOp{kind: 'b'})
 			case 1:
@@ -88,6 +180,17 @@ func genProgram(next func(k int) int) program {
 					}
 				}
 				ops = append(ops, progOp{kind: 'a', counts: counts})
+			case 3:
+				// OpMax takes Exscan's shift path.
+				ops = append(ops, progOp{kind: "xce"[next(3)], op: []Op{OpSum, OpMax}[next(2)], tag: next(5), k: 1 + next(3)})
+			case 4:
+				// Host code: sleeps, an equal-time one among them, or
+				// none at all.
+				var sleeps []des.Duration
+				for k := next(4); k > 0; k-- {
+					sleeps = append(sleeps, progSleeps[next(len(progSleeps))])
+				}
+				ops = append(ops, progOp{kind: 'h', sleeps: sleeps})
 			default:
 				// A nonblocking group: receives and sends in a shuffled
 				// order, then their Waitall.
@@ -145,6 +248,8 @@ type progRun struct {
 	events   []string     // sends and matches, in order
 	advances []string     // clock advances, in order
 	marks    [][]des.Time // per rank
+	hosts    [][]des.Time // per rank: host code's clock readings
+	vals     [][]int64    // per rank: reduction and scan results
 	err      error
 	m        *des.Metrics
 }
@@ -154,6 +259,8 @@ type progRun struct {
 func runProgram(p program, batched bool) progRun {
 	out := progRun{
 		marks: make([][]des.Time, p.n),
+		hosts: make([][]des.Time, p.n),
+		vals:  make([][]int64, p.n),
 		m:     &des.Metrics{Dispatches: new(obs.Counter), Resumes: new(obs.Counter)},
 	}
 	cfg := WorldConfig{Net: progNet(p.fabric), Procs: p.n, EagerLimit: progEagerLimit}
@@ -174,8 +281,10 @@ func runProgram(p program, batched bool) progRun {
 	})
 	out.err = Run(cfg, func(c *Comm) {
 		r, n := c.Rank(), c.Size()
-		send, recv := make([]int64, n), make([]int64, n)
+		// Fresh counts for every call: a batch reads them when the
+		// call posts.
 		counts := func(op progOp) ([]int64, []int64) {
+			send, recv := make([]int64, n), make([]int64, n)
 			for j := 0; j < n; j++ {
 				send[j], recv[j] = op.counts[r][j], op.counts[j][r]
 			}
@@ -185,8 +294,22 @@ func runProgram(p program, batched bool) progRun {
 		for _, ops := range p.batches {
 			if batched {
 				b, marked := c.Batch(), false
+				var results [][]int64
 				for _, op := range ops {
 					switch op.kind {
+					case 'x', 'c', 'e':
+						xs := progValues(op, r)
+						results = append(results, xs)
+						switch op.kind {
+						case 'x':
+							b.AllreduceInt64(op.op, xs)
+						case 'c':
+							b.ScanInt64(op.op, xs)
+						default:
+							b.ExscanInt64(op.op, xs)
+						}
+					case 'h':
+						b.Host(&hostSleeps{c: c, sleeps: op.sleeps, times: &out.hosts[r]})
 					case 'b':
 						b.Barrier()
 					case 'm':
@@ -207,10 +330,28 @@ func runProgram(p program, batched bool) progRun {
 				if t := b.Run(); marked {
 					out.marks[r] = append(out.marks[r], t)
 				}
+				for _, xs := range results {
+					out.vals[r] = append(out.vals[r], xs...)
+				}
 				continue
 			}
 			for _, op := range ops {
 				switch op.kind {
+				case 'x', 'c', 'e':
+					xs := progValues(op, r)
+					if op.kind == 'x' {
+						Allreduce(c, op.op, xs)
+					} else {
+						scanByCalls(c, op.op, xs, op.kind == 'e')
+					}
+					out.vals[r] = append(out.vals[r], xs...)
+				case 'h':
+					p := c.Proc()
+					for _, d := range op.sleeps {
+						out.hosts[r] = append(out.hosts[r], p.Now())
+						p.SleepUntil(p.Now().Add(d))
+					}
+					out.hosts[r] = append(out.hosts[r], p.Now())
 				case 'b':
 					c.Barrier()
 				case 'm':
@@ -252,6 +393,12 @@ func checkBatchMatchesCalls(t *testing.T, p program) (calls, batches int64) {
 		if !slices.Equal(got.marks[r], want.marks[r]) {
 			t.Fatalf("%v: rank %d marks %v batched, %v per call", p, r, got.marks[r], want.marks[r])
 		}
+		if !slices.Equal(got.hosts[r], want.hosts[r]) {
+			t.Fatalf("%v: rank %d host steps at %v batched, %v per call", p, r, got.hosts[r], want.hosts[r])
+		}
+		if !slices.Equal(got.vals[r], want.vals[r]) {
+			t.Fatalf("%v: rank %d values %v batched, %v per call", p, r, got.vals[r], want.vals[r])
+		}
 	}
 	if g, w := got.m.Dispatches.Value(), want.m.Dispatches.Value(); g != w {
 		t.Fatalf("%v: %d dispatches batched, %d per call", p, g, w)
@@ -281,13 +428,17 @@ func at(xs []string, i int) string {
 }
 
 // TestBatchMatchesCalls is the differential test of Batch: generated
-// programs of Barrier, SendrecvBytes, AlltoallvBytes and
-// IrecvBytes/IsendBytes/Waitall groups, at eager and rendezvous sizes,
-// on 2 to 9 ranks of a crossbar, an SMP cluster and a torus, run once
-// as blocking calls and once with each batch of calls one Batch. Both
-// runs must send and match the same messages at the same times, advance
-// the clock alike, see the same times at every Mark and pop the run
-// queue as often; the batches must resume the ranks less often.
+// programs of Barrier, SendrecvBytes, AlltoallvBytes,
+// IrecvBytes/IsendBytes/Waitall groups, int64 Allreduce, Scan and
+// Exscan (OpSum, and OpMax for Exscan's shift) and host code that
+// sleeps, at eager and rendezvous sizes, on 2 to 9 ranks of a crossbar,
+// an SMP cluster and a torus, run once as blocking calls (the scans as
+// Isend, Recv and Wait rounds, host code as SleepUntil calls) and once
+// with each batch of calls one Batch. Both runs must send and match the
+// same messages at the same times, advance the clock alike, see the
+// same times at every Mark and host step, compute the same values and
+// pop the run queue as often; the batches must resume the ranks less
+// often.
 func TestBatchMatchesCalls(t *testing.T) {
 	rng := uint64(7)
 	next := func(k int) int {

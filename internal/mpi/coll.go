@@ -53,9 +53,14 @@ func (op Op) combine(float bool, a, b uint64) uint64 {
 	panic("mpi: unknown op")
 }
 
-// combine folds a folding round's received words (tmp) into the
-// payload: data[i] = op(data[i], tmp[i]).
-func (w *waiter) combine() {
+// combine folds a waited round's received words (tmp) into its
+// result: a reduction's into the payload, data[i] = op(data[i], tmp[i]),
+// and a scan's into its values and partial result.
+func (w *waiter) combine(rd *round) {
+	if rd.kind == scanRecvRound {
+		w.scanCombine(rd)
+		return
+	}
 	for i := 0; i+8 <= len(w.data); i += 8 {
 		a := binary.LittleEndian.Uint64(w.data[i:])
 		b := binary.LittleEndian.Uint64(w.tmp[i:])
@@ -263,66 +268,125 @@ func (c *Comm) GatherInt64(root int, mine []int64) []int64 {
 // ScanInt64 computes the inclusive prefix reduction in place: rank r's
 // xs becomes op(xs_0, ..., xs_r), element-wise, like MPI_Scan.
 // Implemented with the standard recursive-doubling partial-sums
-// algorithm; each round posts its send before its receive.
+// algorithm; each round posts its send before its receive, and waits
+// for the receive before the send.
 func (c *Comm) ScanInt64(op Op, xs []int64) {
-	n, k := c.Size(), len(xs)
-	w := c.waiter()
-	w.grow(k)
-	// xs carries the inclusive prefix; partial the values this rank
-	// forwards (the reduction of its contiguous block seen so far).
-	partial := w.ints[:k]
-	copy(partial, xs)
-	sbuf, rbuf := w.acc[:8*k], w.tmp[:8*k]
-	for mask, r := 1, 0; mask < n; mask, r = mask<<1, r+1 {
-		var sr *Request
-		if dst := c.rank + mask; dst < n {
-			encodeInt64s(sbuf, partial)
-			sr = c.Isend(dst, tagScan+r, sbuf)
-		}
-		if src := c.rank - mask; src >= 0 {
-			c.Recv(src, tagScan+r, rbuf)
-			for i := range xs {
-				t := binary.LittleEndian.Uint64(rbuf[8*i:])
-				xs[i] = int64(op.combine(false, t, uint64(xs[i])))
-				partial[i] = int64(op.combine(false, t, uint64(partial[i])))
-			}
-		}
-		if sr != nil {
-			c.Wait(sr)
-		}
-	}
+	b := c.Batch()
+	b.ScanInt64(op, xs)
+	b.Run()
 }
 
 // ExscanInt64 is the exclusive prefix reduction in place: rank r's xs
 // becomes op(xs_0, ..., xs_{r-1}); rank 0's becomes zeros (MPI leaves
 // it undefined, and callers usually ignore it).
 func (c *Comm) ExscanInt64(op Op, xs []int64) {
-	k := len(xs)
-	w := c.waiter()
-	w.grow(k)
-	orig := w.ints[k : 2*k]
-	copy(orig, xs)
-	c.ScanInt64(op, xs)
-	switch op {
-	case OpSum:
-		for i := range xs {
-			xs[i] -= orig[i]
+	b := c.Batch()
+	b.ExscanInt64(op, xs)
+	b.Run()
+}
+
+// scan appends ScanInt64's rounds, or ExscanInt64's if exclusive. A
+// recursive-doubling round is a send round and a receive round; the
+// receive round names the round's send peer, if it has one, in dst.
+func (w *waiter) scan(op Op, xs []int64, exclusive bool) {
+	c := w.comm
+	n := c.Size()
+	a := w.arg(callArgs{xs: xs, op: op})
+	w.add(round{kind: scanLoadRound, arg: a})
+	for mask, r := 1, 0; mask < n; mask, r = mask<<1, r+1 {
+		rd := round{kind: scanRecvRound, src: noPeer, dst: noPeer, rtag: tagScan + r, arg: a}
+		if dst := c.rank + mask; dst < n {
+			w.add(round{kind: scanSendRound, src: noPeer, dst: dst, stag: tagScan + r, arg: a})
+			rd.dst = dst
 		}
-	default:
-		// For min/max the exclusive value cannot be recovered from the
-		// inclusive one; shift explicitly.
-		buf := w.acc[:8*k]
-		if c.rank+1 < c.Size() {
-			encodeInt64s(buf, xs)
-			c.Send(c.rank+1, tagScan+0xF0, buf)
+		if src := c.rank - mask; src >= 0 {
+			rd.src = src
 		}
-		if c.rank > 0 {
-			c.Recv(c.rank-1, tagScan+0xF0, buf)
-			decodeInt64s(xs, buf)
-		} else {
-			clear(xs)
+		if rd.src != noPeer || rd.dst != noPeer {
+			w.add(rd)
 		}
 	}
+	if !exclusive {
+		return
+	}
+	if op != OpSum {
+		// For min/max the exclusive value cannot be recovered from the
+		// inclusive one; shift explicitly.
+		w.add(round{kind: loadRound, arg: a})
+		if c.rank+1 < n {
+			w.add(round{src: noPeer, dst: c.rank + 1, stag: tagScan + 0xF0, wait: true})
+		}
+		if c.rank > 0 {
+			w.add(round{src: c.rank - 1, rtag: tagScan + 0xF0, dst: noPeer, wait: true})
+		}
+	}
+	w.add(round{kind: exscanRound, arg: a})
+}
+
+// scanLoad readies a scan's scratch: tmp receives the partial results
+// of the ranks below, and ints holds the partial result this rank
+// forwards (the reduction of its contiguous block seen so far), then
+// the values as they were.
+func (w *waiter) scanLoad(rd *round) {
+	xs := w.args[rd.arg].xs
+	k := len(xs)
+	w.grow(k)
+	w.tmp = w.tmp[:8*k]
+	copy(w.ints[:k], xs)
+	copy(w.ints[k:2*k], xs)
+}
+
+// scanSend posts a scan round's send of the partial result.
+func (w *waiter) scanSend(rd *round) {
+	k := len(w.args[rd.arg].xs)
+	buf := w.acc[:8*k]
+	encodeInt64s(buf, w.ints[:k])
+	w.send(rd.dst, rd.stag, int64(len(buf)), buf)
+}
+
+// scanRecv posts a scan round's receive, if it has one, and waits for
+// it before the round's send.
+func (w *waiter) scanRecv(rd *round) {
+	if rd.src != noPeer {
+		w.recv(rd.src, rd.rtag, w.tmp)
+		if rd.dst != noPeer {
+			n := len(w.reqs)
+			w.reqs[n-2], w.reqs[n-1] = w.reqs[n-1], w.reqs[n-2]
+		}
+		w.fold = rd
+	}
+	w.waiting = true
+}
+
+// scanCombine folds a scan round's received partial result into the
+// values and into this rank's partial result.
+func (w *waiter) scanCombine(rd *round) {
+	a := &w.args[rd.arg]
+	partial := w.ints[:len(a.xs)]
+	for i := range a.xs {
+		t := binary.LittleEndian.Uint64(w.tmp[8*i:])
+		a.xs[i] = int64(a.op.combine(false, t, uint64(a.xs[i])))
+		partial[i] = int64(a.op.combine(false, t, uint64(partial[i])))
+	}
+}
+
+// exscan makes a finished inclusive scan exclusive: OpSum subtracts the
+// values as they were; the other ops take what the shift rounds
+// received from the rank below, and rank 0 takes zeros.
+func (w *waiter) exscan(rd *round) {
+	a := &w.args[rd.arg]
+	k := len(a.xs)
+	switch {
+	case a.op == OpSum:
+		for i, x := range w.ints[k : 2*k] {
+			a.xs[i] -= x
+		}
+	case w.comm.rank > 0:
+		decodeInt64s(a.xs, w.data)
+	default:
+		clear(a.xs)
+	}
+	w.data = nil
 }
 
 // ---------------------------------------------------------------------
@@ -342,38 +406,43 @@ func (c *Comm) AlltoallvBytes(sendCounts, recvCounts []int64) {
 	b.Run()
 }
 
-// alltoallv appends AlltoallvBytes's rounds.
-func (w *waiter) alltoallv(sendCounts, recvCounts []int64) {
+// alltoallv posts the next phase of an AlltoallvBytes round that moves
+// anything, reading the counts now, and reports whether there was one.
+// After the last phase it owes the self block's local copy.
+func (w *waiter) alltoallv(rd *round) bool {
 	c := w.comm
 	n := c.Size()
-	if len(sendCounts) != n || len(recvCounts) != n {
+	a := &w.args[rd.arg]
+	send, recv := a.xs, a.ys
+	if w.step == 0 && (len(send) != n || len(recv) != n) {
 		c.Proc().Fail("mpi: Alltoallv counts must have length %d", n)
 	}
-	// dst = rank+step and src = rank-step, mod n: walked with a wrap
-	// instead of two divisions per phase.
-	dst, src := c.rank, c.rank
-	for step := 1; step < n; step++ {
-		if dst++; dst == n {
-			dst = 0
+	for w.step++; w.step < n; w.step++ {
+		// dst = rank+step and src = rank-step, mod n, without a
+		// division.
+		dst, src := c.rank+w.step, c.rank-w.step
+		if dst >= n {
+			dst -= n
 		}
-		if src--; src < 0 {
-			src = n - 1
+		if src < 0 {
+			src += n
 		}
-		rd := round{src: noPeer, rtag: tagAlltoallv + step, dst: noPeer, stag: tagAlltoallv + step, wait: true}
-		if sendCounts[dst] > 0 {
-			rd.dst, rd.size = dst, sendCounts[dst]
+		if recv[src] > 0 {
+			w.recv(src, tagAlltoallv+w.step, nil)
 		}
-		if recvCounts[src] > 0 {
-			rd.src = src
+		if send[dst] > 0 {
+			w.send(dst, tagAlltoallv+w.step, send[dst], nil)
 		}
-		if rd.src != noPeer || rd.dst != noPeer {
-			w.add(rd)
+		if recv[src] > 0 || send[dst] > 0 {
+			w.waiting = true
+			return true
 		}
 	}
-	// Self block (sendCounts[rank]) is a local copy.
-	if sendCounts[c.rank] > 0 {
-		w.add(round{kind: sleepRound, size: int64(c.world.net.CopyTime(sendCounts[c.rank]))})
+	w.step = 0
+	if self := send[c.rank]; self > 0 {
+		w.sleep(w.proc.Now().Add(c.world.net.CopyTime(self)))
 	}
+	return false
 }
 
 // ---------------------------------------------------------------------

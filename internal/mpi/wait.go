@@ -21,7 +21,11 @@ import (
 //
 // A rank builds one batch at a time, with Comm.Batch, and makes no MPI
 // call on any communicator between Batch and Run. The calls record
-// their arguments: nothing is posted before Run.
+// their arguments: nothing is posted before Run. A call that takes a
+// slice reads it when the call posts, during Run, and a reduction or
+// scan writes its result there when it is over: the caller leaves the
+// slice alone until Run returns, except from a Host step, which may
+// fill it for a later call of the batch.
 type Batch struct {
 	w   *waiter
 	seq uint64 // the waiter's begin count when the batch was made
@@ -50,10 +54,51 @@ func (b Batch) SendrecvBytes(dst, stag int, sn int64, src, rtag int) {
 	b.waiter().add(round{src: src, rtag: rtag, dst: dst, stag: stag, size: sn, wait: true})
 }
 
-// AlltoallvBytes adds Comm.AlltoallvBytes. The counts are read now and
-// not kept.
+// AlltoallvBytes adds Comm.AlltoallvBytes. Each phase reads the counts
+// when it posts.
 func (b Batch) AlltoallvBytes(sendCounts, recvCounts []int64) {
-	b.waiter().alltoallv(sendCounts, recvCounts)
+	w := b.waiter()
+	w.add(round{kind: alltoallvRound, arg: w.arg(callArgs{xs: sendCounts, ys: recvCounts})})
+}
+
+// AllreduceInt64 adds Allreduce of int64s: xs is read when the call
+// posts and holds the result once the call is over.
+func (b Batch) AllreduceInt64(op Op, xs []int64) {
+	w := b.waiter()
+	a := w.arg(callArgs{xs: xs, op: op})
+	w.add(round{kind: loadRound, arg: a})
+	w.reduceRounds(0)
+	w.bcastRounds(0, 0)
+	w.add(round{kind: storeRound, arg: a})
+}
+
+// ScanInt64 adds Comm.ScanInt64: xs is read when the call posts and
+// holds the result once the call is over.
+func (b Batch) ScanInt64(op Op, xs []int64) { b.waiter().scan(op, xs, false) }
+
+// ExscanInt64 adds Comm.ExscanInt64, reading and writing xs as
+// ScanInt64 does.
+func (b Batch) ExscanInt64(op Op, xs []int64) { b.waiter().scan(op, xs, true) }
+
+// Host is host code a batch runs at its place among the calls
+// (Batch.Host): once the calls before it are over, and before the
+// calls after it post anything.
+type Host interface {
+	// HostStep runs the code's next step at the rank's current time
+	// (Comm.Time). It either ends the code (sleep false) or asks the
+	// rank to sleep until the given time, with des.Proc.SleepUntil's
+	// semantics: even a sleep to the current time yields to the
+	// processes queued at it. After a sleep the batch calls HostStep
+	// again. HostStep may fail the rank and change shared simulation
+	// state, but must not block or make MPI calls.
+	HostStep() (until des.Time, sleep bool)
+}
+
+// Host adds host code at this point of the batch. h is kept until Run
+// returns.
+func (b Batch) Host(h Host) {
+	w := b.waiter()
+	w.add(round{kind: hostRound, arg: w.arg(callArgs{host: h})})
 }
 
 // IrecvBytes adds Comm.IrecvBytes; the batch's next Waitall completes
@@ -125,9 +170,17 @@ const noPeer = math.MinInt
 type roundKind int8
 
 const (
-	postRound  roundKind = iota // post a receive and a send
-	markRound                   // record the clock for Batch.Run
-	sleepRound                  // sleep for size nanoseconds
+	postRound      roundKind = iota // post a receive and a send
+	markRound                       // record the clock for Batch.Run
+	sleepRound                      // sleep for size nanoseconds
+	alltoallvRound                  // post AlltoallvBytes's phases, one at a time
+	hostRound                       // run a Host's steps
+	loadRound                       // make the call's values the payload
+	storeRound                      // write the payload back to the values
+	scanLoadRound                   // ready a scan's scratch
+	scanSendRound                   // post a scan round's send
+	scanRecvRound                   // post its receive, wait both
+	exscanRound                     // make a finished scan exclusive
 )
 
 // round is one step of a blocking call or batch. A posting round posts
@@ -135,14 +188,23 @@ const (
 // its submission overhead, slept before anything else happens. If wait
 // is set the round then waits for every request posted since the last
 // wait, in posting order, as SendrecvBytes, Waitall and the rounds of a
-// collective wait them.
+// collective wait them. The other kinds read their call's arguments
+// when the round is reached.
 type round struct {
 	src, dst   int   // communicator ranks, or noPeer
 	rtag, stag int   // the tags of the receive and of the send
 	size       int64 // bytes sent when the call carries no payload; a sleep's length
+	arg        int32 // the call's arguments: the waiter's args[arg]
 	kind       roundKind
 	fold       bool // receive into the scratch and combine into the payload (no send)
 	wait       bool
+}
+
+// callArgs are a batched call's arguments, kept until Run returns.
+type callArgs struct {
+	xs, ys []int64 // a reduction's or scan's values; Alltoallv's send and receive counts
+	op     Op
+	host   Host
 }
 
 // waiter is a rank's blocking-call state, and the des.Stepper every
@@ -172,15 +234,18 @@ type waiter struct {
 	mark     des.Time // the clock at the batch's last Mark
 
 	rounds []round
+	args   []callArgs
 	round  int    // rounds[:round] are posted
-	fold   bool   // the posted round combines its receive
+	step   int    // the Alltoallv phase rounds[round] posted last
+	fold   *round // the waited round that combines its receive, or nil
 	data   []byte // payload each round sends and receives (nil: timing only)
 	tmp    []byte // a folding round's receive buffer
 	op     Op
 	float  bool // data holds float64s, not int64s
 
 	// Scratch of the scalar collectives, grown once per rank: acc backs
-	// their payload, and ints holds Scan's and Exscan's int64s.
+	// their payload, and ints holds a scan's partial result and its
+	// values as they were.
 	acc  []byte
 	ints []int64
 }
@@ -196,13 +261,20 @@ func (c *Comm) begin() *waiter {
 	w.seq++
 	w.overhead, w.waiting = false, false
 	w.reqs, w.next = w.reqs[:0], 0
-	w.rounds, w.round, w.fold = w.rounds[:0], 0, false
+	clear(w.args)
+	w.rounds, w.args, w.round, w.step, w.fold = w.rounds[:0], w.args[:0], 0, 0, nil
 	w.data, w.status, w.mark = nil, Status{}, 0
 	return w
 }
 
 // add appends a round to the call or batch.
 func (w *waiter) add(rd round) { w.rounds = append(w.rounds, rd) }
+
+// arg keeps a call's arguments and returns their index.
+func (w *waiter) arg(a callArgs) int32 {
+	w.args = append(w.args, a)
+	return int32(len(w.args) - 1)
+}
 
 // recv posts a receive of the round.
 func (w *waiter) recv(src, tag int, buf []byte) {
@@ -214,9 +286,12 @@ func (w *waiter) send(dst, tag int, size int64, data []byte) {
 	c := w.comm
 	w.reqs = append(w.reqs, c.post(dst, tag, size, data))
 	if dst != ProcNull {
-		w.overhead, w.sleepAt = true, w.proc.Now().Add(c.sendOverhead())
+		w.sleep(w.proc.Now().Add(c.sendOverhead()))
 	}
 }
+
+// sleep owes a sleep until t, which the next Step returns.
+func (w *waiter) sleep(t des.Time) { w.overhead, w.sleepAt = true, t }
 
 // await runs the call or batch to its end and returns the status of
 // the first request of its last wait.
@@ -245,11 +320,12 @@ func (w *waiter) Step() (des.Time, *des.Cond, bool) {
 				if w.next == 0 {
 					w.status = st
 				}
-				if w.fold {
-					w.combine()
-				}
 			}
 			w.reqs, w.next, w.waiting = w.reqs[:0], 0, false
+			if rd := w.fold; rd != nil {
+				w.fold = nil
+				w.combine(rd)
+			}
 		}
 		if w.round == len(w.rounds) {
 			return 0, nil, true
@@ -261,10 +337,43 @@ func (w *waiter) Step() (des.Time, *des.Cond, bool) {
 			w.mark = w.proc.Now()
 			continue
 		case sleepRound:
-			w.overhead, w.sleepAt = true, w.proc.Now().Add(des.Duration(rd.size))
+			w.sleep(w.proc.Now().Add(des.Duration(rd.size)))
+			continue
+		case alltoallvRound:
+			if w.alltoallv(rd) {
+				w.round--
+			}
+			continue
+		case hostRound:
+			if until, sleep := w.args[rd.arg].host.HostStep(); sleep {
+				w.sleep(until)
+				w.round--
+			}
+			continue
+		case loadRound:
+			a := &w.args[rd.arg]
+			w.load(a.xs, a.op)
+			continue
+		case storeRound:
+			decodeInt64s(w.args[rd.arg].xs, w.data)
+			w.data = nil
+			continue
+		case scanLoadRound:
+			w.scanLoad(rd)
+			continue
+		case scanSendRound:
+			w.scanSend(rd)
+			continue
+		case scanRecvRound:
+			w.scanRecv(rd)
+			continue
+		case exscanRound:
+			w.exscan(rd)
 			continue
 		}
-		w.fold = rd.fold
+		if rd.fold {
+			w.fold = rd
+		}
 		if rd.src != noPeer {
 			buf := w.data
 			if rd.fold {

@@ -267,11 +267,14 @@ func (w *World) putBuf(b []byte) {
 	w.freeBufs = append(w.freeBufs, b)
 }
 
-// slabRounds and slabReqs are the rounds and requests a rank's waiter
-// holds before its lists regrow: enough for a barrier on up to 64
-// ranks, a mark and four nonblocking exchanges of five rounds and four
-// requests each (a b_eff timing loop at looplength 4).
-const slabRounds, slabReqs = 32, 4
+// slabRounds, slabReqs and slabArgs are the rounds, requests and call
+// arguments a rank's waiter holds before its lists regrow: enough for a
+// barrier on up to 64 ranks, a mark and four nonblocking exchanges of
+// five rounds and four requests each (a b_eff timing loop at
+// looplength 4), for eight Alltoallv calls, and for an ordered
+// two-phase MPI-IO call on up to 16 ranks (38 rounds, seven calls and
+// host steps with arguments).
+const slabRounds, slabReqs, slabArgs = 40, 4, 8
 
 // rankState is the per-rank message-passing state.
 type rankState struct {
@@ -280,6 +283,11 @@ type rankState struct {
 	posted []*Request // posted receives, in post order
 	wake   *des.Cond  // broadcast on any delivery or completion
 	wt     waiter     // state of the rank's blocking calls
+
+	// The waiter's first rounds, requests and call arguments.
+	rounds [slabRounds]round
+	reqs   [slabReqs]*Request
+	args   [slabArgs]callArgs
 }
 
 // Run builds a World of n ranks on the given configuration, runs body
@@ -320,18 +328,15 @@ func Run(cfg WorldConfig, body func(c *Comm)) error {
 			o.OnEngine(eng)
 		}
 	}
-	// The ranks' states, and their waiters' first rounds and requests,
-	// come from one slab each; a rank's list that outgrows its share
-	// regrows on its own.
+	// The ranks' states, with their waiters' first rounds, requests and
+	// call arguments, come from one slab; a rank's list that outgrows
+	// its share regrows on its own.
 	states := make([]rankState, n)
-	rounds := make([]round, n*slabRounds)
-	reqs := make([]*Request, n*slabReqs)
 	w.ranks = make([]*rankState, n)
 	for i := range w.ranks {
 		st := &states[i]
 		st.wake = eng.NewCond(fmt.Sprintf("rank %d mailbox", i))
-		st.wt.rounds = rounds[i*slabRounds : i*slabRounds : (i+1)*slabRounds]
-		st.wt.reqs = reqs[i*slabReqs : i*slabReqs : (i+1)*slabReqs]
+		st.wt.rounds, st.wt.reqs, st.wt.args = st.rounds[:0], st.reqs[:0], st.args[:0]
 		w.ranks[i] = st
 	}
 	group := make([]int, n)

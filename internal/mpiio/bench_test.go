@@ -23,7 +23,8 @@ func BenchmarkTwoPhasePlan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		planSink = makePlan(deposits, 4, stripe)
+		planSink = newPlan(n)
+		planSink.fill(deposits, 4, stripe)
 	}
 }
 

@@ -1,6 +1,11 @@
 package mpiio
 
-import "github.com/hpcbench/beff/internal/mpi"
+import (
+	"math"
+
+	"github.com/hpcbench/beff/internal/des"
+	"github.com/hpcbench/beff/internal/mpi"
+)
 
 // coordination is the shared state behind a file's collective calls.
 // MPI requires all ranks to issue collective operations in the same
@@ -16,7 +21,10 @@ func newCoordination() *coordination {
 
 type callState struct {
 	deposits [][]extent // by rank
+	// plan is made by the first rank to build its call's batch and
+	// filled (planned) by the first past the size exchange.
 	plan     *tpPlan
+	planned  bool
 	finished int
 
 	// ordered-access bookkeeping (WriteOrdered/ReadOrdered)
@@ -68,14 +76,18 @@ func aggregatorRanks(a, size int) []int {
 	return out
 }
 
-// makePlan partitions [lo,hi) into file domains aligned to the stripe
-// unit, spread over the given number of aggregators, and assigns each
-// rank's deposited extents to the owning aggregators. Every deposit is
-// sorted by offset and disjoint (see View.appendExtents), so the bounds
-// come from its ends and the aggregator runs from one k-way merge of
-// all deposits.
-func makePlan(deposits [][]extent, aggregators int, stripe int64) *tpPlan {
-	size := len(deposits)
+// newPlan returns an empty plan for size ranks: zeroed counts, no runs.
+func newPlan(size int) *tpPlan {
+	return &tpPlan{send: countMatrix(size), recv: countMatrix(size), runs: make([][]extent, size)}
+}
+
+// fill makes the empty plan p the plan for the deposits: it partitions
+// [lo,hi) into file domains aligned to the stripe unit, spread over the
+// given number of aggregators, and assigns each rank's deposited
+// extents to the owning aggregators. Every deposit is sorted by offset
+// and disjoint (see View.appendExtents), so the bounds come from its
+// ends and the aggregator runs from one k-way merge of all deposits.
+func (plan *tpPlan) fill(deposits [][]extent, aggregators int, stripe int64) {
 	var lo, hi int64 = -1, 0
 	for _, exts := range deposits {
 		if len(exts) == 0 {
@@ -88,15 +100,10 @@ func makePlan(deposits [][]extent, aggregators int, stripe int64) *tpPlan {
 			hi = last.off + last.size
 		}
 	}
-	plan := &tpPlan{
-		send: countMatrix(size),
-		recv: countMatrix(size),
-		runs: make([][]extent, size),
-	}
 	if lo < 0 || hi <= lo {
-		return plan // nothing to move
+		return // nothing to move
 	}
-	aggs := aggregatorRanks(aggregators, size)
+	aggs := aggregatorRanks(aggregators, len(deposits))
 	span := hi - lo
 	chunk := (span + int64(len(aggs)) - 1) / int64(len(aggs))
 	if rem := chunk % stripe; rem != 0 {
@@ -138,7 +145,6 @@ func makePlan(deposits [][]extent, aggregators int, stripe int64) *tpPlan {
 		}
 	}
 	plan.runs[aggs[cur]] = cut[first:]
-	return plan
 }
 
 // unionSorted returns the union of lists, each sorted by offset, as
@@ -193,90 +199,151 @@ func siftDown(h [][]extent, i int) {
 	}
 }
 
-// twoPhase executes one collective transfer: synchronise, build the
-// plan once, redistribute data over the network, and let aggregators
-// access their merged file domains in collective-buffer-sized slices.
-func (f *File) twoPhase(seq int64, exts []extent, write bool) {
-	c := f.comm
-	co := f.sh.coord
-	cs := co.state(seq, c.Size())
-	cs.deposits[c.Rank()] = exts
+// A collective call is one mpi.Batch, so it resumes the rank once: the
+// size exchange, the plan, the shuffle, the file accesses and the
+// closing barrier run as the batch's calls and host steps, each at the
+// point of the schedule where the call would make it. The host steps
+// are views of the rank's File; the call's state between them lives in
+// File.cc, so a call allocates nothing for its batch.
+type (
+	claimStep  File // ordered access: claim the base, place the extents
+	planStep   File // two-phase: build the plan, queue the aggregator's runs
+	accessStep File // the queued file accesses, one per step
+)
 
-	// Synchronisation doubling as the offset/shape exchange of real
-	// two-phase implementations: after this, every deposit is visible.
-	var myLo, myHi int64 = 1 << 62, 0
+// collCall is a rank's state of the collective call in progress.
+type collCall struct {
+	seq   int64
+	cs    *callState
+	write bool
+	size  int64  // an ordered call's request size
+	data  []byte // an ordered write's payload, stored once placed
+
+	// The values the batch's reductions read and write: the ordered
+	// offset (Exscan), the ordered total and the size exchange.
+	prefix, total, span [1]int64
+
+	// The file accesses left: extents, accessed in chunks of at most
+	// chunk bytes, and the next offset and bytes left of the current
+	// one.
+	todo             []extent
+	off, left, chunk int64
+}
+
+// begin numbers a call that takes part in the coordination and looks
+// up its shared state.
+func (f *File) begin() *collCall {
+	cc := &f.cc
+	cc.seq = f.nextSeq()
+	cc.cs = f.sh.coord.state(cc.seq, f.comm.Size())
+	return cc
+}
+
+// finish retires the rank from the call; the last rank out drops the
+// shared state.
+func (f *File) finish() {
+	cc := &f.cc
+	cc.cs.finished++
+	if cc.cs.finished == f.comm.Size() {
+		delete(f.sh.coord.calls, cc.seq)
+	}
+	cc.cs, cc.data = nil, nil
+}
+
+// deposit publishes the rank's extents for the plan and loads the size
+// exchange with their span.
+func (f *File) deposit(exts []extent) {
+	cc := &f.cc
+	cc.cs.deposits[f.comm.Rank()] = exts
+	var lo, hi int64 = 1 << 62, 0
 	if len(exts) > 0 {
 		last := exts[len(exts)-1]
-		myLo, myHi = exts[0].off, last.off+last.size
+		lo, hi = exts[0].off, last.off+last.size
 	}
-	mpi.AllreduceValue(c, mpi.OpMax, myHi-myLo)
+	cc.span[0] = hi - lo
+}
 
+// queue makes exts the file accesses of the next access step.
+func (f *File) queue(exts []extent, chunk int64) {
+	f.cc.todo, f.cc.left, f.cc.chunk = exts, 0, chunk
+}
+
+// twoPhase adds one collective transfer to b: synchronise, build the
+// plan once, redistribute data over the network, let aggregators
+// access their merged file domains in collective-buffer-sized slices,
+// and synchronise again. The rank has deposited its extents.
+func (f *File) twoPhase(b mpi.Batch) {
+	c := f.comm
+	cs := f.cc.cs
 	if cs.plan == nil {
-		cs.plan = makePlan(cs.deposits, f.info.Aggregators, f.fs.Config().StripeUnit)
+		cs.plan = newPlan(c.Size())
 	}
-	plan := cs.plan
-
+	// Synchronisation doubling as the offset/shape exchange of real
+	// two-phase implementations: after this, every deposit is visible.
+	b.AllreduceInt64(mpi.OpMax, f.cc.span[:])
+	b.Host((*planStep)(f))
 	// Phase one: redistribute the payload between ranks and their
 	// aggregators (for reads this happens after the disk phase on real
 	// systems; the cost is symmetric, so we charge the same traffic).
+	// The plan step fills the counts before the shuffle posts.
+	b.AlltoallvBytes(cs.plan.send[c.Rank()], cs.plan.recv[c.Rank()])
+	// Phase two: aggregators access their file domains.
+	b.Host((*accessStep)(f))
+	b.Barrier()
+}
+
+// HostStep builds the call's plan, if no rank has yet, and queues this
+// rank's aggregator runs.
+func (s *planStep) HostStep() (des.Time, bool) {
+	f := (*File)(s)
+	cs := f.cc.cs
+	plan := cs.plan
+	if !cs.planned {
+		plan.fill(cs.deposits, f.info.Aggregators, f.fs.Config().StripeUnit)
+		cs.planned = true
+	}
+	r := f.comm.Rank()
 	if m := f.info.Metrics; m != nil {
 		m.CollectiveOps.Inc()
 		var shuffled int64
-		for _, n := range plan.send[c.Rank()] {
+		for _, n := range plan.send[r] {
 			shuffled += n
 		}
 		m.ShuffleBytes.Add(shuffled)
 	}
-	c.AlltoallvBytes(plan.send[c.Rank()], plan.recv[c.Rank()])
-
-	// Phase two: aggregators access their file domains.
-	if runs := plan.runs[c.Rank()]; len(runs) > 0 {
-		p := c.Proc()
-		client := f.clientID()
-		bufSize := f.info.CollBufferSize
-		for _, run := range runs {
-			off, left := run.off, run.size
-			for left > 0 {
-				n := left
-				if n > bufSize {
-					n = bufSize
-				}
-				if write {
-					f.sf.WriteAt(p, client, off, n, nil)
-				} else {
-					f.sf.ReadAt(p, client, off, n)
-				}
-				off += n
-				left -= n
-			}
-		}
-	}
-	c.Barrier()
-	cs.finished++
-	if cs.finished == c.Size() {
-		delete(co.calls, seq)
-	}
+	f.queue(plan.runs[r], f.info.CollBufferSize)
+	return 0, false
 }
 
-// degradedCollective is the NoCollectiveBuffering path: independent
-// accesses plus the collective synchronisation.
-func (f *File) degradedCollective(exts []extent, write bool, data []byte) {
-	p := f.comm.Proc()
-	client := f.clientID()
+// HostStep starts the next queued access and sleeps until it is over.
+func (s *accessStep) HostStep() (des.Time, bool) {
+	f := (*File)(s)
+	cc := &f.cc
+	for cc.left == 0 {
+		if len(cc.todo) == 0 {
+			return 0, false
+		}
+		cc.off, cc.left = cc.todo[0].off, cc.todo[0].size
+		cc.todo = cc.todo[1:]
+	}
+	n := min(cc.left, cc.chunk)
+	done := f.sf.Access(f.comm.Proc(), f.clientID(), cc.off, n, nil, cc.write)
+	cc.off += n
+	cc.left -= n
+	return done, true
+}
+
+// storeContent records a write's payload over its extents, in order.
+func (f *File) storeContent(exts []extent, data []byte) {
 	var cursor int64
 	for _, e := range exts {
-		if write {
-			f.sf.WriteAt(p, client, e.off, e.size, nil)
-			if data != nil && cursor < int64(len(data)) {
-				end := minI64(cursor+e.size, int64(len(data)))
-				f.sf.StoreContent(e.off, data[cursor:end])
-			}
-		} else {
-			f.sf.ReadAt(p, client, e.off, e.size)
+		if cursor >= int64(len(data)) {
+			break
 		}
+		end := minI64(cursor+e.size, int64(len(data)))
+		f.sf.StoreContent(e.off, data[cursor:end])
 		cursor += e.size
 	}
-	f.comm.Barrier()
 }
 
 // ---------------------------------------------------------------------
@@ -310,26 +377,29 @@ func (f *File) ReadAll(size int64) {
 	f.ptr += size
 }
 
+// collectiveAccess is the one batch of WriteAllAt and ReadAllAt. With
+// NoCollectiveBuffering it degrades to independent accesses plus the
+// collective synchronisation.
 func (f *File) collectiveAccess(off, size int64, data []byte, write bool) {
 	exts := f.view.appendExtents(f.extBuf[:0], off, size)
 	f.extBuf = exts
 	if write && data != nil {
-		var cursor int64
-		for _, e := range exts {
-			if cursor >= int64(len(data)) {
-				break
-			}
-			end := minI64(cursor+e.size, int64(len(data)))
-			f.sf.StoreContent(e.off, data[cursor:end])
-			cursor += e.size
-		}
+		f.storeContent(exts, data)
 	}
+	f.cc.write = write
+	b := f.comm.Batch()
 	if f.info.NoCollectiveBuffering {
-		f.degradedCollective(exts, write, nil)
+		f.queue(exts, math.MaxInt64)
+		b.Host((*accessStep)(f))
+		b.Barrier()
+		b.Run()
 		return
 	}
-	seq := f.nextSeq()
-	f.twoPhase(seq, exts, write)
+	f.begin()
+	f.deposit(exts)
+	f.twoPhase(b)
+	b.Run()
+	f.finish()
 }
 
 // WriteOrdered writes collectively at the shared file pointer in rank
@@ -347,49 +417,53 @@ func (f *File) ReadOrdered(size int64) {
 	f.orderedAccess(size, nil, false)
 }
 
+// orderedAccess is the one batch of WriteOrdered and ReadOrdered.
 func (f *File) orderedAccess(size int64, data []byte, write bool) {
-	c := f.comm
-	seq := f.nextSeq()
+	cc := f.begin()
+	cc.write, cc.size, cc.data = write, size, data
 	// Each rank's ordered offset is the exclusive prefix sum of the
 	// request sizes — computed with MPI_Exscan + MPI_Allreduce, the way
 	// MPI_File_write_ordered implementations do it.
-	prefix := []int64{size}
-	c.ExscanInt64(mpi.OpSum, prefix)
-	total := mpi.AllreduceValue(c, mpi.OpSum, size)
-	// The first rank past the size exchange claims the current shared
-	// pointer as this call's base and advances it for the whole group;
-	// everyone else reads the recorded base. Execution order between
-	// ranks therefore cannot skew the offsets.
-	cs := f.sh.coord.state(seq, c.Size())
+	cc.prefix[0], cc.total[0] = size, size
+	b := f.comm.Batch()
+	b.ExscanInt64(mpi.OpSum, cc.prefix[:])
+	b.AllreduceInt64(mpi.OpSum, cc.total[:])
+	b.Host((*claimStep)(f))
+	if f.info.NoCollectiveBuffering {
+		b.Host((*accessStep)(f))
+		b.Barrier()
+	} else {
+		f.twoPhase(b)
+	}
+	b.Run()
+	f.finish()
+}
+
+// HostStep places an ordered access. The first rank past the size
+// exchange claims the current shared pointer as this call's base and
+// advances it for the whole group; everyone else reads the recorded
+// base. Execution order between ranks therefore cannot skew the
+// offsets.
+func (s *claimStep) HostStep() (des.Time, bool) {
+	f := (*File)(s)
+	cc := &f.cc
+	cs := cc.cs
 	if !cs.orderedClaimed {
 		cs.orderedBase = f.sh.sharedPtr
-		f.sh.sharedPtr += total
+		f.sh.sharedPtr += cc.total[0]
 		cs.orderedClaimed = true
 	}
-	myOff := cs.orderedBase + prefix[0]
-
-	exts := f.view.appendExtents(f.extBuf[:0], myOff, size)
+	exts := f.view.appendExtents(f.extBuf[:0], cs.orderedBase+cc.prefix[0], cc.size)
 	f.extBuf = exts
-	if write && data != nil {
-		var cursor int64
-		for _, e := range exts {
-			if cursor >= int64(len(data)) {
-				break
-			}
-			end := minI64(cursor+e.size, int64(len(data)))
-			f.sf.StoreContent(e.off, data[cursor:end])
-			cursor += e.size
-		}
+	if cc.write && cc.data != nil {
+		f.storeContent(exts, cc.data)
 	}
 	if f.info.NoCollectiveBuffering {
-		f.degradedCollective(exts, write, nil)
-		cs.finished++
-		if cs.finished == c.Size() {
-			delete(f.sh.coord.calls, seq)
-		}
-		return
+		f.queue(exts, math.MaxInt64)
+	} else {
+		f.deposit(exts)
 	}
-	f.twoPhase(seq, exts, write)
+	return 0, false
 }
 
 func (f *File) nextSeq() int64 {

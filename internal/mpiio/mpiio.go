@@ -167,10 +167,15 @@ type File struct {
 	collSeq int64
 
 	// extBuf backs the extents of this rank's collective calls. The
-	// deposit it holds is read by makePlan, which runs only after every
-	// rank has entered the call's size exchange, and twoPhase ends in a
-	// Barrier, so no rank still reads it when the next call refills it.
+	// deposit it holds is read by the plan step, which runs only after
+	// every rank has entered the call's size exchange, and a two-phase
+	// call ends in a Barrier, so no rank still reads it when the next
+	// call refills it.
 	extBuf []extent
+
+	// cc is the collective call in progress, shared by its batch's
+	// host steps.
+	cc collCall
 
 	sh *sharedState
 }

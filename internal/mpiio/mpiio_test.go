@@ -10,6 +10,7 @@ import (
 
 	"github.com/hpcbench/beff/internal/des"
 	"github.com/hpcbench/beff/internal/mpi"
+	"github.com/hpcbench/beff/internal/obs"
 	"github.com/hpcbench/beff/internal/simfs"
 	"github.com/hpcbench/beff/internal/simnet"
 )
@@ -83,7 +84,7 @@ func TestViewExtentsStrided(t *testing.T) {
 
 func TestViewExtentsQuick(t *testing.T) {
 	// Besides covering the request, a view's extents ascend strictly and
-	// neither overlap nor touch — the invariant makePlan's merge relies
+	// neither overlap nor touch — the invariant the plan's merge relies
 	// on — and appendExtents keeps what dst already held.
 	f := func(dispRaw, blockRaw, extraRaw uint16, offRaw, sizeRaw uint16, prefix uint8) bool {
 		disp := int64(dispRaw) % 1000
@@ -434,7 +435,7 @@ func TestMergeExtentsQuick(t *testing.T) {
 
 // refPlan is the two-phase plan built the direct way: every deposit
 // clipped to every domain, then each domain's clips sorted and merged.
-// makePlan must match it exactly.
+// tpPlan.fill must match it exactly.
 func refPlan(deposits [][]extent, aggregators int, stripe int64) *tpPlan {
 	size := len(deposits)
 	var lo, hi int64 = -1, 0
@@ -517,7 +518,8 @@ func TestTwoPhasePlanMatchesReference(t *testing.T) {
 		}
 		aggregators := rng.Intn(n+2) + 1
 		stripe := rng.Int63n(8*kB) + 1
-		got := makePlan(deposits, aggregators, stripe)
+		got := newPlan(n)
+		got.fill(deposits, aggregators, stripe)
 		want := refPlan(deposits, aggregators, stripe)
 		for r := 0; r < n; r++ {
 			for d := 0; d < n; d++ {
@@ -645,7 +647,8 @@ func TestTwoPhasePlanConservesBytes(t *testing.T) {
 			cs.deposits[c.Rank()] = exts
 			c.Barrier() // everyone deposited
 			if c.Rank() == 0 {
-				plan := makePlan(cs.deposits, file.info.Aggregators, fs.Config().StripeUnit)
+				plan := newPlan(n)
+				plan.fill(cs.deposits, file.info.Aggregators, fs.Config().StripeUnit)
 				var sent, recvd, covered int64
 				for r := 0; r < n; r++ {
 					for _, b := range plan.send[r] {
@@ -776,4 +779,53 @@ func TestReadSpanningHolePayloadHole(t *testing.T) {
 		}
 		f.Close()
 	})
+}
+
+// TestCollectiveCallResumesOnce: every collective call is one batch, so
+// it resumes each rank's coroutine exactly once, with and without
+// collective buffering. Each rank makes the call last, after a barrier,
+// and the run without it is otherwise the same, so the call's resumes
+// are the difference between the two runs' totals.
+func TestCollectiveCallResumesOnce(t *testing.T) {
+	const n = 4
+	calls := []struct {
+		name string
+		call func(f *File)
+	}{
+		{"WriteAll", func(f *File) { f.WriteAll(64*kB, nil) }},
+		{"ReadAll", func(f *File) { f.ReadAll(64 * kB) }},
+		{"WriteOrdered", func(f *File) { f.WriteOrdered(64*kB, nil) }},
+		{"ReadOrdered", func(f *File) { f.ReadOrdered(64 * kB) }},
+	}
+	resumes := func(info Info, call func(f *File)) int64 {
+		t.Helper()
+		m := &des.Metrics{Resumes: new(obs.Counter)}
+		cfg := mpi.WorldConfig{Net: newTestNet(n)}
+		cfg.Observe(mpi.Observer{OnEngine: func(e *des.Engine) { e.SetMetrics(m) }})
+		fs := simfs.MustNew(testFSCfg())
+		err := mpi.Run(cfg, func(c *mpi.Comm) {
+			f, err := Open(c, fs, "once", ModeCreate|ModeRdWr, info)
+			if err != nil {
+				c.Proc().Fail("%v", err)
+			}
+			f.SetView(View{Disp: int64(c.Rank()) * kB, BlockLen: kB, Stride: n * kB})
+			c.Barrier()
+			if call != nil {
+				call(f)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Resumes.Value()
+	}
+	for _, nocb := range []bool{false, true} {
+		info := Info{NoCollectiveBuffering: nocb}
+		base := resumes(info, nil)
+		for _, c := range calls {
+			if got := resumes(info, c.call) - base; got != n {
+				t.Errorf("%s (NoCollectiveBuffering %v): %d resumes on %d ranks, want one each", c.name, nocb, got, n)
+			}
+		}
+	}
 }

@@ -221,16 +221,18 @@ func (c *Cache) load(key string, into any, raw bool) (json.RawMessage, bool) {
 }
 
 // served returns value as JSONTask serves it, json.MarshalIndent(value,
-// "", "  ") plus a newline, after head, in a slice of exact size.
+// "", "  ") plus a newline, after head, in a slice of exact size. The
+// compact encoding is indented straight into that slice, so the value
+// is held twice (compact and indented), where MarshalIndent and a copy
+// would hold it three times.
 func served(head []byte, value any) ([]byte, error) {
-	data, err := json.MarshalIndent(value, "", "  ")
+	data, err := json.Marshal(value)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, len(head)+len(data)+1)
-	copy(out[copy(out, head):], data)
-	out[len(out)-1] = '\n'
-	return out, nil
+	out := make([]byte, len(head), len(head)+indentLen(data)+1)
+	copy(out, head)
+	return append(appendIndent(out, data), '\n'), nil
 }
 
 // store writes value's entry in the served layout, the only layout it

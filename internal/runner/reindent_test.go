@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// FuzzReindent checks the re-indent helper against encoding/json: for
-// any valid JSON v, v indented with two spaces, re-laid-out six spaces
-// deep as internal/serve splices it into a /result body, is json.Indent
-// of v with a six-space prefix.
+// FuzzReindent checks the indent and re-indent helpers against
+// encoding/json: for any valid JSON v, v compacted and indented with
+// two spaces (appendIndent, as the cache stores results) is json.Indent
+// of v, and that, re-laid-out six spaces deep as internal/serve splices
+// it into a /result body, is json.Indent of v with a six-space prefix.
 func FuzzReindent(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("..", "check", "testdata", "golden", "beff_t3e.json"))
 	if err != nil {
@@ -37,6 +38,9 @@ func FuzzReindent(f *testing.F) {
 		}
 		if err := json.Indent(&spliced, compact.Bytes(), "      ", "  "); err != nil {
 			t.Fatal(err)
+		}
+		if got := appendIndent([]byte("x"), compact.Bytes()); !bytes.Equal(got[1:], src.Bytes()) || indentLen(compact.Bytes()) != len(got)-1 {
+			t.Fatalf("indent (indentLen %d):\n%s\nwant\n%s", indentLen(compact.Bytes()), got[1:], src.Bytes())
 		}
 		from, to := Layout{Prefix: 0, Indent: 2}, Layout{Prefix: 6, Indent: 2}
 		n, ok := ReindentLen(src.Bytes(), from, to)

@@ -525,21 +525,26 @@ func (fs *FS) sectorAligned(off, size int64) bool {
 // disk may still be draining afterwards — call Sync to force it out).
 // data may be nil for timing-only traffic.
 func (f *File) WriteAt(p *des.Proc, clientID int, off, size int64, data []byte) {
-	f.access(p, clientID, off, size, data, true)
+	p.SleepUntil(f.Access(p, clientID, off, size, data, true))
 }
 
 // ReadAt reads size bytes at offset off, blocking p until the data is
 // in the caller's memory. If the file region was written with payload
 // data, it is returned; timing-only regions return nil.
 func (f *File) ReadAt(p *des.Proc, clientID int, off, size int64) []byte {
-	f.access(p, clientID, off, size, nil, false)
+	p.SleepUntil(f.Access(p, clientID, off, size, nil, false))
 	if len(f.content) == 0 {
 		return nil
 	}
 	return f.readContent(off, size)
 }
 
-func (f *File) access(p *des.Proc, clientID int, off, size int64, data []byte, write bool) {
+// Access starts a write (WriteAt's arguments) or a read of size bytes
+// at off at p's current time, and reports when it is over: the time
+// WriteAt and ReadAt sleep until. It does not block: it books the
+// client channel and the servers, and the caller must sleep until the
+// reported time (des.Proc.SleepUntil) before p goes on.
+func (f *File) Access(p *des.Proc, clientID int, off, size int64, data []byte, write bool) des.Time {
 	fs := f.fs
 	if off < 0 || size < 0 {
 		p.Fail("simfs: invalid access off=%d size=%d", off, size)
@@ -548,8 +553,7 @@ func (f *File) access(p *des.Proc, clientID int, off, size int64, data []byte, w
 		p.Fail("simfs: access to deleted file %q", f.name)
 	}
 	if size == 0 {
-		p.Sleep(fs.cfg.RequestOverhead)
-		return
+		return p.Now().Add(fs.cfg.RequestOverhead)
 	}
 	start := p.Now().Add(fs.cfg.RequestOverhead)
 	// The client channel carries the payload to/from the I/O subsystem.
@@ -583,7 +587,7 @@ func (f *File) access(p *des.Proc, clientID int, off, size int64, data []byte, w
 	} else {
 		fs.totalRead += size
 	}
-	p.SleepUntil(done)
+	return done
 }
 
 // serverWrite models one stripe piece landing on a server.
