@@ -14,7 +14,8 @@
 //	beffstore [-cache DIR] bench [flags]          store latency benchmark
 //
 // The bench subcommand builds a throwaway store of -entries entries and
-// measures random point lookups and whole-store scans, reporting
+// measures random point lookups, whole-store scans and read-only
+// reopens (an index rebuild from the segments), reporting
 // avg/median/p95 latencies as JSON (the committed BENCH_store.json is
 // its output).
 package main
@@ -272,6 +273,7 @@ type backendReport struct {
 	Backend     string       `json:"backend"`
 	PointLookup latencyStats `json:"point_lookup"`
 	FullScan    latencyStats `json:"full_scan"`
+	Reopen      latencyStats `json:"reopen"`
 	DiskBytes   int64        `json:"disk_bytes"`
 	Files       int          `json:"files"`
 }
@@ -282,7 +284,7 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	entries := fs.Int("entries", 12000, "entries to build the store with")
 	valueBytes := fs.Int("value-bytes", 2048, "payload bytes per entry (before the JSON envelope)")
 	lookups := fs.Int("lookups", 20000, "random point lookups to time (OLTP pattern)")
-	scans := fs.Int("scans", 5, "whole-store scans to time (OLAP pattern)")
+	scans := fs.Int("scans", 5, "whole-store scans to time (OLAP pattern), and as many reopens")
 	out := fs.String("out", "", "also write the JSON report to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -346,8 +348,27 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		}
 		scanSamples[i] = time.Since(t0)
 	}
+	reopenSamples := make([]time.Duration, *scans)
+	for i := range reopenSamples {
+		t0 := time.Now()
+		ro, err := store.Open(dir, store.Options{ReadOnly: true})
+		if err != nil {
+			return fail(fmt.Errorf("reopen: %w", err))
+		}
+		reopenSamples[i] = time.Since(t0)
+		n := ro.Len()
+		ro.Close()
+		if n != len(keys) {
+			return fail(fmt.Errorf("reopen: %d entries, want %d", n, len(keys)))
+		}
+	}
 
-	b := backendReport{Backend: "store", PointLookup: summarize(samples), FullScan: summarize(scanSamples)}
+	b := backendReport{
+		Backend:     "store",
+		PointLookup: summarize(samples),
+		FullScan:    summarize(scanSamples),
+		Reopen:      summarize(reopenSamples),
+	}
 	filepath.WalkDir(dir, func(_ string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err

@@ -245,7 +245,7 @@ func TestBenchSmoke(t *testing.T) {
 		t.Fatalf("bench report: %+v", rep)
 	}
 	b := rep.Backends[0]
-	if b.PointLookup.AvgNs <= 0 || b.FullScan.MedianNs <= 0 {
+	if b.PointLookup.AvgNs <= 0 || b.FullScan.MedianNs <= 0 || b.Reopen.MedianNs <= 0 {
 		t.Fatalf("store has empty latencies: %+v", b)
 	}
 	// The store packs all 64 entries into a handful of segment files.

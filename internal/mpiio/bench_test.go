@@ -17,7 +17,7 @@ func BenchmarkTwoPhasePlan(b *testing.B) {
 	deposits := make([][]extent, n)
 	for r := range deposits {
 		v := View{Disp: int64(r) * block, BlockLen: block, Stride: n * block}
-		deposits[r] = v.extents(0, mB)
+		deposits[r] = v.appendExtents(nil, 0, mB)
 	}
 	stripe := testFSCfg().StripeUnit
 	b.ReportAllocs()

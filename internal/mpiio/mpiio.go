@@ -114,16 +114,11 @@ func (v View) fileOffset(off int64) int64 {
 // extent is a contiguous byte range in the file.
 type extent struct{ off, size int64 }
 
-// extents expands [off, off+size) of the view into file extents,
-// merging adjacent blocks when the view is contiguous. The result is
-// sorted by offset and its extents are disjoint and non-adjacent; the
+// appendExtents expands [off, off+size) of the view into file extents
+// appended to dst, so a caller can reuse one buffer across accesses.
+// Adjacent blocks merge when the view is contiguous. The appended
+// extents are sorted by offset, disjoint and non-adjacent; the
 // two-phase plan's merge relies on that.
-func (v View) extents(off, size int64) []extent {
-	return v.appendExtents(nil, off, size)
-}
-
-// appendExtents is extents appending to dst, so a caller can reuse one
-// buffer across accesses.
 func (v View) appendExtents(dst []extent, off, size int64) []extent {
 	if size <= 0 {
 		return dst
@@ -166,11 +161,11 @@ type File struct {
 	// makes the numbers agree across ranks.
 	collSeq int64
 
-	// extBuf backs the extents of this rank's collective calls. The
-	// deposit it holds is read by the plan step, which runs only after
+	// extBuf backs the extents of this rank's calls. A collective
+	// call's deposit is read by the plan step, which runs only after
 	// every rank has entered the call's size exchange, and a two-phase
 	// call ends in a Barrier, so no rank still reads it when the next
-	// call refills it.
+	// call, collective or independent, refills it.
 	extBuf []extent
 
 	// cc is the collective call in progress, shared by its batch's
@@ -308,8 +303,9 @@ func (f *File) clientID() int { return f.comm.PhysProc(f.comm.Rank()) }
 func (f *File) WriteAt(off, size int64, data []byte) {
 	f.checkWrite()
 	p := f.comm.Proc()
+	f.extBuf = f.view.appendExtents(f.extBuf[:0], off, size)
 	var cursor int64
-	for _, e := range f.view.extents(off, size) {
+	for _, e := range f.extBuf {
 		f.sf.WriteAt(p, f.clientID(), e.off, e.size, nil)
 		if data != nil && cursor < int64(len(data)) {
 			end := cursor + e.size
@@ -330,8 +326,9 @@ func (f *File) ReadAt(off, size int64) []byte {
 	f.checkRead()
 	p := f.comm.Proc()
 	var out []byte
+	f.extBuf = f.view.appendExtents(f.extBuf[:0], off, size)
 	var cursor int64
-	for _, e := range f.view.extents(off, size) {
+	for _, e := range f.extBuf {
 		if c := f.sf.ReadAt(p, f.clientID(), e.off, e.size); c != nil {
 			if out == nil {
 				// The extents read so far had no payload: zeros.

@@ -60,7 +60,7 @@ func runIO(t *testing.T, n int, cfg simfs.Config, body func(c *mpi.Comm, fs *sim
 
 func TestViewExtentsContiguous(t *testing.T) {
 	v := ContiguousView(100)
-	exts := v.extents(50, 1000)
+	exts := v.appendExtents(nil, 50, 1000)
 	if len(exts) != 1 || exts[0].off != 150 || exts[0].size != 1000 {
 		t.Fatalf("exts = %+v", exts)
 	}
@@ -70,7 +70,7 @@ func TestViewExtentsStrided(t *testing.T) {
 	// Blocks of 10 every 40, displacement 0: view offset 0..9 → file
 	// 0..9, 10..19 → 40..49, etc.
 	v := View{Disp: 0, BlockLen: 10, Stride: 40}
-	exts := v.extents(5, 20)
+	exts := v.appendExtents(nil, 5, 20)
 	want := []extent{{5, 5}, {40, 10}, {80, 5}}
 	if len(exts) != len(want) {
 		t.Fatalf("exts = %+v", exts)
@@ -641,7 +641,7 @@ func TestTwoPhasePlanConservesBytes(t *testing.T) {
 				c.Proc().Fail("%v", err)
 			}
 			file.SetView(View{Disp: int64(c.Rank()) * block, BlockLen: block, Stride: stride})
-			exts := file.view.extents(0, size)
+			exts := file.view.appendExtents(nil, 0, size)
 			seq := file.nextSeq()
 			cs := file.sh.coord.state(seq, c.Size())
 			cs.deposits[c.Rank()] = exts
@@ -743,6 +743,24 @@ func TestTimingOnlyReadAllocatesNoBuffer(t *testing.T) {
 		}
 		if perOp := (after.TotalAlloc - before.TotalAlloc) / 11; perOp > size/64 {
 			t.Errorf("timing-only ReadAt allocated %d bytes/op for a %d-byte read", perOp, size)
+		}
+		f.Close()
+	})
+}
+
+func TestIndependentStridedAccessAllocatesNothing(t *testing.T) {
+	// Sixteen 1 kB blocks of a strided view per call: the extents live
+	// in the File's buffer, so warm timing-only calls allocate nothing.
+	runIO(t, 1, testFSCfg(), func(c *mpi.Comm, fs *simfs.FS) {
+		f, _ := Open(c, fs, "s", ModeCreate|ModeRdWr, Info{})
+		f.SetView(View{BlockLen: kB, Stride: 4 * kB})
+		access := func() {
+			f.WriteAt(0, 16*kB, nil)
+			f.ReadAt(0, 16*kB)
+		}
+		access()
+		if n := testing.AllocsPerRun(100, access); n != 0 {
+			t.Errorf("independent strided WriteAt + ReadAt: %.1f allocs", n)
 		}
 		f.Close()
 	})

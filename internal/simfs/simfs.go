@@ -187,6 +187,8 @@ type FS struct {
 	serverOpObs []func(server int, write bool, bytes int64, start, end des.Time)
 
 	metrics *Metrics
+
+	pieces []piece // split's scratch
 }
 
 // Metrics is the filesystem's optional observability hook-up. All
@@ -425,15 +427,18 @@ func (fs *FS) serverLocal(off int64) int64 {
 	return (off/(su*int64(fs.cfg.Servers)))*su + off%su
 }
 
-// pieces splits [off, off+size) at stripe boundaries.
+// piece is the part of an access that one stripe unit holds.
 type piece struct {
 	srv  *server
 	off  int64
 	size int64
 }
 
+// split splits [off, off+size) at stripe boundaries. It returns fs's
+// scratch slice, valid until the next split: Access uses it up before
+// it returns.
 func (fs *FS) split(f *File, off, size int64) []piece {
-	var ps []piece
+	ps := fs.pieces[:0]
 	for size > 0 {
 		su := fs.cfg.StripeUnit
 		inStripe := su - off%su
@@ -445,6 +450,7 @@ func (fs *FS) split(f *File, off, size int64) []piece {
 		off += n
 		size -= n
 	}
+	fs.pieces = ps
 	return ps
 }
 

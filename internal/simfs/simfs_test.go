@@ -549,3 +549,18 @@ func TestBackgroundLoadSlowsDisk(t *testing.T) {
 		t.Errorf("50%% background load should ~double disk time: ratio %.2f", ratio)
 	}
 }
+
+func TestWarmAccessAllocatesNothing(t *testing.T) {
+	runFS(t, testCfg(), func(p *des.Proc, fs *FS) {
+		f := fs.Open(p, "a")
+		// Four stripe units per access, so split makes several pieces.
+		access := func() {
+			f.Access(p, 0, 0, 4*64*kB, nil, true)
+			f.Access(p, 0, 0, 4*64*kB, nil, false)
+		}
+		access()
+		if n := testing.AllocsPerRun(100, access); n != 0 {
+			t.Errorf("warm Access: %.1f allocs per write and read", n)
+		}
+	})
+}

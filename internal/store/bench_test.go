@@ -145,3 +145,44 @@ func BenchmarkFlatStorePut(b *testing.B) {
 	}
 	b.SetBytes(benchValueSize)
 }
+
+// BenchmarkStoreOpen reopens a store of 4 segments of 35 kB entries,
+// about the size of a t3e/8 b_eff cell, and reports replay MB/s.
+func BenchmarkStoreOpen(b *testing.B) {
+	const (
+		entries   = 400
+		valueSize = 35 << 10
+	)
+	dir := b.TempDir()
+	opts := Options{TargetSegmentSize: 4 << 20, NoAutoCompact: true}
+	s, err := Open(dir, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := make([]byte, valueSize)
+	rand.New(rand.NewSource(1)).Read(v)
+	for i := 0; i < entries; i++ {
+		if err := s.Put(benchKey(i), v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	want := s.Stats()
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if want.Segments < 3 {
+		b.Fatalf("%d segments, want at least 3", want.Segments)
+	}
+	b.SetBytes(want.TotalBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(dir, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := s.Stats(); st.LiveEntries != entries || st.Segments != want.Segments {
+			b.Fatalf("reopened %+v, want %+v", st, want)
+		}
+		s.Close()
+	}
+}

@@ -227,6 +227,41 @@ func TestTombstoneNotResurrectedByCrashyCompaction(t *testing.T) {
 	}
 }
 
+func TestFailedCutBackSealsTornSegment(t *testing.T) {
+	// An append that writes part of its record and whose cut-back fails
+	// leaves torn bytes at the end of the active segment. No later
+	// record may land after them: a Get would read the torn frame, and
+	// recovery would stop there and drop every acknowledged record
+	// behind it.
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{NoAutoCompact: true})
+	want := fill(t, s, 5)
+	torn := activeSegPath(s)
+	s.tornAppend = true
+	if err := s.Put("lost", []byte("never acknowledged")); !errors.Is(err, errTornAppend) {
+		t.Fatalf("torn append: %v", err)
+	}
+	for i := 0; i < 5; i++ {
+		k, v := fmt.Sprintf("after-%d", i), fmt.Sprintf("value-%d", i)
+		put(t, s, k, v)
+		want[k] = v
+	}
+	verify(t, s, want)
+	if activeSegPath(s) == torn {
+		t.Fatal("appends continued after the torn bytes")
+	}
+	s.closeForCrash()
+
+	for _, opts := range []Options{{ReadOnly: true}, {}} {
+		r := mustOpen(t, dir, opts)
+		verify(t, r, want)
+		if r.truncations != 1 {
+			t.Fatalf("read-only %v: %d truncations, want 1", opts.ReadOnly, r.truncations)
+		}
+		r.Close()
+	}
+}
+
 // compactOnce runs one synchronous compaction owning the flag, without
 // Compact's ReadOnly guard semantics (test helper).
 func (s *Store) compactOnce() error {

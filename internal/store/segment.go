@@ -129,45 +129,73 @@ func decodeRecord(rec []byte) (flags byte, key []byte, value []byte, err error) 
 	return flags, key, value, nil
 }
 
-// scanSegment replays records from r, calling fn for each valid one
-// with its offset, total size (header included), flags and key. It
-// returns the offset of the first byte past the last valid record and,
-// when the scan stopped before a clean EOF (torn or corrupt tail), a
+// scanBufSize is scanSegment's read buffer. A record that fits in it
+// is checked where the reader holds it; a larger one is read into a
+// slice the scan reuses.
+const scanBufSize = 1 << 20
+
+// scanRec is one valid record a segment scan found: its offset, total
+// size (header included), flags and key.
+type scanRec struct {
+	off, size int64
+	flags     byte
+	key       string
+}
+
+// scanSegment reads records from r and returns the valid ones in file
+// order, the offset of the first byte past the last of them and, when
+// the scan stopped before a clean EOF (torn or corrupt tail), a
 // non-nil reason. The caller decides whether to truncate.
-func scanSegment(r io.Reader, fn func(off, size int64, flags byte, key string)) (good int64, torn error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+func scanSegment(r io.Reader) (recs []scanRec, good int64, torn error) {
+	br := bufio.NewReaderSize(r, scanBufSize)
 	var off int64
-	hdr := make([]byte, recHdrSize)
-	var payload []byte
+	var big []byte
 	for {
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			if err == io.EOF {
-				return off, nil // clean end
+		hdr, err := br.Peek(recHdrSize)
+		if err != nil {
+			if err == io.EOF && len(hdr) == 0 {
+				return recs, off, nil // clean end
 			}
-			return off, fmt.Errorf("%w: torn header at %d", errBadRecord, off)
+			return recs, off, fmt.Errorf("%w: torn header at %d", errBadRecord, off)
 		}
 		plen := binary.LittleEndian.Uint32(hdr)
 		crc := binary.LittleEndian.Uint32(hdr[4:])
 		if plen < 5 || plen > maxRecordSize {
-			return off, fmt.Errorf("%w: implausible length %d at %d", errBadRecord, plen, off)
+			return recs, off, fmt.Errorf("%w: implausible length %d at %d", errBadRecord, plen, off)
 		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
+		br.Discard(recHdrSize)
+		var payload []byte
+		inPlace := int(plen) <= br.Size()
+		if inPlace {
+			payload, err = br.Peek(int(plen))
+		} else {
+			// Grow big as bytes arrive rather than trusting a length
+			// prefix that may be torn.
+			big = big[:0]
+			for len(big) < int(plen) && err == nil {
+				var chunk []byte
+				chunk, err = br.Peek(min(int(plen)-len(big), br.Size()))
+				big = append(big, chunk...)
+				br.Discard(len(chunk))
+			}
+			payload = big
 		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return off, fmt.Errorf("%w: torn payload at %d", errBadRecord, off)
+		if err != nil {
+			return recs, off, fmt.Errorf("%w: torn payload at %d", errBadRecord, off)
 		}
 		if crc32.ChecksumIEEE(payload) != crc {
-			return off, fmt.Errorf("%w: checksum mismatch at %d", errBadRecord, off)
+			return recs, off, fmt.Errorf("%w: checksum mismatch at %d", errBadRecord, off)
 		}
 		flags := payload[0]
 		klen := binary.LittleEndian.Uint32(payload[1:])
 		if int(klen) > len(payload)-5 {
-			return off, fmt.Errorf("%w: key length overruns payload at %d", errBadRecord, off)
+			return recs, off, fmt.Errorf("%w: key length overruns payload at %d", errBadRecord, off)
 		}
 		size := int64(recHdrSize) + int64(plen)
-		fn(off, size, flags, string(payload[5:5+klen]))
+		recs = append(recs, scanRec{off: off, size: size, flags: flags, key: string(payload[5 : 5+klen])})
+		if inPlace {
+			br.Discard(int(plen))
+		}
 		off += size
 	}
 }

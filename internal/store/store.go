@@ -14,9 +14,9 @@
 //     segment) is ever written, and it rotates once it exceeds
 //     Options.TargetSegmentSize.
 //   - The index — key → (segment, offset, size) — lives in memory and
-//     is rebuilt on Open by replaying the segments in order. Lookups
-//     are one map probe plus one pread; scans walk keys in sorted
-//     order.
+//     is rebuilt on Open by scanning the segments concurrently and
+//     replaying their records in order. Lookups are one map probe plus
+//     one pread; scans walk keys in sorted order.
 //   - Compaction (compact.go) merges every sealed segment into a
 //     single generation file (seg-N.cmp), dropping superseded and
 //     tombstoned records. The rename of the .cmp.tmp output is the
@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -51,6 +52,10 @@ var (
 	ErrReadOnly = errors.New("store: opened read-only")
 	ErrClosed   = errors.New("store: closed")
 )
+
+// errTornAppend is the tornAppend test hook's write error; the hook
+// fails the cut-back after it too.
+var errTornAppend = errors.New("store: append torn by test hook")
 
 // Options configures Open. The zero value is ready to use.
 type Options struct {
@@ -123,10 +128,18 @@ type Store struct {
 	compactions atomic.Int64
 	wg          sync.WaitGroup
 
+	// tornTail marks an active segment whose file holds bytes past its
+	// last record that a failed append could not cut back. The next
+	// append seals it first, so no record follows those bytes. Guarded
+	// by wmu.
+	tornTail bool
+
 	// Test hooks: abort a compaction at the named point, simulating a
-	// crash (the exported API never sets these).
+	// crash, or make the next append write half its record and fail,
+	// its cut-back failing too (the exported API never sets these).
 	crashBeforeCommit bool
 	crashAfterCommit  bool
+	tornAppend        bool
 }
 
 // Open opens the store rooted at dir, creating dir in writer mode.
@@ -240,33 +253,40 @@ func (s *Store) recover() error {
 		}
 	}
 
+	// Open and register every segment before scanning any, so an error
+	// path closes them all.
 	for _, seg := range replay {
-		path := filepath.Join(s.dir, seg.name())
-		f, err := os.Open(path)
+		f, err := os.Open(filepath.Join(s.dir, seg.name()))
 		if err != nil {
 			return fmt.Errorf("store: recover: %w", err)
 		}
 		seg.f = f
-		s.segs[seg.id] = seg // registered before the scan: a record may supersede an earlier one in this same segment
-		good, torn := scanSegment(f, func(off, size int64, flags byte, key string) {
-			if old, ok := s.index[key]; ok {
+		s.segs[seg.id] = seg
+	}
+	// The scans are independent; applying their records in replay order
+	// is what makes a later record supersede an earlier one, within a
+	// segment as across segments.
+	for i, sc := range scanSegments(replay) {
+		seg := replay[i]
+		for _, rec := range sc.recs {
+			if old, ok := s.index[rec.key]; ok {
 				s.segs[old.seg].live -= old.size
 			}
-			if flags&flagTombstone != 0 {
-				delete(s.index, key)
+			if rec.flags&flagTombstone != 0 {
+				delete(s.index, rec.key)
 			} else {
-				s.index[key] = recLoc{seg: seg.id, off: off, size: size}
-				seg.live += size
+				s.index[rec.key] = recLoc{seg: seg.id, off: rec.off, size: rec.size}
+				seg.live += rec.size
 			}
-		})
-		seg.size = good
-		if torn != nil {
+		}
+		seg.size = sc.good
+		if sc.torn != nil {
 			// A crashed writer's partial final record (or bitrot).
 			// Everything before it is intact; drop the tail so the next
 			// append starts on a clean frame.
 			s.truncations++
 			if !s.opts.ReadOnly {
-				if err := os.Truncate(path, good); err != nil {
+				if err := os.Truncate(filepath.Join(s.dir, seg.name()), sc.good); err != nil {
 					return fmt.Errorf("store: recover: truncate torn tail: %w", err)
 				}
 			}
@@ -299,6 +319,33 @@ func (s *Store) recover() error {
 	s.segs[seg.id] = seg
 	s.active = seg
 	return nil
+}
+
+// segScan is one segment's scan: scanSegment's results.
+type segScan struct {
+	recs []scanRec
+	good int64
+	torn error
+}
+
+// scanSegments scans every segment's read handle, at most GOMAXPROCS
+// at a time, and returns the scans in the order of segs.
+func scanSegments(segs []*segment) []segScan {
+	out := make([]segScan, len(segs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(segs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(segs); i = int(next.Add(1) - 1) {
+				sc := &out[i]
+				sc.recs, sc.good, sc.torn = scanSegment(segs[i].f)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // createSegment creates and opens a fresh plain segment.
@@ -371,12 +418,30 @@ func (s *Store) Delete(key string) error {
 // append writes one encoded record to the active segment and updates
 // the index. Caller holds wmu.
 func (s *Store) append(key string, rec []byte, tomb bool) error {
+	if s.tornTail {
+		// Recovery drops the torn bytes, since they end the sealed
+		// segment's valid records, and replays the segments after it.
+		if err := s.rotate(); err != nil {
+			return fmt.Errorf("store: append: seal torn segment: %w", err)
+		}
+		s.tornTail = false
+	}
 	seg := s.active
 	off := seg.size
-	if _, err := seg.wf.Write(rec); err != nil {
+	var err error
+	if s.tornAppend {
+		s.tornAppend = false
+		seg.wf.Write(rec[:len(rec)/2])
+		err = errTornAppend
+	} else {
+		_, err = seg.wf.Write(rec)
+	}
+	if err != nil {
 		// A partial append poisons the tail; cut it back so the frame
-		// stays parseable. Best effort — recovery would also catch it.
-		os.Truncate(filepath.Join(s.dir, seg.name()), off)
+		// stays parseable, or seal the segment before the next append.
+		if err == errTornAppend || os.Truncate(filepath.Join(s.dir, seg.name()), off) != nil {
+			s.tornTail = true
+		}
 		return fmt.Errorf("store: append: %w", err)
 	}
 	size := int64(len(rec))
